@@ -17,7 +17,7 @@ import numpy as np
 from . import ed as ed_mod
 from . import gaussian, optomech_stationary, optomech_unitary, qstate, spin_lde
 from .exceptions import QcbError
-from .output import emit, export_table, fmt_value, parallel_map, read_table
+from .output import emit, export_table, fmt_value, parallel_map, read_table, write_text
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
@@ -243,7 +243,7 @@ def _cmd_lde(args, parser) -> int:
         text = json.dumps({k: fmt_value(v) for k, v in payload.items()},
                           indent=2, sort_keys=True) + "\n"
         if args.out:
-            open(args.out, "w").write(text)
+            write_text(args.out, text)
         else:
             emit(text)
         return 0
@@ -267,12 +267,12 @@ def _make_lattice(args) -> ed_mod.LatticeSpec:
 def _cmd_ed(args, parser) -> int:
     spec = _make_lattice(args)
     if args.ed_command == "run":
-        j_can, gap = ed_mod.low_spectrum_jcan(spec)
+        spectrum = ed_mod.full_spectrum(spec)
+        j_can, gap = ed_mod.low_spectrum_jcan(spec, spectrum=spectrum)
         if args.temps == "auto":
             temps = ed_mod.default_temperature_grid(j_can)
         else:
             temps = np.array([float(t) for t in args.temps.split(",")])
-        spectrum = ed_mod.full_spectrum(spec)
         betas = 1.0 / temps
         corrs = ed_mod.thermal_correlator_exact(spec, betas, spectrum=spectrum)
         rows = [{"kT": float(t), "beta": float(b), "correlator": float(c),
@@ -290,7 +290,7 @@ def _cmd_ed(args, parser) -> int:
         text = json.dumps({k: fmt_value(v) if v is not None else None
                            for k, v in rep.items()}, indent=2, sort_keys=True) + "\n"
         if args.out:
-            open(args.out, "w").write(text)
+            write_text(args.out, text)
         else:
             emit(text)
         return 0

@@ -6,6 +6,14 @@ singlet-triplet splitting and robust gap, exact thermal probe correlators,
 and the Lehmann-representation inputs of the perturbative canonical
 parameters.
 
+Engine (after Sandvik, arXiv:1101.3281, sec. 4): basis states are bit
+strings, blocks are sorted arrays of equal popcount, and each block matrix
+is assembled with array bit operations and ``searchsorted`` lookups.  The
+probe sector needs only the S_z = -1, 0, +1 blocks (dense below
+``DENSE_BLOCK_CAP``, Lanczos from a fixed start vector above it), and total
+spin is verified through <S^2> = S_z^2 + S_z + ||S^+ v||^2.  Thermal averages
+reuse each block's probe-correlator diagonal, computed once per spectrum.
+
 Normalization: bath spins are S = sigma/2; probe operators tau are full Pauli
 matrices (correlator <tau_a . tau_b> in [-3, 1]).  The probe coupling
 alpha J S_site . tau_probe therefore equals 2 alpha J S_site . S_probe in
@@ -108,50 +116,58 @@ def ladder(length: int, alpha: float, probes: str | tuple[int, int] = "ends",
 # ---------------------------------------------------------------------------
 
 
-def _blocks_by_magnetization(n: int) -> dict[int, np.ndarray]:
+def _blocks_by_magnetization(n: int, n_ups: tuple[int, ...] | None = None
+                             ) -> dict[int, np.ndarray]:
+    """Sorted basis states of each S_z block, keyed by the number of up spins
+    (all n + 1 blocks, or only those in ``n_ups``)."""
     states = np.arange(1 << n, dtype=np.int64)
-    pop = np.array([int(s).bit_count() for s in states])
-    return {n_up: states[pop == n_up] for n_up in range(n + 1)}
+    pop = np.zeros_like(states)
+    for i in range(n):
+        pop += (states >> i) & 1
+    if n_ups is None:
+        n_ups = range(n + 1)
+    return {n_up: states[pop == n_up] for n_up in n_ups}
 
 
 def _block_hamiltonian(bonds, states: np.ndarray) -> csr_matrix:
-    """Sparse Heisenberg Hamiltonian restricted to one S_z block."""
-    pos = {int(s): k for k, s in enumerate(states)}
+    """Sparse Heisenberg Hamiltonian restricted to one S_z block.
+
+    The diagonal is summed bond by bond in bond order; its floats, and so the
+    printed eigenvalues, depend on that order.
+    """
     dim = len(states)
     rows, cols, vals = [], [], []
     diag = np.zeros(dim)
-    for k, s in enumerate(states):
-        s = int(s)
-        for i, j, w in bonds:
-            bi, bj = (s >> i) & 1, (s >> j) & 1
-            if bi == bj:
-                diag[k] += 0.25 * w
-            else:
-                diag[k] -= 0.25 * w
-                flipped = s ^ (1 << i) ^ (1 << j)
-                rows.append(k)
-                cols.append(pos[flipped])
-                vals.append(0.5 * w)
-    h = csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    for i, j, w in bonds:
+        differ = ((states >> i) ^ (states >> j)) & 1
+        diag += np.where(differ, -0.25 * w, 0.25 * w)
+        k = np.flatnonzero(differ)
+        rows.append(k)
+        cols.append(np.searchsorted(states, states[k] ^ (1 << i) ^ (1 << j)))
+        vals.append(np.full(len(k), 0.5 * w))
+    h = csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(dim, dim))
     h += csr_matrix((diag, (np.arange(dim), np.arange(dim))), shape=(dim, dim))
     return h
 
 
-def build_hamiltonian(spec: LatticeSpec) -> dict[int, tuple[np.ndarray, csr_matrix]]:
+def build_hamiltonian(spec: LatticeSpec, blocks: tuple[int, ...] | None = None
+                      ) -> dict[int, tuple[np.ndarray, csr_matrix]]:
     """Per-S_z-block sparse Hamiltonian of bath + probes.
 
-    Returns {n_up: (basis states, H_block)}; H commutes with total S_z by
-    construction (only flip-flop terms appear off the diagonal).
+    Returns {n_up: (basis states, H_block)} for every block, or only for the
+    n_up values in ``blocks``; H commutes with total S_z by construction
+    (only flip-flop terms appear off the diagonal).
     """
-    n = spec.n_total
     bonds = spec.coupled_bonds()
     return {m: (sts, _block_hamiltonian(bonds, sts))
-            for m, sts in _blocks_by_magnetization(n).items()}
+            for m, sts in _blocks_by_magnetization(spec.n_total, blocks).items()}
 
 
-def _pair_operator_block(i: int, j: int, states: np.ndarray, scale: float) -> csr_matrix:
-    """scale * (S_i . S_j) on a block (scale = 4 gives tau_i . tau_j)."""
-    return _block_hamiltonian(((i, j, scale),), states)
+def _correlator_operator(spec: LatticeSpec, states: np.ndarray) -> csr_matrix:
+    """tau_a . tau_b = 4 S_a . S_b on one block."""
+    pa, pb = spec.probe_indices
+    return _block_hamiltonian(((pa, pb, 4.0),), states)
 
 
 @dataclass
@@ -163,6 +179,7 @@ class SpectrumResult:
     vectors: dict[int, np.ndarray]
     states: dict[int, np.ndarray]
     ground_energy: float = field(init=False)
+    _probe_diagonals: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.ground_energy = min(float(e[0]) for e in self.energies.values())
@@ -173,6 +190,18 @@ class SpectrumResult:
             out.extend((float(e), m, k) for k, e in enumerate(es))
         out.sort()
         return out
+
+    def probe_diagonals(self) -> dict[int, np.ndarray]:
+        """<k|tau_a . tau_b|k> for every stored eigenvector, per block.
+
+        Computed on first use and kept, so repeated thermal averages over
+        one spectrum cost an exp and a dot per block.
+        """
+        if self._probe_diagonals is None:
+            self._probe_diagonals = {
+                m: np.einsum("ik,ik->k", v, _correlator_operator(self.spec, self.states[m]) @ v)
+                for m, v in self.vectors.items()}
+        return self._probe_diagonals
 
 
 def full_spectrum(spec: LatticeSpec, need_vectors: bool = True) -> SpectrumResult:
@@ -193,18 +222,26 @@ def full_spectrum(spec: LatticeSpec, need_vectors: bool = True) -> SpectrumResul
     return SpectrumResult(spec, energies, vectors, states)
 
 
-def _low_levels(spec: LatticeSpec, k_each: int = 8):
-    """Lowest levels per block: dense below the cap, Lanczos above."""
+def _low_levels(spec: LatticeSpec, k_each: int = 8,
+                blocks: tuple[int, ...] | None = None) -> SpectrumResult:
+    """Lowest levels per block (all blocks, or the n_up values in ``blocks``):
+    dense below the cap, Lanczos above it.
+
+    Lanczos starts from a fixed-seed vector, so repeated calls return the
+    same floats.  (A constant start vector would not do: in every block it is
+    the fully polarized S = n/2 eigenstate.)
+    """
     from scipy.sparse.linalg import eigsh
 
     energies, vectors, states = {}, {}, {}
-    for m, (sts, h) in build_hamiltonian(spec).items():
+    for m, (sts, h) in build_hamiltonian(spec, blocks).items():
         dim = h.shape[0]
         if dim <= DENSE_BLOCK_CAP:
             w, v = np.linalg.eigh(h.toarray())
         else:
             k = min(k_each, dim - 1)
-            w, v = eigsh(h, k=k, which="SA", tol=1e-12)
+            v0 = np.random.default_rng(0).standard_normal(dim)
+            w, v = eigsh(h, k=k, which="SA", tol=1e-12, v0=v0)
             order = np.argsort(w)
             w, v = w[order], v[:, order]
         energies[m], vectors[m], states[m] = w, v, sts
@@ -212,7 +249,8 @@ def _low_levels(spec: LatticeSpec, k_each: int = 8):
 
 
 def total_spin_expectation(result: SpectrumResult, m: int, level: int) -> float:
-    """<S_tot^2> of one eigenvector (0 for a singlet, 2 for a triplet)."""
+    """<S_tot^2> of one eigenvector (0 for a singlet, 2 for a triplet), from
+    the full O(n^2) pair operator: the oracle for :func:`_spin_squared`."""
     spec = result.spec
     n = spec.n_total
     sts = result.states[m]
@@ -222,19 +260,49 @@ def total_spin_expectation(result: SpectrumResult, m: int, level: int) -> float:
     return float(vec @ (op @ vec)) + 0.75 * n
 
 
-def low_spectrum_jcan(spec: LatticeSpec) -> tuple[float, float]:
+def _spin_squared(result: SpectrumResult, m: int, level: int) -> float:
+    """<S_tot^2> = S_z^2 + S_z + ||S^+ v||^2 of one eigenvector.
+
+    S^+ = sum_i S_i^+ maps block m into block m + 1 with unit amplitudes:
+    n vectorized bit flips instead of the n(n-1)/2 pair bonds.
+    """
+    n = result.spec.n_total
+    sts = result.states[m]
+    vec = result.vectors[m][:, level]
+    up = _blocks_by_magnetization(n, (m + 1,))[m + 1]
+    raised = np.zeros(len(up))
+    for i in range(n):
+        down = np.flatnonzero(((sts >> i) & 1) == 0)
+        # s -> s | 2^i is one-to-one on these states, so no index repeats
+        raised[np.searchsorted(up, sts[down] | (1 << i))] += vec[down]
+    sz = m - 0.5 * n
+    return sz * sz + sz + float(raised @ raised)
+
+
+def low_spectrum_jcan(spec: LatticeSpec,
+                      spectrum: SpectrumResult | None = None) -> tuple[float, float]:
     """(J_can_exact, robust gap): singlet-triplet splitting and the gap from
     the triplet to the first level outside the 4-dimensional probe sector.
 
-    The sector is identified by S_z-block membership and degeneracy counting,
-    cross-checked with <S_tot^2> on the candidate eigenvectors.
+    Levels come from ``spectrum`` when given (e.g. the report's one
+    :func:`full_spectrum`); otherwise from the three central blocks
+    S_z = -1, 0, +1 only.  Every total-spin multiplet that can hold the
+    singlet, the triplet or the next level has a member there (SU(2)), so
+    the other blocks add nothing to the probe sector.  The sector is
+    identified by S_z-block membership and degeneracy counting, and
+    cross-checked with <S_tot^2> = 0 and 2 on the candidate eigenvectors.
     """
     if spec.alpha <= 0:
         raise DomainError("probe coupling alpha must be > 0 for the probe gap")
-    result = _low_levels(spec)
-    levels = result.all_levels()
+    if spectrum is None:
+        if spec.n_total % 2:
+            raise SectorAmbiguityError(
+                f"{spec.n_total} spins have half-integer total spin: no probe singlet")
+        mid = spec.n_total // 2
+        spectrum = _low_levels(spec, blocks=(mid - 1, mid, mid + 1))
+    levels = spectrum.all_levels()
     e0, m0, k0 = levels[0]
-    if abs(total_spin_expectation(result, m0, k0)) > 1e-6:
+    if abs(_spin_squared(spectrum, m0, k0)) > 1e-6:
         raise SectorAmbiguityError("ground state is not a total-spin singlet")
     if levels[1][0] - e0 < DEGENERACY_TOL:
         raise SectorAmbiguityError("degenerate ground state")
@@ -244,7 +312,7 @@ def low_spectrum_jcan(spec: LatticeSpec) -> tuple[float, float]:
     if len(members) != 3 or {mm for _, mm, _ in members} != {m0 - 1, m0, m0 + 1}:
         raise SectorAmbiguityError(
             f"first excited multiplet is not a clean triplet: {members[:5]}")
-    s2 = total_spin_expectation(result, members[0][1], members[0][2])
+    s2 = _spin_squared(spectrum, members[0][1], members[0][2])
     if abs(s2 - 2.0) > 1e-6:
         raise SectorAmbiguityError(f"<S^2> of candidate triplet is {s2}")
     e_rest = levels[4][0]
@@ -253,18 +321,29 @@ def low_spectrum_jcan(spec: LatticeSpec) -> tuple[float, float]:
     return e_t - e0, e_rest - e_t
 
 
-def _correlator_operator(spec: LatticeSpec, states: np.ndarray) -> csr_matrix:
-    pa, pb = spec.probe_indices
-    return _pair_operator_block(pa, pb, states, 4.0)
-
-
-def ground_state_correlator(spec: LatticeSpec) -> float:
-    """<tau_a . tau_b> in the global ground state."""
-    result = _low_levels(spec)
-    e0, m0, k0 = result.all_levels()[0]
-    vec = result.vectors[m0][:, k0]
-    op = _correlator_operator(spec, result.states[m0])
+def ground_state_correlator(spec: LatticeSpec,
+                            spectrum: SpectrumResult | None = None) -> float:
+    """<tau_a . tau_b> in the global ground state (of ``spectrum`` if given)."""
+    if spectrum is None:
+        spectrum = _low_levels(spec)
+    e0, m0, k0 = spectrum.all_levels()[0]
+    vec = spectrum.vectors[m0][:, k0]
+    op = _correlator_operator(spec, spectrum.states[m0])
     return float(vec @ (op @ vec))
+
+
+def _boltzmann_average(spectrum: SpectrumResult, betas: np.ndarray) -> np.ndarray:
+    """Probe correlator averaged over the stored levels of every block,
+    summed block by block in stored order."""
+    e0 = spectrum.ground_energy
+    diags = spectrum.probe_diagonals()
+    num = np.zeros_like(betas)
+    den = np.zeros_like(betas)
+    for m, es in spectrum.energies.items():
+        w = np.exp(-np.outer(betas, es - e0))
+        num += w @ diags[m]
+        den += w.sum(axis=1)
+    return num / den
 
 
 def thermal_correlator_exact(spec: LatticeSpec, betas,
@@ -272,22 +351,14 @@ def thermal_correlator_exact(spec: LatticeSpec, betas,
     """<tau_a . tau_b>(beta) from the full blockwise spectrum.
 
     Weights use energies shifted by the global ground energy, so arbitrarily
-    large beta is safe; beta = 0 gives the maximally mixed value 0.
+    large beta is safe; beta = 0 gives the maximally mixed value 0.  Pass the
+    same ``spectrum`` to repeated calls: its per-block correlator diagonals
+    are computed once.
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     if spectrum is None:
         spectrum = full_spectrum(spec)
-    e0 = spectrum.ground_energy
-    num = np.zeros_like(betas)
-    den = np.zeros_like(betas)
-    for m, es in spectrum.energies.items():
-        v = spectrum.vectors[m]
-        op = _correlator_operator(spec, spectrum.states[m])
-        diag = np.einsum("ik,ik->k", v, op @ v)
-        w = np.exp(-np.outer(betas, es - e0))
-        num += w @ diag
-        den += w.sum(axis=1)
-    return num / den
+    return _boltzmann_average(spectrum, betas)
 
 
 def thermal_correlator_truncated(spec: LatticeSpec, betas, k_each: int = 8) -> np.ndarray:
@@ -307,16 +378,7 @@ def thermal_correlator_truncated(spec: LatticeSpec, betas, k_each: int = 8) -> n
         raise TruncationError(
             f"truncated Boltzmann tail up to {tail.max():.2e} > 1e-10; "
             "lower the temperature or raise k_each")
-    num = np.zeros_like(betas)
-    den = np.zeros_like(betas)
-    for m, es in result.energies.items():
-        v = result.vectors[m]
-        op = _correlator_operator(spec, result.states[m])
-        diag = np.einsum("ik,ik->k", v, op @ v)
-        w = np.exp(-np.outer(betas, es - e0))
-        num += w @ diag
-        den += w.sum(axis=1)
-    return num / den
+    return _boltzmann_average(result, betas)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +391,8 @@ def _bath_spectrum_m0(spec: LatticeSpec):
     if spec.n_bath % 2:
         raise DegenerateSystemError("bath must have an even number of sites "
                                     "for a singlet ground state")
-    blocks = _blocks_by_magnetization(spec.n_bath)
-    states = blocks[spec.n_bath // 2]
+    m0 = spec.n_bath // 2
+    states = _blocks_by_magnetization(spec.n_bath, (m0,))[m0]
     h = _block_hamiltonian(spec.bonds, states)
     w, v = np.linalg.eigh(h.toarray())
     return states, w, v
@@ -389,23 +451,25 @@ def default_temperature_grid(j_can: float, n: int = 12) -> np.ndarray:
 def theory_consistency_report(spec: LatticeSpec, n_temps: int = 12) -> dict:
     """Exact-diagonalization vs canonical-theory scorecard.
 
+    Builds and diagonalizes the lattice once (:func:`full_spectrum`, so at
+    most 12 spins) and takes every ED quantity from that one spectrum.
     Reports (i) J_can_exact against the perturbative 4 (J alpha)^2 chi,
     (ii) the three-parameter fit of the ED thermal correlator with its RMS
     residual, (iii) the T = 0 correlator against -3 + eta + 3 Phi, and
     (iv) the exact separability temperature against 0.93 J_can (1 - Phi).
     """
-    j_can, gap = low_spectrum_jcan(spec)
+    spectrum = full_spectrum(spec)
+    j_can, gap = low_spectrum_jcan(spec, spectrum=spectrum)
     chi, phi_coeff = chi_lehman_and_phi(spec)
     j_can_pert = 4.0 * (spec.J * spec.alpha) ** 2 * chi
 
-    spectrum = full_spectrum(spec)
     temps = default_temperature_grid(j_can, n_temps)
     betas = 1.0 / temps
     corrs = thermal_correlator_exact(spec, betas, spectrum=spectrum)
     fit = fit_canonical_params(list(zip(betas, corrs)))
     cp = fit.params
 
-    c0_exact = ground_state_correlator(spec)
+    c0_exact = ground_state_correlator(spec, spectrum=spectrum)
     c0_model = -3.0 + cp.eta + 3.0 * cp.Phi
 
     # exact separability temperature from the ED correlator itself

@@ -51,38 +51,47 @@ def export_table(rows, columns=None, config=None, path=None, fmt="csv") -> str:
     else:
         raise QcbError(f"unknown output format {fmt!r}")
     if path is not None:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise QcbError(f"cannot write {path}: {exc}") from exc
+        write_text(path, text)
     return text
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``; unwritable paths raise QcbError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise QcbError(f"cannot write {path}: {exc}") from exc
 
 
 def read_table(path) -> tuple[dict, list[str], list[dict]]:
     """Parse a CSV written by :func:`export_table`.
 
     Returns (config, columns, rows); numeric cells come back as floats.
+    Unreadable paths raise QcbError.
     """
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise QcbError(f"cannot read {path}: {exc}") from exc
     config: dict = {}
     columns: list[str] = []
     rows: list[dict] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    config[k.strip()] = _maybe_number(v.strip())
-                continue
-            cells = line.split(",")
-            if not columns:
-                columns = cells
-                continue
-            rows.append({c: _maybe_number(x) for c, x in zip(columns, cells)})
+    for line in lines:
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                k, v = body.split("=", 1)
+                config[k.strip()] = _maybe_number(v.strip())
+            continue
+        cells = line.split(",")
+        if not columns:
+            columns = cells
+            continue
+        rows.append({c: _maybe_number(x) for c, x in zip(columns, cells)})
     return config, columns, rows
 
 

@@ -37,6 +37,28 @@ class TestExitCodes:
         assert code == 2 and not out.exists()
 
 
+class TestFileErrors:
+    """Unwritable outputs and unreadable inputs exit 3 without a traceback."""
+
+    def test_ed_report_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code, _, err = run(capsys, "ed", "report", "--L", "6", "--alpha", "0.08",
+                           "--probes", "1,4", "--out", str(out))
+        assert code == 3 and err.startswith("qcb: error:")
+
+    def test_lde_fit_unwritable_out(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        run(capsys, "lde", "thermal", "--jcan", "2e-3", "--tmin", "1e-4",
+            "--tmax", "4e-2", "--out", str(data))
+        code, _, err = run(capsys, "lde", "fit", "--in", str(data),
+                           "--out", str(tmp_path / "missing" / "fit.json"))
+        assert code == 3 and err.startswith("qcb: error:")
+
+    def test_lde_fit_missing_input(self, tmp_path, capsys):
+        code, _, err = run(capsys, "lde", "fit", "--in", str(tmp_path / "none.csv"))
+        assert code == 3 and err.startswith("qcb: error:")
+
+
 class TestWerner:
     def test_grid(self, tmp_path, capsys):
         out = tmp_path / "w.csv"

@@ -12,6 +12,8 @@ from qcb.exceptions import (
 )
 from qcb.ed import (
     LatticeSpec,
+    _low_levels,
+    _spin_squared,
     build_hamiltonian,
     chain,
     chi_lehman_and_phi,
@@ -77,6 +79,20 @@ class TestHamiltonian:
             [e for e in full_spectrum(spec).energies.values()]))
         assert np.max(np.abs(dense - blocked)) < 1e-10
 
+    def test_blocks_equal_dense_oracle(self):
+        for spec in (chain(10, alpha=0.05), ladder(4, alpha=0.05)):
+            dense = dense_hamiltonian(spec)
+            blocks = build_hamiltonian(spec)
+            assert len(blocks) == spec.n_total + 1
+            for sts, h in blocks.values():
+                assert np.array_equal(h.toarray(), dense[np.ix_(sts, sts)])
+            mid = spec.n_total // 2
+            subset = build_hamiltonian(spec, blocks=(mid, mid + 1))
+            assert list(subset) == [mid, mid + 1]
+            for m, (sts, h) in subset.items():
+                assert np.array_equal(sts, blocks[m][0])
+                assert np.array_equal(h.toarray(), blocks[m][1].toarray())
+
     def test_sign_flip_rebuild(self):
         spec = chain(4, alpha=0.07)
         flipped = LatticeSpec(n_bath=4, bonds=spec.bonds,
@@ -118,6 +134,29 @@ class TestLowSpectrum:
         levels = result.all_levels()
         assert abs(total_spin_expectation(result, levels[0][1], levels[0][2])) < 1e-8
         assert abs(total_spin_expectation(result, levels[1][1], levels[1][2]) - 2.0) < 1e-8
+
+    def test_given_spectrum_matches_central_blocks(self):
+        for spec in (chain(**ACCEPT, alpha=0.05), chain(8, alpha=0.05),
+                     chain(6, alpha=0.1, probes=(1, 4))):
+            fresh = low_spectrum_jcan(spec)
+            given = low_spectrum_jcan(spec, spectrum=full_spectrum(spec))
+            assert np.max(np.abs(np.subtract(fresh, given))) < 1e-12
+
+    def test_raising_operator_spin_check_matches_pair_operator(self):
+        # 16 spins, central blocks through Lanczos: ground singlet and the
+        # three triplet members
+        spec = chain(14, alpha=0.05, probes=(1, 12))
+        result = _low_levels(spec, blocks=(7, 8, 9))
+        levels = result.all_levels()[:4]
+        assert sorted(m for _, m, _ in levels[1:]) == [7, 8, 9]
+        s2 = [_spin_squared(result, m, k) for _, m, k in levels]
+        oracle = [total_spin_expectation(result, m, k) for _, m, k in levels]
+        assert np.max(np.abs(np.subtract(s2, oracle))) < 1e-9
+        assert np.max(np.abs(np.subtract(s2, [0.0, 2.0, 2.0, 2.0]))) < 1e-6
+
+    def test_repeated_lanczos_probe_gap_is_bit_identical(self):
+        spec = chain(14, alpha=0.05, probes=(1, 12))
+        assert low_spectrum_jcan(spec) == low_spectrum_jcan(spec)
 
     def test_jcan_perturbative_scaling(self):
         spec0 = chain(**ACCEPT, alpha=0.001)
