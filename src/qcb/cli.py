@@ -17,42 +17,69 @@ import numpy as np
 from . import ed as ed_mod
 from . import gaussian, optomech_stationary, optomech_unitary, qstate, spin_lde
 from .exceptions import QcbError
-from .output import emit, export_table, fmt_value, parallel_map, read_table, write_text
+from .output import export_table, fmt_value, read_table, write_text
 
 
-def _parse_levels(text: str) -> tuple[int, ...]:
+def _checked(convert, ok, what: str):
+    """argparse type: ``convert`` the text, then require ``ok`` of the value."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_count = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_finite = _checked(float, math.isfinite, "a finite number")
+_positive = _checked(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+# Kept as text, which the output header records.
+_temperatures = _checked(str, lambda t: t == "auto" or all(
+    _positive(x) for x in t.split(",")), "'auto' or temperatures > 0")
+_probes = _checked(str, lambda t: t == "ends" or (t.count(",") == 1 and all(
+    x.isdecimal() for x in t.split(","))), "'ends' or two sites 'i,j'")
+_levels = _checked(str, lambda t: all(x.isdecimal() for x in t.split(",")),
+                   "levels 'i,j,...'")
+
+
+def _parse_with_config(parser: argparse.ArgumentParser, argv, args):
+    """Parse ``argv`` again with the --config file's key=value pairs as the
+    defaults of the chosen subcommand, so that explicit flags win."""
     try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError as exc:
-        raise QcbError(f"cannot parse level list {text!r}") from exc
-
-
-def _load_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Apply key=value pairs from --config for flags left at their defaults."""
-    if getattr(args, "config", None) is None:
-        return
-    try:
-        lines = open(args.config).read().splitlines()
-    except OSError as exc:
+        with open(args.config) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise QcbError(f"cannot read config file: {exc}") from exc
-    defaults = {a.dest: a.default for a in parser._actions}
+    sub = parser
+    while subparsers := [a for a in sub._actions
+                         if isinstance(a, argparse._SubParsersAction)]:
+        sub = subparsers[0].choices[getattr(args, subparsers[0].dest)]
+    actions = {a.dest: a for a in sub._actions if a.option_strings}
     for raw in lines:
-        raw = raw.strip()
-        if not raw or raw.startswith("#") or "=" not in raw:
-            continue
-        key, value = (t.strip() for t in raw.split("=", 1))
-        dest = key.replace("-", "_")
-        if dest not in defaults or getattr(args, dest) != defaults[dest]:
-            continue  # unknown key or flag explicitly given: flags win
-        current = defaults[dest]
-        if isinstance(current, bool):
-            setattr(args, dest, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, dest, int(value))
-        elif isinstance(current, float):
-            setattr(args, dest, float(value))
-        else:
-            setattr(args, dest, value)
+        key, sep, value = (t.strip() for t in raw.partition("="))
+        action = actions.get(key.replace("-", "_"))
+        if not sep or key.startswith("#") or action is None:
+            continue  # no key=value pair, a comment, or a key of another command
+        try:
+            value = value if action.type is None else action.type(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise QcbError(f"config {key} = {value!r}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise QcbError(f"config {key} = {value!r}: not one of {action.choices}")
+        sub.set_defaults(**{action.dest: value})
+    return parser.parse_args(argv)
+
+
+def _output(args, text: str) -> int:
+    """Write ``text`` to --out, or to stdout without one."""
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        write_text(args.out, text)
+    return 0
 
 
 def _config_dict(args, keys):
@@ -71,10 +98,8 @@ def _cmd_werner(args, parser) -> int:
             rows.append({"f": float(f), "N": n, "EN": en})
         text = export_table(rows, ["f", "N", "EN"],
                             _config_dict(args, ["grid"]) | {"command": "werner"},
-                            args.out, args.format)
-        if args.out is None:
-            emit(text)
-        return 0
+                            fmt=args.format)
+        return _output(args, text)
     if args.f is None:
         parser.error("provide --f or --grid")
     n, en = qstate.negativity(qstate.werner_state(args.f))
@@ -96,10 +121,8 @@ def _cmd_gaussian(args, parser) -> int:
                              "EN_closed": max(0.0, 2.0 * r - math.log(2.0 * nb + 1.0))})
         text = export_table(rows, ["r", "n_bar", "EN", "EN_closed"],
                             _config_dict(args, ["grid", "r_max", "nbar_max"])
-                            | {"command": "gaussian"}, args.out, args.format)
-        if args.out is None:
-            emit(text)
-        return 0
+                            | {"command": "gaussian"}, fmt=args.format)
+        return _output(args, text)
     v = gaussian.two_mode_squeezed_thermal_cov(args.r, args.theta, args.n_bar).cov
     dminus = gaussian.ppt_tilde_dminus(v)
     print(f"d_minus={fmt_value(dminus)} EN={fmt_value(gaussian.logneg_gaussian(v))} "
@@ -113,27 +136,23 @@ def _cmd_gaussian(args, parser) -> int:
 def _cmd_optomech_unitary(args, parser) -> int:
     p = optomech_unitary.OptoUnitaryParams(k=args.k, alpha=args.alpha,
                                            n_bar=args.n_bar, t=args.t)
-    sel = optomech_unitary.SubspaceSelector(_parse_levels(args.cavity),
-                                            _parse_levels(args.mirror))
+    sel = optomech_unitary.SubspaceSelector(
+        *(tuple(int(n) for n in t.split(",")) for t in (args.cavity, args.mirror)))
     q = args.quantity
     if q == "marker":
         if args.sweep_t is not None:
-            ts = np.linspace(0.0, 2.0 * math.pi, args.sweep_t)
-
-            def one(t):
+            rows = []
+            for t in np.linspace(0.0, 2.0 * math.pi, args.sweep_t):
                 pt = optomech_unitary.OptoUnitaryParams(k=args.k, alpha=args.alpha,
                                                         n_bar=args.n_bar, t=float(t))
-                return {"t": float(t), "marker": optomech_unitary.marker_upsilon(pt, sel)}
-
-            rows = parallel_map(one, ts)
+                rows.append({"t": float(t),
+                             "marker": optomech_unitary.marker_upsilon(pt, sel)})
             text = export_table(rows, ["t", "marker"],
                                 {"command": "optomech-unitary", "k": args.k,
                                  "alpha": args.alpha, "n_bar": args.n_bar,
                                  "cavity": args.cavity, "mirror": args.mirror},
-                                args.out, args.format)
-            if args.out is None:
-                emit(text)
-            return 0
+                                fmt=args.format)
+            return _output(args, text)
         print(f"marker={fmt_value(optomech_unitary.marker_upsilon(p, sel))}")
         return 0
     if q == "tangle":
@@ -153,11 +172,9 @@ def _cmd_optomech_unitary(args, parser) -> int:
     if q == "mi":
         print(f"MI={fmt_value(optomech_unitary.normalized_mi_time(p))}")
         return 0
-    if q == "mi-average":
-        print(f"MI_av={fmt_value(optomech_unitary.averaged_mi(p, args.mi_steps))}")
-        return 0
-    parser.error(f"unknown quantity {q}")
-    return 2
+    mi = optomech_unitary.averaged_mi(p, args.mi_steps)  # mi-average
+    print(f"MI_av={fmt_value(mi)}")
+    return 0
 
 
 # ------------------------------------------------------------ optomech-steady
@@ -170,18 +187,14 @@ def _cmd_optomech_steady(args, parser) -> int:
         temperature=args.temperature, wavelength=args.wavelength,
         finesse=args.finesse, kappa=kappa, omega_m=2.0 * math.pi * args.fm)
     xs = np.linspace(args.dmin, args.dmax, args.steps)
-    rows = parallel_map(
-        lambda x: optomech_stationary.detuning_sweep(p, [x])[0], xs)
-    cols = ["Delta_over_wm", "alpha_s", "G", "S1", "S2", "stable", "EN", "n_eff"]
-    cols += [f"V{i}{j}" for i in range(1, 5) for j in range(1, 5)]
+    rows = optomech_stationary.detuning_sweep(p, xs)
     cfg = _config_dict(args, ["length", "mass", "power", "quality", "temperature",
                               "wavelength", "finesse", "fm", "dmin", "dmax", "steps"])
     cfg |= {"command": "optomech-steady", "kappa": p.kappa, "n_bar": p.n_bar,
             "g": p.g, "drive_E": p.drive_E}
-    text = export_table(rows, cols, cfg, args.out, args.format)
-    if args.out is None:
-        emit(text)
-    return 0
+    text = export_table(rows, list(optomech_stationary.SWEEP_COLUMNS), cfg,
+                        fmt=args.format)
+    return _output(args, text)
 
 
 # ------------------------------------------------------------------------ lde
@@ -193,12 +206,10 @@ def _cmd_lde(args, parser) -> int:
             if args.L is None or args.r is None:
                 parser.error("ring model needs --L and --r")
             val = spin_lde.chi_ring(spin_lde.RingGeometry(args.L, args.r))
-        elif args.model == "aklt":
+        else:
             if args.r is None:
                 parser.error("aklt model needs --r")
             val = spin_lde.chi_aklt(args.r, args.method)
-        else:
-            parser.error(f"unknown model {args.model}")
         print(fmt_value(val))
         return 0
 
@@ -219,36 +230,27 @@ def _cmd_lde(args, parser) -> int:
                 "kT_star_exact": float("nan") if ct.kT_exact is None else ct.kT_exact,
                 "kT_star_estimate": ct.kT_estimate}
         text = export_table(rows, ["kT", "beta", "J_ab", "correlator", "concurrence"],
-                            cfg, args.out, args.format)
-        if args.out is None:
-            emit(text)
-        return 0
+                            cfg, fmt=args.format)
+        return _output(args, text)
 
-    if args.lde_command == "fit":
-        config, columns, rows = read_table(args.infile)
-        if "beta" in columns:
-            betas = [row["beta"] for row in rows]
-        elif "kT" in columns:
-            betas = [1.0 / row["kT"] for row in rows]
-        else:
-            raise QcbError("fit input needs a 'beta' or 'kT' column")
-        col = "correlator" if args.kind == "correlator" else "J_ab"
-        if col not in columns:
-            raise QcbError(f"fit input lacks a {col!r} column")
-        fit = spin_lde.fit_canonical_params(
-            [(b, row[col]) for b, row in zip(betas, rows)], kind=args.kind)
-        payload = {"J_can": fit.params.J_can, "Phi": fit.params.Phi,
-                   "eta": fit.params.eta, "rms_residual": fit.rms_residual,
-                   "n_points": len(rows)}
-        text = json.dumps({k: fmt_value(v) for k, v in payload.items()},
-                          indent=2, sort_keys=True) + "\n"
-        if args.out:
-            write_text(args.out, text)
-        else:
-            emit(text)
-        return 0
-    parser.error("missing lde subcommand")
-    return 2
+    config, columns, rows = read_table(args.infile)  # lde fit
+    if "beta" in columns:
+        betas = [row["beta"] for row in rows]
+    elif "kT" in columns:
+        betas = [1.0 / row["kT"] for row in rows]
+    else:
+        raise QcbError("fit input needs a 'beta' or 'kT' column")
+    col = "correlator" if args.kind == "correlator" else "J_ab"
+    if col not in columns:
+        raise QcbError(f"fit input lacks a {col!r} column")
+    fit = spin_lde.fit_canonical_params(
+        [(b, row[col]) for b, row in zip(betas, rows)], kind=args.kind)
+    payload = {"J_can": fit.params.J_can, "Phi": fit.params.Phi,
+               "eta": fit.params.eta, "rms_residual": fit.rms_residual,
+               "n_points": len(rows)}
+    text = json.dumps({k: fmt_value(v) for k, v in payload.items()},
+                      indent=2, sort_keys=True) + "\n"
+    return _output(args, text)
 
 
 # ------------------------------------------------------------------------- ed
@@ -259,9 +261,7 @@ def _make_lattice(args) -> ed_mod.LatticeSpec:
         int(t) for t in args.probes.split(","))
     if args.lattice == "chain":
         return ed_mod.chain(args.L, args.alpha, probes)
-    if args.lattice == "ladder":
-        return ed_mod.ladder(args.L, args.alpha, probes)
-    raise QcbError(f"unknown lattice {args.lattice!r}")
+    return ed_mod.ladder(args.L, args.alpha, probes)
 
 
 def _cmd_ed(args, parser) -> int:
@@ -281,21 +281,12 @@ def _cmd_ed(args, parser) -> int:
         cfg = _config_dict(args, ["lattice", "L", "alpha", "probes", "temps"])
         cfg |= {"command": "ed-run", "J_can_exact": j_can, "robust_gap": gap}
         text = export_table(rows, ["kT", "beta", "correlator", "concurrence"],
-                            cfg, args.out, args.format)
-        if args.out is None:
-            emit(text)
-        return 0
-    if args.ed_command == "report":
-        rep = ed_mod.theory_consistency_report(spec)
-        text = json.dumps({k: fmt_value(v) if v is not None else None
-                           for k, v in rep.items()}, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            write_text(args.out, text)
-        else:
-            emit(text)
-        return 0
-    parser.error("missing ed subcommand")
-    return 2
+                            cfg, fmt=args.format)
+        return _output(args, text)
+    rep = ed_mod.theory_consistency_report(spec)  # ed report
+    text = json.dumps({k: fmt_value(v) if v is not None else None
+                       for k, v in rep.items()}, indent=2, sort_keys=True) + "\n"
+    return _output(args, text)
 
 
 # -------------------------------------------------------------------- parsing
@@ -312,47 +303,47 @@ def build_parser() -> argparse.ArgumentParser:
                        help="key=value file supplying defaults (flags override)")
 
     p = sub.add_parser("werner", help="Werner-family negativity")
-    p.add_argument("--f", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--f", type=_finite, default=None)
+    p.add_argument("--grid", type=_count, default=None)
     common(p)
 
     p = sub.add_parser("gaussian", help="two-mode squeezed thermal log-negativity")
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--n-bar", type=float, default=0.0)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--r-max", type=float, default=2.0)
-    p.add_argument("--nbar-max", type=float, default=3.0)
+    p.add_argument("--r", type=_finite, default=1.0)
+    p.add_argument("--theta", type=_finite, default=0.0)
+    p.add_argument("--n-bar", type=_finite, default=0.0)
+    p.add_argument("--grid", type=_count, default=None)
+    p.add_argument("--r-max", type=_finite, default=2.0)
+    p.add_argument("--nbar-max", type=_finite, default=3.0)
     common(p)
 
     p = sub.add_parser("optomech-unitary", help="exact cavity-mirror model")
     p.add_argument("--quantity", default="marker",
                    choices=["marker", "tangle", "negativity", "entropies",
                             "mi", "mi-average"])
-    p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--n-bar", type=float, default=0.0)
-    p.add_argument("--t", type=float, default=math.pi)
-    p.add_argument("--cavity", default="0,1")
-    p.add_argument("--mirror", default="0,1")
-    p.add_argument("--sweep-t", type=int, default=None)
-    p.add_argument("--mi-steps", type=int, default=256)
+    p.add_argument("--k", type=_finite, default=1.0)
+    p.add_argument("--alpha", type=_finite, default=1.0)
+    p.add_argument("--n-bar", type=_finite, default=0.0)
+    p.add_argument("--t", type=_finite, default=math.pi)
+    p.add_argument("--cavity", type=_levels, default="0,1")
+    p.add_argument("--mirror", type=_levels, default="0,1")
+    p.add_argument("--sweep-t", type=_count, default=None)
+    p.add_argument("--mi-steps", type=_count, default=256)
     common(p)
 
     p = sub.add_parser("optomech-steady", help="driven-cavity detuning sweep")
-    p.add_argument("--length", type=float, default=1e-3, help="cavity length [m]")
-    p.add_argument("--mass", type=float, default=5e-12, help="mirror mass [kg]")
-    p.add_argument("--power", type=float, default=50e-3, help="input power [W]")
-    p.add_argument("--quality", type=float, default=1e5, help="mechanical Q")
-    p.add_argument("--temperature", type=float, default=0.4, help="bath T [K]")
-    p.add_argument("--wavelength", type=float, default=810e-9)
-    p.add_argument("--finesse", type=float, default=1.07e4)
-    p.add_argument("--fm", type=float, default=1e7, help="mirror frequency [Hz]")
-    p.add_argument("--kappa", type=float, default=0.0,
+    p.add_argument("--length", type=_positive, default=1e-3, help="cavity length [m]")
+    p.add_argument("--mass", type=_positive, default=5e-12, help="mirror mass [kg]")
+    p.add_argument("--power", type=_positive, default=50e-3, help="input power [W]")
+    p.add_argument("--quality", type=_positive, default=1e5, help="mechanical Q")
+    p.add_argument("--temperature", type=_finite, default=0.4, help="bath T [K]")
+    p.add_argument("--wavelength", type=_positive, default=810e-9)
+    p.add_argument("--finesse", type=_positive, default=1.07e4)
+    p.add_argument("--fm", type=_positive, default=1e7, help="mirror frequency [Hz]")
+    p.add_argument("--kappa", type=_finite, default=0.0,
                    help="override cavity decay [rad/s] (0 = from finesse)")
-    p.add_argument("--dmin", type=float, default=0.2)
-    p.add_argument("--dmax", type=float, default=3.0)
-    p.add_argument("--steps", type=int, default=57)
+    p.add_argument("--dmin", type=_finite, default=0.2)
+    p.add_argument("--dmax", type=_finite, default=3.0)
+    p.add_argument("--steps", type=_count, default=57)
     common(p)
 
     p = sub.add_parser("lde", help="spin-bus long-distance entanglement")
@@ -364,12 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--method", default="closed", choices=["closed", "numeric"])
     common(q)
     q = lde_sub.add_parser("thermal", help="canonical-model temperature sweep")
-    q.add_argument("--jcan", type=float, required=True)
-    q.add_argument("--phi", type=float, default=0.0)
-    q.add_argument("--eta", type=float, default=0.0)
-    q.add_argument("--tmin", type=float, required=True)
-    q.add_argument("--tmax", type=float, required=True)
-    q.add_argument("--steps", type=int, default=12)
+    q.add_argument("--jcan", type=_finite, required=True)
+    q.add_argument("--phi", type=_finite, default=0.0)
+    q.add_argument("--eta", type=_finite, default=0.0)
+    q.add_argument("--tmin", type=_positive, required=True)
+    q.add_argument("--tmax", type=_positive, required=True)
+    q.add_argument("--steps", type=_count, default=12)
     common(q)
     q = lde_sub.add_parser("fit", help="fit canonical parameters to data")
     q.add_argument("--in", dest="infile", required=True)
@@ -383,11 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
         q = ed_sub.add_parser(name, help=helptext)
         q.add_argument("--lattice", default="chain", choices=["chain", "ladder"])
         q.add_argument("--L", type=int, default=8)
-        q.add_argument("--alpha", type=float, default=0.05)
-        q.add_argument("--probes", default="ends",
+        q.add_argument("--alpha", type=_finite, default=0.05)
+        q.add_argument("--probes", type=_probes, default="ends",
                        help='"ends" or explicit bath sites "i,j"')
         if name == "run":
-            q.add_argument("--temps", default="auto")
+            q.add_argument("--temps", type=_temperatures, default="auto")
         common(q)
     return top
 
@@ -406,14 +397,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        _load_config_defaults(args, parser)
+        if args.config is not None:
+            args = _parse_with_config(parser, argv, args)
         return _HANDLERS[args.command](args, parser)
-    except SystemExit as exc:  # parser.error inside handlers
+    except SystemExit as exc:  # usage errors, from argparse or a handler
         return exc.code if isinstance(exc.code, int) else 2
-    except QcbError as exc:
+    except (QcbError, ArithmeticError) as exc:  # overflow on extreme inputs
         print(f"qcb: error: {exc}", file=sys.stderr)
         return 3
 

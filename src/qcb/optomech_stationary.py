@@ -2,6 +2,11 @@
 diffusion, Routh-Hurwitz stability, Lyapunov covariance, and the stationary
 entanglement / effective-occupancy figures of merit.
 
+A detuning sweep is one array pass with one stacked Lyapunov solve over its
+stable points; the one-point functions share its drift-matrix and
+Routh-Hurwitz bodies, so a sweep row and :func:`stationary_point` agree bit
+for bit.
+
 Fluctuation basis is (dq, dp, dX, dY): mirror position/momentum followed by
 the cavity quadratures, matching the quadrature conventions of
 :mod:`qcb.gaussian` so the steady covariance can be fed straight into the CV
@@ -102,14 +107,17 @@ def derive_physical_params(length: float, mass: float, power: float,
                             n_bar=n_bar)
 
 
+def _working_point(p: StationaryParams, alpha_s: float, q_s: float,
+                   delta: float) -> SteadyState:
+    """Working point at |alpha_s| and Delta_eff = delta, with its stability."""
+    st = SteadyState(alpha_s=alpha_s, q_s=q_s, p_s=0.0, Delta_eff=delta,
+                     G=p.g * alpha_s * math.sqrt(2.0), stable=False)
+    return replace(st, stable=stability_check(p, st)[0])
+
+
 def _branch(p: StationaryParams, u: float) -> SteadyState:
-    delta = p.Delta0 - p.g**2 * u / p.omega_m
-    alpha_s = math.sqrt(u)
-    big_g = p.g * alpha_s * math.sqrt(2.0)
-    st = SteadyState(alpha_s=alpha_s, q_s=p.g * u / p.omega_m, p_s=0.0,
-                     Delta_eff=delta, G=big_g, stable=False)
-    ok, _, _ = stability_check(p, st)
-    return replace(st, stable=ok)
+    return _working_point(p, math.sqrt(u), p.g * u / p.omega_m,
+                          p.Delta0 - p.g**2 * u / p.omega_m)
 
 
 def steady_state(p: StationaryParams) -> list[SteadyState]:
@@ -153,6 +161,10 @@ def steady_state(p: StationaryParams) -> list[SteadyState]:
     return [_branch(p, float(u)) for u in roots]
 
 
+def _amplitude(p: StationaryParams, delta):
+    return p.drive_E / np.sqrt(p.kappa**2 + np.square(delta))
+
+
 def steady_state_at_detuning(p: StationaryParams, delta: float) -> SteadyState:
     """Working point at a prescribed effective detuning (figure sweeps).
 
@@ -160,11 +172,22 @@ def steady_state_at_detuning(p: StationaryParams, delta: float) -> SteadyState:
     |alpha_s| = E / sqrt(kappa^2 + Delta^2); the cubic self-consistency is
     bypassed because Delta already includes the static spring shift.
     """
-    alpha_s = p.drive_E / math.sqrt(p.kappa**2 + delta**2)
-    st = SteadyState(alpha_s=alpha_s, q_s=p.g * alpha_s**2 / p.omega_m, p_s=0.0,
-                     Delta_eff=delta, G=p.g * alpha_s * math.sqrt(2.0), stable=False)
-    ok, _, _ = stability_check(p, st)
-    return replace(st, stable=ok)
+    alpha_s = float(_amplitude(p, delta))
+    return _working_point(p, alpha_s, p.g * alpha_s**2 / p.omega_m, delta)
+
+
+def _drift_diffusion(p: StationaryParams, delta, big_g, unit: float = 1.0):
+    """Drift and diffusion matrices A and D, stacked over the shape of
+    ``delta`` and ``big_g`` [rad/s], with every rate in units of ``unit``."""
+    w, gm, k = p.omega_m / unit, p.gamma_m / unit, p.kappa / unit
+    delta, big_g = np.broadcast_arrays(np.divide(delta, unit), np.divide(big_g, unit))
+    a = np.zeros(delta.shape + (4, 4))
+    a[..., 0, 1], a[..., 1, 0], a[..., 1, 1] = w, -w, -gm
+    a[..., 1, 2] = a[..., 3, 0] = big_g
+    a[..., 2, 2] = a[..., 3, 3] = -k
+    a[..., 2, 3], a[..., 3, 2] = delta, -delta
+    diff = np.diag([0.0, gm * (2.0 * p.n_bar + 1.0), k, k])
+    return a, np.broadcast_to(diff, a.shape).copy()
 
 
 def drift_and_diffusion(p: StationaryParams, s: SteadyState
@@ -174,16 +197,21 @@ def drift_and_diffusion(p: StationaryParams, s: SteadyState
     D = diag(0, gamma_m (2 n_bar + 1), kappa, kappa); the optical bath
     occupancy is taken as zero (optical photons at lab temperature).
     """
-    w, gm, k = p.omega_m, p.gamma_m, p.kappa
-    d, big_g = s.Delta_eff, s.G
-    a = np.array([
-        [0.0, w, 0.0, 0.0],
-        [-w, -gm, big_g, 0.0],
-        [0.0, 0.0, -k, d],
-        [big_g, 0.0, -d, -k],
-    ])
-    diff = np.diag([0.0, gm * (2.0 * p.n_bar + 1.0), k, k])
-    return a, diff
+    return _drift_diffusion(p, s.Delta_eff, s.G)
+
+
+def _routh_hurwitz(p: StationaryParams, delta: np.ndarray, big_g: np.ndarray):
+    """(stable, S1, S2) on omega_m-normalized rates over 1-d arrays of
+    Delta_eff and G [rad/s].  One point goes in as a length-1 array, so that
+    its powers round exactly as in a sweep."""
+    w = p.omega_m
+    gm, k = p.gamma_m / w, p.kappa / w
+    d, big_g = delta / w, big_g / w
+    s1 = 2.0 * gm * k * (d**4 + d**2 * (gm**2 + 2.0 * gm * k + 2.0 * k**2 - 2.0)
+                         + (gm * k + k**2 + 1.0) ** 2) \
+        + big_g**2 * d * (gm + 2.0 * k) ** 2
+    s2 = d**2 + k**2 - big_g**2 * d
+    return (s1 > 0.0) & (s2 > 0.0), s1, s2
 
 
 def stability_check(p: StationaryParams, s: SteadyState
@@ -192,56 +220,57 @@ def stability_check(p: StationaryParams, s: SteadyState
 
     Evaluated on omega_m-normalized rates; agrees with max Re eig(A) < 0.
     """
-    w = p.omega_m
-    gm, k = p.gamma_m / w, p.kappa / w
-    d, big_g = s.Delta_eff / w, s.G / w
-    s1 = 2.0 * gm * k * (d**4 + d**2 * (gm**2 + 2.0 * gm * k + 2.0 * k**2 - 2.0)
-                         + (gm * k + k**2 + 1.0) ** 2) \
-        + big_g**2 * d * (gm + 2.0 * k) ** 2
-    s2 = d**2 + k**2 - big_g**2 * d
-    return bool(s1 > 0.0 and s2 > 0.0), float(s1), float(s2)
+    ok, s1, s2 = _routh_hurwitz(p, np.array([s.Delta_eff]), np.array([s.G]))
+    return bool(ok[0]), float(s1[0]), float(s2[0])
 
 
 def lyapunov_solve(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Steady covariance V from A V + V A^T = -D.
+    """Steady covariance V from A V + V A^T = -D, for one system or a stack.
 
-    The symmetric unknown is vectorized into its n(n+1)/2 independent entries
-    and the resulting linear system solved directly; A must be strictly
-    stable.  The residual is checked against 1e-10 ||D||.
+    ``a`` and ``d`` are (..., n, n) arrays of one shape; every A must be
+    strictly stable.  The symmetric unknown is vectorized into its n(n+1)/2
+    independent entries and solved directly with two refinement steps, and
+    each residual is checked against 1e-10 ||D|| of its own system.  The
+    error of a failed check carries ``index``, the flat position of the
+    first failing system.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or d.shape != (n, n):
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or d.shape != a.shape:
         raise DomainError("A and D must be square matrices of equal size")
-    if np.max(np.linalg.eigvals(a).real) >= 0.0:
-        raise StabilityError("drift matrix is not strictly stable")
+    n = a.shape[-1]
+    unstable = np.max(np.linalg.eigvals(a).real, axis=-1) >= 0.0
+    if unstable.any():
+        exc = StabilityError("drift matrix is not strictly stable")
+        exc.index = int(np.argmax(unstable))
+        raise exc
 
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {pair: k for k, pair in enumerate(pairs)}
-    m = len(pairs)
-    sys_mat = np.zeros((m, m))
-    rhs = np.empty(m)
-    for row, (i, j) in enumerate(pairs):
-        # (A V + V A^T)_{ij} = sum_k A_ik V_kj + V_ik A_jk
-        for k in range(n):
-            sys_mat[row, index[(min(k, j), max(k, j))]] += a[i, k]
-            sys_mat[row, index[(min(i, k), max(i, k))]] += a[j, k]
-        rhs[row] = -d[i, j]
+    # (A V + V A^T)_ij = sum_k A_ik V_kj + A_jk V_ik: tally[r, c, x, y] counts
+    # how often A_xy multiplies unknown c in equation r (at most twice).
+    i, j = np.triu_indices(n)
+    pos = np.empty((n, n), dtype=int)
+    pos[i, j] = pos[j, i] = np.arange(i.size)
+    r, k = np.arange(i.size)[:, None], np.arange(n)
+    tally = np.zeros((i.size, i.size, n, n))
+    np.add.at(tally, (r, pos[k, j[:, None]], i[:, None], k), 1.0)
+    np.add.at(tally, (r, pos[i[:, None], k], j[:, None], k), 1.0)
+    op = np.einsum("rcxy,...xy->...rc", tally, a)
+    rhs = -d[..., i, j, None]
     try:
-        sol = np.linalg.solve(sys_mat, rhs)
+        sol = np.linalg.solve(op, rhs)
         for _ in range(2):  # iterative refinement for stiff rate ratios
-            sol += np.linalg.solve(sys_mat, rhs - sys_mat @ sol)
+            sol += np.linalg.solve(op, rhs - op @ sol)
     except np.linalg.LinAlgError as exc:
         raise DegenerateSystemError("Lyapunov system is singular") from exc
-    v = np.empty((n, n))
-    for (i, j), k in index.items():
-        v[i, j] = v[j, i] = sol[k]
-    residual = np.max(np.abs(a @ v + v @ a.T + d))
-    scale = max(np.max(np.abs(d)), 1e-300)
-    if residual > 1e-10 * scale:
-        raise DegenerateSystemError(
-            f"Lyapunov residual {residual:.2e} exceeds 1e-10 * ||D||")
+    v = sol[..., pos, 0]
+    residual = np.max(np.abs(a @ v + v @ np.swapaxes(a, -1, -2) + d), axis=(-2, -1))
+    scale = np.maximum(np.max(np.abs(d), axis=(-2, -1)), 1e-300)
+    failed = residual > 1e-10 * scale
+    if failed.any():
+        exc = DegenerateSystemError(
+            f"Lyapunov residual {residual[failed].flat[0]:.2e} exceeds 1e-10 * ||D||")
+        exc.index = int(np.argmax(failed))
+        raise exc
     return v
 
 
@@ -256,17 +285,9 @@ class StationaryResult:
 
 
 def stationary_point(p: StationaryParams, s: SteadyState) -> StationaryResult:
-    """Covariance, log-negativity and effective mirror occupancy at a branch."""
-    w = p.omega_m
-    gm, k = p.gamma_m / w, p.kappa / w
-    a = np.array([
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, -gm, s.G / w, 0.0],
-        [0.0, 0.0, -k, s.Delta_eff / w],
-        [s.G / w, 0.0, -s.Delta_eff / w, -k],
-    ])
-    diff = np.diag([0.0, gm * (2.0 * p.n_bar + 1.0), k, k])
-    v = lyapunov_solve(a, diff)
+    """Covariance, log-negativity and effective mirror occupancy at a branch
+    (the one-point reference that :func:`detuning_sweep` matches bit for bit)."""
+    v = lyapunov_solve(*_drift_diffusion(p, s.Delta_eff, s.G, p.omega_m))
     ok, s1, s2 = stability_check(p, s)
     n_eff = 0.5 * (v[0, 0] + v[1, 1]) - 0.5
     return StationaryResult(E_N=logneg_gaussian(v), n_eff=float(n_eff), cov=v,
@@ -298,23 +319,37 @@ def mirror_variances_zero_detuning(p: StationaryParams, big_g: float
     return v11, v22
 
 
+SWEEP_COLUMNS = ("Delta_over_wm", "alpha_s", "G", "S1", "S2", "stable", "EN",
+                 "n_eff") + tuple(f"V{i}{j}" for i in range(1, 5) for j in range(1, 5))
+
+
 def detuning_sweep(p: StationaryParams, deltas_over_wm) -> list[dict]:
-    """Per-detuning record of the quantities emitted by the CLI sweep."""
-    rows = []
-    for x in np.atleast_1d(deltas_over_wm):
-        st = steady_state_at_detuning(p, float(x) * p.omega_m)
-        ok, s1, s2 = stability_check(p, st)
-        row = {"Delta_over_wm": float(x), "alpha_s": st.alpha_s, "G": st.G,
-               "S1": s1, "S2": s2, "stable": int(ok)}
-        if ok:
-            res = stationary_point(p, st)
-            row["EN"], row["n_eff"] = res.E_N, res.n_eff
-            v = res.cov
-        else:
-            row["EN"] = row["n_eff"] = float("nan")
-            v = np.full((4, 4), np.nan)
-        for i in range(4):
-            for j in range(4):
-                row[f"V{i + 1}{j + 1}"] = float(v[i, j])
-        rows.append(row)
-    return rows
+    """Per-detuning record of the quantities emitted by the CLI sweep, keyed
+    by :data:`SWEEP_COLUMNS` (V is the 4 x 4 covariance).
+
+    One array pass over the detuning axis and one stacked
+    :func:`lyapunov_solve` over its stable points; each row has the bits of
+    :func:`stationary_point` at that point.  A failed check names the
+    Delta/omega_m of the first failing point.
+    """
+    xs = np.atleast_1d(np.asarray(deltas_over_wm, dtype=float))
+    delta = xs * p.omega_m
+    alpha_s = _amplitude(p, delta)
+    big_g = p.g * alpha_s * math.sqrt(2.0)
+    stable, s1, s2 = _routh_hurwitz(p, delta, big_g)
+    cov = np.full((xs.size, 4, 4), np.nan)
+    if stable.any():
+        try:
+            cov[stable] = lyapunov_solve(
+                *_drift_diffusion(p, delta[stable], big_g[stable], p.omega_m))
+        except (StabilityError, DegenerateSystemError) as exc:
+            if not hasattr(exc, "index"):
+                raise
+            raise type(exc)(
+                f"{exc} at Delta/omega_m = {xs[stable][exc.index]:.12g}") from exc
+    n_eff = 0.5 * (cov[:, 0, 0] + cov[:, 1, 1]) - 0.5
+    en = [logneg_gaussian(v) if ok else math.nan for v, ok in zip(cov, stable)]
+    table = zip(xs.tolist(), alpha_s.tolist(), big_g.tolist(), s1.tolist(),
+                s2.tolist(), stable.astype(int).tolist(), en, n_eff.tolist(),
+                *cov.reshape(-1, 16).T.tolist())
+    return [dict(zip(SWEEP_COLUMNS, row)) for row in table]

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import sys
 
 from .exceptions import QcbError
 
@@ -102,25 +100,6 @@ def _maybe_number(s: str):
         return s
 
 
-def thread_count() -> int:
-    """Worker cap from QCB_THREADS (defaults to 1 = fully serial runs)."""
-    try:
-        return max(1, int(os.environ.get("QCB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def parallel_map(fn, items):
-    """Order-preserving map honoring the QCB_THREADS cap."""
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
-def emit(text: str) -> None:
-    sys.stdout.write(text)
+    """Serial map, unused by qcb: kept while BENCHMARK.json lists it."""
+    return [fn(x) for x in items]

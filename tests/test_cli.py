@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcb.cli import main
 from qcb.output import export_table, fmt_value, read_table
@@ -35,6 +39,20 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         code, _, _ = run(capsys, "werner", "--badflag", "--out", str(out))
         assert code == 2 and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["optomech-steady", "--steps", "-2"],
+        ["werner", "--grid", "-3"],
+        ["gaussian", "--grid", "-3"],
+        ["optomech-unitary", "--sweep-t", "-1"],
+        ["lde", "thermal", "--jcan", "1e-3", "--tmin", "0", "--tmax", "1e-2"],
+        ["ed", "run", "--temps", "abc"],
+        ["ed", "run", "--temps", "0"],
+    ])
+    def test_out_of_range_rejected_at_parse_time(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "usage:" in err and "Traceback" not in err
 
 
 class TestFileErrors:
@@ -152,6 +170,20 @@ class TestOptomechSteady:
         assert len(rows) == 4
         assert all(r["stable"] == 1 for r in rows)
 
+    def test_zero_steps_header_only(self, capsys):
+        code, out, _ = run(capsys, "optomech-steady", "--steps", "0")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("Delta_over_wm,alpha_s,")
+
+    def test_residual_failure_names_the_point(self, capsys):
+        # A marginally stable point (S2 ~ 6e-6) whose Lyapunov residual
+        # misses the 1e-10 ||D|| gate.
+        x = "1.6523317906728372"
+        code, _, err = run(capsys, "optomech-steady", "--power", "0.0797",
+                           "--dmin", x, "--dmax", x, "--steps", "1")
+        assert code == 3
+        assert err.startswith("qcb: error:") and "1.65233" in err
+
 
 class TestDeterminismAndRoundTrip:
     def test_identical_argv_identical_bytes(self, tmp_path, capsys):
@@ -200,6 +232,34 @@ class TestConfigFile:
                            "--r", "0.5")
         assert code == 0 and "EN=1" in out  # flag wins over config
 
+    def test_config_value_differs_from_default(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r = 0.5\n")
+        code, out, _ = run(capsys, "gaussian", "--config", str(cfg))
+        assert code == 0 and "EN=1" in out
+
+    def test_flag_equal_to_default_beats_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r = 0.5\n")
+        code, out, _ = run(capsys, "gaussian", "--config", str(cfg), "--r", "1")
+        assert code == 0 and "EN=2" in out
+
+    def test_non_numeric_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r = abc\n")
+        code, _, err = run(capsys, "gaussian", "--config", str(cfg))
+        assert code == 3 and err.startswith("qcb: error:")
+
+    def test_nested_subcommand_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps = 3\nphi = 0.01\n")
+        code, out, _ = run(capsys, "lde", "thermal", "--jcan", "1e-3", "--tmin",
+                           "1e-4", "--tmax", "1e-2", "--config", str(cfg))
+        assert code == 0
+        assert "# phi=0.01" in out and "# steps=3" in out
+        table = [line for line in out.splitlines() if not line.startswith("#")]
+        assert len(table) == 1 + 3  # header and three temperatures
+
     def test_missing_config_file(self, capsys):
         assert run(capsys, "gaussian", "--config", "/nonexistent")[0] == 3
 
@@ -216,3 +276,48 @@ class TestFormatting:
 
         with pytest.raises(QcbError):
             export_table([{"a": 1}], ["a"], {}, "/nonexistent-dir/x.csv")
+
+
+# ------------------------------------------------------------- argv fuzzing
+
+NUMBER = st.one_of(st.floats().map(repr),
+                   st.sampled_from(["0", "-1", "1e-300", "1e300", "abc", ""]))
+COUNT = st.one_of(st.integers(-3, 5).map(str), st.sampled_from(["x", "1.5"]))
+# command: (flags always given, optional flags); sizes stay tiny.
+FUZZ_COMMANDS = {
+    "werner": ({}, {"--f": NUMBER, "--grid": COUNT,
+                    "--format": st.sampled_from(["csv", "json"])}),
+    "gaussian": ({}, {"--r": NUMBER, "--theta": NUMBER, "--n-bar": NUMBER,
+                      "--grid": COUNT, "--r-max": NUMBER, "--nbar-max": NUMBER}),
+    "optomech-steady": ({}, {**{f"--{name}": NUMBER for name in (
+        "length", "mass", "power", "quality", "temperature", "wavelength",
+        "finesse", "fm", "kappa", "dmin", "dmax")}, "--steps": COUNT}),
+    "lde thermal": ({"--jcan": NUMBER, "--tmin": NUMBER, "--tmax": NUMBER},
+                    {"--phi": NUMBER, "--eta": NUMBER, "--steps": COUNT}),
+    "ed run": ({"--L": st.integers(4, 8).map(str)},
+               {"--lattice": st.sampled_from(["chain", "ladder"]),
+                "--alpha": NUMBER,
+                "--probes": st.sampled_from(["ends", "1,2", "0,9", "a,b", "1"]),
+                "--temps": st.one_of(NUMBER, st.sampled_from(["auto", "0.1,0.2"]))}),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    required, optional = FUZZ_COMMANDS[command]
+    names = list(required) + draw(st.lists(st.sampled_from(sorted(optional)),
+                                           unique=True, max_size=4))
+    flags = required | optional
+    return command.split() + [w for n in names for w in (n, draw(flags[n]))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(fuzz_argv())
+def test_argv_fuzz_exit_codes(argv):
+    """Every generated argv ends in exit 0, 2 or 3, never a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

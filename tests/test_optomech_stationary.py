@@ -206,6 +206,24 @@ class TestLyapunov:
         with pytest.raises(StabilityError):
             lyapunov_solve(np.eye(4), np.eye(4))
 
+    def test_stack_equals_single_calls(self):
+        rng = np.random.default_rng(7)
+        a, d = (np.array(m) for m in zip(*(random_stable_system(rng)
+                                           for _ in range(50))))
+        v = lyapunov_solve(a, d)
+        assert v.shape == (50, 4, 4)
+        for k in range(50):
+            assert np.array_equal(v[k], lyapunov_solve(a[k], d[k]))
+
+    def test_stack_with_one_unstable_system(self):
+        rng = np.random.default_rng(8)
+        a, d = (np.array(m) for m in zip(*(random_stable_system(rng)
+                                           for _ in range(5))))
+        a[3] = np.eye(4)
+        with pytest.raises(StabilityError) as info:
+            lyapunov_solve(a, d)
+        assert info.value.index == 3
+
     def test_zero_detuning_closed_forms(self):
         p = fig_params()
         st = steady_state_at_detuning(p, 0.0)
@@ -255,6 +273,18 @@ class TestStationaryEntanglement:
         # effective coupling stays within the quoted order-of-magnitude band
         gs = np.array([r["G"] for r in rows])
         assert gs.min() > 3e6 and gs.max() < 3e8
+
+    def test_sweep_rows_equal_stationary_point(self):
+        p = fig_params()
+        xs = np.linspace(0.2, 3.0, 141)
+        for x, row in zip(xs, detuning_sweep(p, xs)):
+            st = steady_state_at_detuning(p, x * p.omega_m)
+            ref = stationary_point(p, st)
+            assert (row["alpha_s"], row["G"]) == (st.alpha_s, st.G)
+            assert (row["EN"], row["n_eff"]) == (ref.E_N, ref.n_eff)
+            assert (row["S1"], row["S2"]) == (ref.S1, ref.S2)
+            cov = [[row[f"V{i}{j}"] for j in range(1, 5)] for i in range(1, 5)]
+            assert np.array_equal(cov, ref.cov)
 
     def test_covariances_physical(self):
         p = fig_params()
