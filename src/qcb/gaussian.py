@@ -73,8 +73,25 @@ def two_mode_blocks(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return v[:2, :2], v[2:, 2:], v[:2, 2:]
 
 
+def _block_invariants(v: np.ndarray) -> tuple[float, float, float, float]:
+    """(det A, det B, det C, det V) of a two-mode covariance.
+
+    Raises :class:`DomainError` when one of them is not finite: strong
+    squeezing (r near 180) or a large occupancy (n_bar above about 1e77)
+    overflows them, and the symplectic spectrum would come out as nan.
+    """
+    a, b, c = two_mode_blocks(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = tuple(float(np.linalg.det(m)) for m in (a, b, c, v))
+    if not all(math.isfinite(d) for d in dets):
+        raise DomainError("covariance too large: its block determinants overflow")
+    return dets
+
+
 def _sympl_pair(sigma_inv: float, det_v: float) -> tuple[float, float]:
-    disc = sigma_inv**2 - 4.0 * det_v
+    disc = sigma_inv * sigma_inv - 4.0 * det_v
+    if not math.isfinite(disc):
+        raise DomainError("covariance too large: Sigma^2 - 4 det V overflows")
     if disc < -PHYSICALITY_TOL:
         raise NonPhysicalCovarianceError(
             f"Sigma^2 - 4 det V = {disc:.3e} < 0: input not a physical covariance")
@@ -92,9 +109,8 @@ def _sympl_pair(sigma_inv: float, det_v: float) -> tuple[float, float]:
 def symplectic_eigenvalues_two_mode(v: np.ndarray) -> tuple[float, float]:
     """(d_+, d_-) from the invariant formula 2 d^2 = Sigma -+ sqrt(Sigma^2 - 4 det V),
     Sigma = det A + det B + 2 det C.  For physical states d_- >= 1/2."""
-    a, b, c = two_mode_blocks(v)
-    sigma_inv = np.linalg.det(a) + np.linalg.det(b) + 2.0 * np.linalg.det(c)
-    return _sympl_pair(float(sigma_inv), float(np.linalg.det(v)))
+    det_a, det_b, det_c, det_v = _block_invariants(v)
+    return _sympl_pair(det_a + det_b + 2.0 * det_c, det_v)
 
 
 def ppt_tilde_dminus(v: np.ndarray) -> float:
@@ -104,9 +120,8 @@ def ppt_tilde_dminus(v: np.ndarray) -> float:
     d~_- follows from the invariant formula with Sigma~ = det A + det B
     - 2 det C.  The state is entangled iff the result is below 1/2.
     """
-    a, b, c = two_mode_blocks(v)
-    sigma_tilde = np.linalg.det(a) + np.linalg.det(b) - 2.0 * np.linalg.det(c)
-    return _sympl_pair(float(sigma_tilde), float(np.linalg.det(v)))[1]
+    det_a, det_b, det_c, det_v = _block_invariants(v)
+    return _sympl_pair(det_a + det_b - 2.0 * det_c, det_v)[1]
 
 
 def logneg_gaussian(v: np.ndarray) -> float:
@@ -120,10 +135,8 @@ def simon_invariant_check(v: np.ndarray) -> bool:
     For Gaussian states violation is equivalent to entanglement (and to
     d~_- < 1/2).
     """
-    a, b, c = two_mode_blocks(v)
-    lhs = np.linalg.det(a) + np.linalg.det(b) + 2.0 * abs(np.linalg.det(c))
-    rhs = 0.25 + 4.0 * np.linalg.det(v)
-    return bool(lhs <= rhs + 1e-12)
+    det_a, det_b, det_c, det_v = _block_invariants(v)
+    return det_a + det_b + 2.0 * abs(det_c) <= 0.25 + 4.0 * det_v + 1e-12
 
 
 def thermal_cov(n_bars) -> GaussianState:

@@ -102,6 +102,16 @@ def derive_physical_params(length: float, mass: float, power: float,
     g = (omega_c / length) * math.sqrt(_hbar / (mass * omega_m))
     drive = math.sqrt(2.0 * power * kappa / (_hbar * omega_c))
     n_bar = thermal_occupancy(omega_m, temperature)
+    # The intensity cubic of steady_state has the coefficients (g/omega_m)^4
+    # and (E/omega_m)^2.  Inputs that overflow them, or the rates themselves,
+    # would give inf and nan rows instead of an error.
+    g2_scaled, e_scaled = (g / omega_m) * (g / omega_m), drive / omega_m
+    for name, value in (("cavity decay kappa", kappa), ("coupling g", g),
+                        ("drive amplitude E", drive), ("thermal occupancy", n_bar),
+                        ("(g/omega_m)^4", g2_scaled * g2_scaled),
+                        ("(E/omega_m)^2", e_scaled * e_scaled)):
+        if not math.isfinite(value):
+            raise DomainError(f"derived {name} is not finite; inputs out of range")
     return StationaryParams(omega_m=omega_m, gamma_m=omega_m / quality,
                             kappa=kappa, Delta0=Delta0, g=g, drive_E=drive,
                             n_bar=n_bar)

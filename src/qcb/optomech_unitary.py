@@ -12,10 +12,22 @@ x = n_bar/(n_bar+1),
                          * [d^mu/da^mu d^nu/db^nu exp(x a b + a P + b Q)]_(a=b=0)
 
 with P = k eta(t) (n - x m), Q = k eta(-t) (m - x n), Theta the coherent-state
-weights and phi_n = n w_c t - k^2 n^2 (t - sin t).  The derivative is evaluated
-exactly by a finite Leibniz sum over the two affine factors, never by numeric
-differentiation.  This form matches brute-force expm evolution to machine
-precision at any temperature.
+weights and phi_n = n w_c t - k^2 n^2 (t - sin t).  The derivative is the
+finite Leibniz sum over j = 0..min(mu, nu) of
+
+    x^j P^(mu-j) Q^(nu-j) mu! nu! / (j! (mu-j)! (nu-j)!),
+
+never a numeric derivative.  A whole Fock block is one array pass over the
+terms (n, m, mu, nu, j), summed in log magnitude with a per-element max
+shift; :func:`rho_element` is the one-element call of the same kernel.  This
+form matches brute-force expm evolution to machine precision at any
+temperature.  At high mirror levels the alternating sum cancels: in the
+block at cavity 0..5 x mirror 40..59 the worst element is off by 4e-4 of the
+block's largest element.
+
+The partial purities of the linear entropies are double Poisson sums whose
+dephasing factor depends only on p - q; they are evaluated through the
+autocorrelation of the Poisson weights, O(T N) for T times and cutoff N.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc
 
 from .exceptions import (
     DomainError,
@@ -100,58 +112,89 @@ def _poisson_log_weight(alpha_abs2: float, n: int) -> float:
     return n * math.log(alpha_abs2) - alpha_abs2 - math.lgamma(n + 1)
 
 
-def rho_element(p: OptoUnitaryParams, n: int, m: int, mu: int, nu: int) -> complex:
-    """Exact matrix element <n, mu| rho(t) |m, nu> of the evolved state."""
-    if min(n, m, mu, nu) < 0:
-        raise DomainError("Fock indices must be non-negative")
+def _leibniz_block(p: OptoUnitaryParams, rows, cols, mu_levels, nu_levels) -> np.ndarray:
+    """Matrix elements <n, mu| rho(t) |m, nu> for n in ``rows``, m in ``cols``,
+    mu in ``mu_levels`` and nu in ``nu_levels``, as an array of shape
+    (len(rows), len(mu_levels), len(cols), len(nu_levels)).
+
+    Each Leibniz term is summed in log magnitude, which keeps mirror indices
+    of a few hundred finite.  An element's kept terms run over an interval of
+    j (the x = 0, P = 0 and Q = 0 factors drop every term with a positive
+    power of them); elements with the same number of terms are summed
+    together, one row each, after a shift by the row's largest log.
+    """
     x = p.x
     et = eta(p.t)
     abs_eta2 = abs(et) ** 2
     k = p.k
     a2 = abs(p.alpha) ** 2
+    log_x = math.log(x) if x > 0.0 else 0.0  # x = 0 keeps only j = 0
+    mu = np.asarray(mu_levels)[:, None]
+    nu = np.asarray(nu_levels)[None, :]
+    lg = np.array([math.lgamma(i + 1) for i in range(max(mu.max(), nu.max()) + 1)])  # log(i!)
+    log_mirror = 0.5 * (lg[mu] + lg[nu])
+    top_j = np.minimum(mu, nu)
+    if x == 0.0:
+        top_j = np.minimum(top_j, 0)
 
-    # coherent-state weights and pure phases, in log space for large indices
-    if a2 == 0.0 and n + m > 0:
-        return 0.0
-    log_mag = 0.5 * (_poisson_log_weight(a2, n) + _poisson_log_weight(a2, m))
-    log_mag += k**2 * abs_eta2 * (x * n * m - 0.5 * (n**2 + m**2))
-    log_mag -= math.log1p(p.n_bar)
-    log_mag += 0.5 * (math.lgamma(mu + 1) + math.lgamma(nu + 1))
-    phase = (n - m) * np.angle(p.alpha) - (_free_phase(p, n) - _free_phase(p, m))
+    # per cavity pair: the log magnitude and phase shared by its (mu, nu)
+    # elements, the logs and angles of P and Q, and each element's j range
+    log_mag, phase, factors, lo, hi = [], [], [], [], []
+    for n in rows:
+        for m in cols:
+            base = 0.5 * (_poisson_log_weight(a2, n) + _poisson_log_weight(a2, m))
+            base += k**2 * abs_eta2 * (x * n * m - 0.5 * (n**2 + m**2))
+            base -= math.log1p(p.n_bar)
+            big_p = k * et * (n - x * m)
+            big_q = k * np.conj(et) * (m - x * n)
+            j_lo, j_hi = np.zeros_like(top_j), top_j
+            if big_p == 0.0:  # only j = mu survives
+                j_lo, j_hi = np.maximum(j_lo, mu), np.minimum(j_hi, mu)
+            if big_q == 0.0:  # only j = nu survives
+                j_lo, j_hi = np.maximum(j_lo, nu), np.minimum(j_hi, nu)
+            if a2 == 0.0 and n + m > 0:
+                j_hi = j_lo - 1  # no coherent-state weight: no terms
+            log_mag.append(base + log_mirror)
+            phase.append((n - m) * np.angle(p.alpha) - (_free_phase(p, n) - _free_phase(p, m)))
+            factors.append((math.log(abs(big_p)) if big_p != 0.0 else 0.0, np.angle(big_p),
+                            math.log(abs(big_q)) if big_q != 0.0 else 0.0, np.angle(big_q)))
+            lo.append(j_lo)
+            hi.append(j_hi)
 
-    big_p = k * et * (n - x * m)
-    big_q = k * np.conj(et) * (m - x * n)
+    # one entry per element, ordered (n, m, mu, nu)
+    shape = (len(rows) * len(cols),) + log_mirror.shape
 
-    # Leibniz sum over the two affine factors, term-wise in log magnitude to
-    # stay finite for mirror indices of a few hundred.
-    logs, phases = [], []
-    for j in range(min(mu, nu) + 1):
-        lm = log_mag - math.lgamma(j + 1) - math.lgamma(mu - j + 1) - math.lgamma(nu - j + 1)
-        ph = phase
-        if j > 0:
-            if x == 0.0:
-                continue
-            lm += j * math.log(x)
-        if mu - j > 0:
-            if big_p == 0.0:
-                continue
-            lm += (mu - j) * math.log(abs(big_p))
-            ph += (mu - j) * np.angle(big_p)
-        if nu - j > 0:
-            if big_q == 0.0:
-                continue
-            lm += (nu - j) * math.log(abs(big_q))
-            ph += (nu - j) * np.angle(big_q)
-        logs.append(lm)
-        phases.append(ph)
-    if not logs:
-        return 0.0
-    logs = np.asarray(logs)
-    top = logs.max()
-    if top == -math.inf:
-        return 0.0
-    acc = complex(np.sum(np.exp(logs - top) * np.exp(1j * np.asarray(phases))))
-    return math.exp(top) * acc if top < 700.0 else complex(np.exp(top)) * acc
+    def per_element(v):
+        return np.broadcast_to(v, shape).ravel()
+
+    log_mag, lo = np.ravel(log_mag), np.ravel(lo)
+    count = np.ravel(hi) - lo + 1
+    phase, log_p, ang_p, log_q, ang_q = (per_element(np.reshape(v, (-1, 1, 1)))
+                                         for v in (phase, *zip(*factors)))
+    mu_e, nu_e = per_element(mu), per_element(nu)
+    values = np.zeros(count.size, dtype=complex)
+
+    for c in np.unique(count[count > 0]):
+        e = np.flatnonzero(count == c)
+        jj = lo[e, None] + np.arange(c)
+        d_mu = mu_e[e, None] - jj
+        d_nu = nu_e[e, None] - jj
+        # term order as in the Leibniz sum: factorials, then x, P and Q
+        logs = (log_mag[e, None] - lg[jj] - lg[d_mu] - lg[d_nu]
+                + jj * log_x + d_mu * log_p[e, None] + d_nu * log_q[e, None])
+        phases = phase[e, None] + d_mu * ang_p[e, None] + d_nu * ang_q[e, None]
+        # floor: a row whose terms all underflow (log -inf) sums to 0, not nan
+        top = np.maximum(logs.max(axis=1), -np.finfo(float).max)
+        acc = np.sum(np.exp(logs - top[:, None]) * np.exp(1j * phases), axis=1)
+        values[e] = np.exp(top) * acc
+    return values.reshape(len(rows), len(cols), *log_mirror.shape).transpose(0, 2, 1, 3)
+
+
+def rho_element(p: OptoUnitaryParams, n: int, m: int, mu: int, nu: int) -> complex:
+    """Exact matrix element <n, mu| rho(t) |m, nu> of the evolved state."""
+    if min(n, m, mu, nu) < 0:
+        raise DomainError("Fock indices must be non-negative")
+    return complex(_leibniz_block(p, (n,), (m,), (mu,), (nu,))[0, 0, 0, 0])
 
 
 def projected_density(p: OptoUnitaryParams, sel: SubspaceSelector, normalize: bool = True):
@@ -163,12 +206,7 @@ def projected_density(p: OptoUnitaryParams, sel: SubspaceSelector, normalize: bo
     """
     cav, mir = sel.cavity_levels, sel.mirror_levels
     dc, dm = len(cav), len(mir)
-    out = np.empty((dc * dm, dc * dm), dtype=complex)
-    for i, n in enumerate(cav):
-        for a, mu in enumerate(mir):
-            for j, m in enumerate(cav):
-                for b, nu in enumerate(mir):
-                    out[i * dm + a, j * dm + b] = rho_element(p, n, m, mu, nu)
+    out = _leibniz_block(p, cav, cav, mir, mir).reshape(dc * dm, dc * dm)
     out = 0.5 * (out + out.conj().T)
     if not normalize:
         return out
@@ -252,12 +290,11 @@ def _poisson_weights(alpha: complex, cutoff: int) -> np.ndarray:
         w = np.zeros(cutoff + 1)
         w[0] = 1.0
         return w
-    from scipy.special import gammaln
     return np.exp(n * math.log(a2) - a2 - gammaln(n + 1))
 
 
 def _check_cutoff(alpha: complex, cutoff: int) -> None:
-    tail = float(poisson.sf(cutoff, abs(alpha) ** 2))
+    tail = float(pdtrc(cutoff, abs(alpha) ** 2))  # Poisson P(N > cutoff)
     if tail >= 1e-12:
         raise TruncationError(
             f"Poisson tail beyond cutoff {cutoff} is {tail:.2e} >= 1e-12")
@@ -283,15 +320,26 @@ def linear_entropies_closed(p: OptoUnitaryParams, cutoff: int | None = None
 
 def _partial_entropies_vec(p: OptoUnitaryParams, t: np.ndarray, cutoff: int
                            ) -> tuple[np.ndarray, np.ndarray]:
+    """(S_cavity, S_mirror) at the times ``t``, Poisson weights w_0..w_cutoff.
+
+    The dephasing factor exp(-c y^2 (p-q)^2), y^2 = |k eta(t)|^2, depends on
+    p - q only, so the double sum over (p, q) is a sum over the lag d with the
+    autocorrelation r[d] = sum_p w_p w_(p+d):
+
+        sum_pq w_p w_q e^(-c y^2 (p-q)^2) = r[0] + 2 sum_(d>0) r[d] e^(-c y^2 d^2).
+
+    One (T, cutoff + 1) exponential matrix per factor c, times a vector.
+    """
     w = _poisson_weights(p.alpha, cutoff)
-    idx = np.arange(cutoff + 1)
-    d2 = (idx[:, None] - idx[None, :]) ** 2
-    ww = w[:, None] * w[None, :]
+    r = np.correlate(w, w, mode="full")[cutoff:]
+    lag_weight = 2.0 * r
+    lag_weight[0] = r[0]
+    d2 = np.arange(cutoff + 1) ** 2
     y2 = (p.k**2) * np.abs(eta(t)) ** 2  # |k eta(t)|^2, shape of t
     c_cav = 1.0 + 2.0 * p.n_bar
     c_mir = 1.0 / (1.0 + 2.0 * p.n_bar)
-    s_cav = 1.0 - np.einsum("pq,tpq->t", ww, np.exp(-np.multiply.outer(y2 * c_cav, d2)))
-    s_mir = 1.0 - c_mir * np.einsum("pq,tpq->t", ww, np.exp(-np.multiply.outer(y2 * c_mir, d2)))
+    s_cav = 1.0 - np.exp(-np.multiply.outer(y2 * c_cav, d2)) @ lag_weight
+    s_mir = 1.0 - c_mir * (np.exp(-np.multiply.outer(y2 * c_mir, d2)) @ lag_weight)
     return s_cav, s_mir
 
 

@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +57,30 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "usage:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gaussian", "--r", "300"],
+        ["gaussian", "--n-bar", "1e300"],
+        ["optomech-steady", "--steps", "2", "--power", "1e300"],
+        ["optomech-steady", "--steps", "2", "--mass", "1e-300"],
+    ])
+    def test_overflowing_inputs_are_domain_errors(self, capsys, argv):
+        # finite flags whose derived quantities overflow: an error, not
+        # nan/inf rows (an entangled state printed as separable=1)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("qcb: error:") and "Traceback" not in err
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    """Importing the CLI (and with it every module) stays off scipy.stats,
+    whose import is a large share of the start-up time."""
+    code = ("import sys, qcb.cli; qcb.cli.build_parser(); "
+            "sys.exit('scipy.stats' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-c", code], env=os.environ | {"PYTHONPATH": src},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 class TestFileErrors:
@@ -283,12 +311,22 @@ class TestFormatting:
 NUMBER = st.one_of(st.floats().map(repr),
                    st.sampled_from(["0", "-1", "1e-300", "1e300", "abc", ""]))
 COUNT = st.one_of(st.integers(-3, 5).map(str), st.sampled_from(["x", "1.5"]))
+SMALL = st.one_of(st.floats(0.0, 3.0).map(repr), NUMBER)
+LEVELS = st.lists(st.integers(0, 6), min_size=1, max_size=3).map(
+    lambda levels: ",".join(map(str, levels)))
 # command: (flags always given, optional flags); sizes stay tiny.
 FUZZ_COMMANDS = {
     "werner": ({}, {"--f": NUMBER, "--grid": COUNT,
                     "--format": st.sampled_from(["csv", "json"])}),
     "gaussian": ({}, {"--r": NUMBER, "--theta": NUMBER, "--n-bar": NUMBER,
                       "--grid": COUNT, "--r-max": NUMBER, "--nbar-max": NUMBER}),
+    "optomech-unitary": ({"--quantity": st.sampled_from(
+        ["marker", "tangle", "negativity", "entropies", "mi", "mi-average"]),
+        "--n-bar": SMALL},
+        {"--k": SMALL, "--t": SMALL,
+         "--alpha": st.floats(-3.0, 3.0).map(repr), "--cavity": LEVELS,
+         "--mirror": LEVELS, "--sweep-t": st.integers(0, 5).map(str),
+         "--mi-steps": st.sampled_from(["63", "64"])}),
     "optomech-steady": ({}, {**{f"--{name}": NUMBER for name in (
         "length", "mass", "power", "quality", "temperature", "wavelength",
         "finesse", "fm", "kappa", "dmin", "dmax")}, "--steps": COUNT}),
@@ -312,7 +350,7 @@ def fuzz_argv(draw):
     return command.split() + [w for n in names for w in (n, draw(flags[n]))]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(fuzz_argv())
 def test_argv_fuzz_exit_codes(argv):
     """Every generated argv ends in exit 0, 2 or 3, never a traceback."""

@@ -15,6 +15,8 @@ from qcb.exceptions import (
 from qcb.optomech_unitary import (
     OptoUnitaryParams,
     SubspaceSelector,
+    _partial_entropies_vec,
+    _poisson_weights,
     averaged_mi,
     default_fock_cutoff,
     eta,
@@ -98,6 +100,76 @@ class TestRhoElement:
         p = OptoUnitaryParams(k=0.1, alpha=1.0, n_bar=0.0, t=1.0)
         with pytest.raises(DomainError):
             rho_element(p, -1, 0, 0, 0)
+
+
+def mp_leibniz_block(p, cav, mir, dps=50):
+    """The closed-form elements <n, mu| rho |m, nu> as direct Leibniz sums in
+    ``dps``-digit arithmetic, shape (len(cav), len(mir), len(cav), len(mir))."""
+    from mpmath import mp, mpc, mpf
+
+    with mp.workdps(dps):
+        k, nb, t, wc = mpf(p.k), mpf(p.n_bar), mpf(p.t), mpf(p.omega_c)
+        alpha = mpc(p.alpha)
+        x = nb / (nb + 1)
+        et = 1 - mp.exp(-1j * t)
+        y2 = k**2 * abs(et) ** 2
+
+        def phi(n):
+            return n * wc * t - k**2 * n**2 * (t - mp.sin(t))
+
+        out = np.empty((len(cav), len(mir), len(cav), len(mir)), dtype=complex)
+        for i, n in enumerate(cav):
+            for j, m in enumerate(cav):
+                theta = (mp.exp(-abs(alpha) ** 2) * alpha**n * mp.conj(alpha) ** m
+                         / mp.sqrt(mp.factorial(n) * mp.factorial(m)))
+                pre = (theta * mp.exp(-1j * (phi(n) - phi(m))) / (nb + 1)
+                       * mp.exp(y2 * (x * n * m - (n**2 + m**2) / mpf(2))))
+                big_p, big_q = k * et * (n - x * m), k * mp.conj(et) * (m - x * n)
+                for a, mu in enumerate(mir):
+                    for b, nu in enumerate(mir):
+                        acc = mp.fsum(x**jj * big_p ** (mu - jj) * big_q ** (nu - jj)
+                                      / (mp.factorial(jj) * mp.factorial(mu - jj)
+                                         * mp.factorial(nu - jj))
+                                      for jj in range(min(mu, nu) + 1))
+                        value = pre * acc * mp.sqrt(mp.factorial(mu) * mp.factorial(nu))
+                        out[i, a, j, b] = complex(value)
+        return out
+
+
+class TestLeibnizKernel:
+    def test_block_matches_50_digit_sums(self):
+        # cavity 0..3 x mirror 0..8: a range where the double-precision
+        # Leibniz sum keeps its digits
+        cav, mir = tuple(range(4)), tuple(range(9))
+        for n_bar in (0.0, 2.0):
+            p = OptoUnitaryParams(k=0.4, alpha=0.8 + 0.6j, n_bar=n_bar, t=2.5,
+                                  omega_c=1.3)
+            raw = projected_density(p, SubspaceSelector(cav, mir), normalize=False)
+            want = mp_leibniz_block(p, cav, mir).reshape(raw.shape)
+            assert np.max(np.abs(raw - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_rho_element_is_the_block_kernel(self):
+        p = OptoUnitaryParams(k=0.7, alpha=1.1 - 0.4j, n_bar=1.3, t=4.1)
+        cav, mir = (0, 2, 3), (1, 4, 6)
+        raw = projected_density(p, SubspaceSelector(cav, mir), normalize=False)
+        block = raw.reshape(3, 3, 3, 3)
+        for i, n in enumerate(cav):
+            for a, mu in enumerate(mir):
+                for j, m in enumerate(cav):
+                    for b, nu in enumerate(mir):
+                        want = 0.5 * (rho_element(p, n, m, mu, nu)
+                                      + np.conj(rho_element(p, m, n, nu, mu)))
+                        assert block[i, a, j, b] == want
+
+    def test_frozen_6x20_block(self):
+        # the benchmark's marker block: mirror levels 40..59, where the sum
+        # cancels strongly, so its value is pinned to the frozen reference
+        p = OptoUnitaryParams(k=0.4, alpha=1.0, n_bar=2.0, t=2.5)
+        raw = projected_density(p, SubspaceSelector(tuple(range(6)), tuple(range(40, 60))),
+                                normalize=False)
+        trace, frobenius = np.trace(raw).real, np.linalg.norm(raw)
+        assert abs(trace - 1.0087545044173537e-04) <= 1e-12 * 1.0087545044173537e-04
+        assert abs(frobenius - 5.057549173399654e-05) <= 1e-12 * 5.057549173399654e-05
 
 
 def closed_form_projection(k, alpha, t):
@@ -325,7 +397,33 @@ class TestEntropies:
             linear_entropies_closed(p, cutoff=10)
 
 
+def double_sum_partial_entropies(p, t, cutoff):
+    """The O(T N^2) double Poisson sums of the partial purities (oracle)."""
+    w = _poisson_weights(p.alpha, cutoff)
+    idx = np.arange(cutoff + 1)
+    d2 = (idx[:, None] - idx[None, :]) ** 2
+    ww = w[:, None] * w[None, :]
+    y2 = p.k**2 * np.abs(eta(t)) ** 2
+    c_cav, c_mir = 1.0 + 2.0 * p.n_bar, 1.0 / (1.0 + 2.0 * p.n_bar)
+    s_cav = 1.0 - np.einsum("pq,tpq->t", ww, np.exp(-np.multiply.outer(y2 * c_cav, d2)))
+    s_mir = 1.0 - c_mir * np.einsum("pq,tpq->t", ww,
+                                    np.exp(-np.multiply.outer(y2 * c_mir, d2)))
+    return s_cav, s_mir
+
+
 class TestMutualInformation:
+    def test_autocorrelation_matches_double_sum(self):
+        alpha = 10.0
+        cutoff = default_fock_cutoff(alpha)
+        for n_bar in (10.0, 1.0, 0.3):
+            p = OptoUnitaryParams(k=1.0, alpha=alpha, n_bar=n_bar, t=0.0)
+            t = np.linspace(0.0, 2.0 * math.pi, 257)
+            got = _partial_entropies_vec(p, t, cutoff)
+            want = double_sum_partial_entropies(p, t, cutoff)
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) < 1e-13
+
+
     def test_undefined_at_t0_pure(self):
         p = OptoUnitaryParams(k=1.0, alpha=1.0, n_bar=0.0, t=0.0)
         with pytest.raises(UndefinedMutualInfoError):
