@@ -8,6 +8,8 @@ resolved configuration is recorded in the output header.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import sys
@@ -17,7 +19,7 @@ import numpy as np
 from . import ed as ed_mod
 from . import gaussian, optomech_stationary, optomech_unitary, qstate, spin_lde
 from .exceptions import QcbError
-from .output import export_table, fmt_value, read_table, write_text
+from .output import export_table, fmt_value, read_table, read_text, write_text
 
 
 def _checked(convert, ok, what: str):
@@ -45,20 +47,57 @@ _levels = _checked(str, lambda t: all(x.isdecimal() for x in t.split(",")),
                    "levels 'i,j,...'")
 
 
-def _parse_with_config(parser: argparse.ArgumentParser, argv, args):
-    """Parse ``argv`` again with the --config file's key=value pairs as the
-    defaults of the chosen subcommand, so that explicit flags win."""
+def _parsers(parser: argparse.ArgumentParser):
+    """``parser`` and all its (nested) subcommand parsers."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv):
+    """Parse ``argv``.  The key=value pairs of a --config file become the
+    defaults of the chosen subcommand, so explicit flags win and the file can
+    supply required flags; a required flag given by neither is a usage error.
+    """
+    required = [a for sub in _parsers(parser) for a in sub._actions
+                if a.required and a.option_strings]
+    # A first, silent pass without the required checks finds the subcommand
+    # and the config file; an exit in it (a usage error, --help) is replayed
+    # by the second pass with the checks and the usage text as declared.
+    for action in required:
+        action.required = False
     try:
-        with open(args.config) as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise QcbError(f"cannot read config file: {exc}") from exc
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            args = parser.parse_args(argv)
+    except SystemExit:
+        args = None
+    for action in required:
+        action.required = True
+    if args is None:
+        return parser.parse_args(argv)
     sub = parser
     while subparsers := [a for a in sub._actions
                          if isinstance(a, argparse._SubParsersAction)]:
         sub = subparsers[0].choices[getattr(args, subparsers[0].dest)]
+    if args.config is None:
+        if all(getattr(args, a.dest) is not None for a in required if a in sub._actions):
+            return args
+    else:
+        for action in _config_defaults(sub, read_text(args.config)):
+            action.required = False
+    return parser.parse_args(argv)
+
+
+def _config_defaults(sub: argparse.ArgumentParser, text: str) -> list:
+    """Set the defaults of the subcommand parser ``sub`` from the key=value
+    lines of a config file, converted and checked like the flags they set.
+    Returns the actions given a default."""
     actions = {a.dest: a for a in sub._actions if a.option_strings}
-    for raw in lines:
+    supplied = []
+    for raw in text.splitlines():
         key, sep, value = (t.strip() for t in raw.partition("="))
         action = actions.get(key.replace("-", "_"))
         if not sep or key.startswith("#") or action is None:
@@ -70,7 +109,8 @@ def _parse_with_config(parser: argparse.ArgumentParser, argv, args):
         if action.choices is not None and value not in action.choices:
             raise QcbError(f"config {key} = {value!r}: not one of {action.choices}")
         sub.set_defaults(**{action.dest: value})
-    return parser.parse_args(argv)
+        supplied.append(action)
+    return supplied
 
 
 def _output(args, text: str) -> int:
@@ -112,13 +152,13 @@ def _cmd_werner(args, parser) -> int:
 
 def _cmd_gaussian(args, parser) -> int:
     if args.grid is not None:
-        rows = []
-        for r in np.linspace(0.0, args.r_max, args.grid):
-            for nb in np.linspace(0.0, args.nbar_max, args.grid):
-                v = gaussian.two_mode_squeezed_thermal_cov(float(r), 0.0, float(nb)).cov
-                rows.append({"r": float(r), "n_bar": float(nb),
-                             "EN": gaussian.logneg_gaussian(v),
-                             "EN_closed": max(0.0, 2.0 * r - math.log(2.0 * nb + 1.0))})
+        grid = [(float(r), float(nb)) for r in np.linspace(0.0, args.r_max, args.grid)
+                for nb in np.linspace(0.0, args.nbar_max, args.grid)]
+        covs = np.array([gaussian.two_mode_squeezed_thermal_cov(r, 0.0, nb).cov
+                         for r, nb in grid]).reshape(-1, 4, 4)
+        rows = [{"r": r, "n_bar": nb, "EN": en,
+                 "EN_closed": max(0.0, 2.0 * r - math.log(2.0 * nb + 1.0))}
+                for (r, nb), en in zip(grid, gaussian.logneg_gaussian(covs).tolist())]
         text = export_table(rows, ["r", "n_bar", "EN", "EN_closed"],
                             _config_dict(args, ["grid", "r_max", "nbar_max"])
                             | {"command": "gaussian"}, fmt=args.format)
@@ -396,9 +436,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            args = _parse_with_config(parser, argv, args)
+        args = _parse_args(parser, argv)
         return _HANDLERS[args.command](args, parser)
     except SystemExit as exc:  # usage errors, from argparse or a handler
         return exc.code if isinstance(exc.code, int) else 2

@@ -69,6 +69,9 @@ class LatticeSpec:
             seen.update((i, j))
         if self.n_bath > 1 and seen != set(range(self.n_bath)):
             raise DomainError("bond graph must touch every bath site")
+        # Each Hamiltonian entry is bounded by the sum of |weight| / 2.
+        if not math.isfinite(sum(abs(w) for *_, w in self.coupled_bonds())):
+            raise DomainError("bond weights too large: the Hamiltonian overflows")
 
     @property
     def n_total(self) -> int:

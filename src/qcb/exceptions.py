@@ -9,6 +9,13 @@ class QcbError(ValueError):
     """Base class for domain errors raised by this package."""
 
 
+def at_first(exc: QcbError, failed) -> QcbError:
+    """``exc`` with ``index`` set to the flat position of the first true
+    entry of ``failed``, a boolean array over a stack of systems."""
+    exc.index = int(failed.argmax())
+    return exc
+
+
 class SplitRequiredError(QcbError):
     """Operation needs bipartite split metadata that the state lacks."""
 

@@ -19,6 +19,7 @@ from .exceptions import (
     DomainError,
     NonPhysicalCovarianceError,
     SingularCovarianceError,
+    at_first,
 )
 
 SYMMETRY_TOL = 1e-12
@@ -66,51 +67,71 @@ class GaussianState:
 
 
 def two_mode_blocks(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """2x2 blocks (A, B, C) of a two-mode covariance [[A, C], [C^T, B]]."""
+    """2x2 blocks (A, B, C) of a two-mode covariance [[A, C], [C^T, B]], or
+    of each member of a (..., 4, 4) stack."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (4, 4):
-        raise DimensionError(f"expected a 4x4 covariance, got {v.shape}")
-    return v[:2, :2], v[2:, 2:], v[:2, 2:]
+    if v.ndim < 2 or v.shape[-2:] != (4, 4):
+        raise DimensionError(f"expected a 4x4 covariance or a stack of them, got {v.shape}")
+    return v[..., :2, :2], v[..., 2:, 2:], v[..., :2, 2:]
 
 
-def _block_invariants(v: np.ndarray) -> tuple[float, float, float, float]:
-    """(det A, det B, det C, det V) of a two-mode covariance.
+def _block_invariants(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(det A, det B, det C, det V) of a two-mode covariance, as arrays over
+    the stack shape of ``v`` (0-d for one matrix).
 
     Raises :class:`DomainError` when one of them is not finite: strong
     squeezing (r near 180) or a large occupancy (n_bar above about 1e77)
     overflows them, and the symplectic spectrum would come out as nan.
     """
-    a, b, c = two_mode_blocks(v)
+    v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        dets = tuple(float(np.linalg.det(m)) for m in (a, b, c, v))
-    if not all(math.isfinite(d) for d in dets):
-        raise DomainError("covariance too large: its block determinants overflow")
+        dets = tuple(np.asarray(np.linalg.det(m)) for m in (*two_mode_blocks(v), v))
+    overflow = ~np.isfinite(dets).all(axis=0)
+    if overflow.any():
+        raise at_first(DomainError(
+            "covariance too large: its block determinants overflow"), overflow)
     return dets
 
 
-def _sympl_pair(sigma_inv: float, det_v: float) -> tuple[float, float]:
-    disc = sigma_inv * sigma_inv - 4.0 * det_v
-    if not math.isfinite(disc):
-        raise DomainError("covariance too large: Sigma^2 - 4 det V overflows")
-    if disc < -PHYSICALITY_TOL:
-        raise NonPhysicalCovarianceError(
-            f"Sigma^2 - 4 det V = {disc:.3e} < 0: input not a physical covariance")
-    disc = max(disc, 0.0)
-    d_plus = math.sqrt(max(sigma_inv + math.sqrt(disc), 0.0) / 2.0)
+def _clamp(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``max(x, 0.0)`` with Python's semantics (-0.0 stays)."""
+    return np.where(x < 0.0, 0.0, x)
+
+
+def _sympl_pair(sigma_inv: np.ndarray, det_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = sigma_inv * sigma_inv - 4.0 * det_v
+    overflow = ~np.isfinite(disc)
+    if overflow.any():
+        raise at_first(DomainError(
+            "covariance too large: Sigma^2 - 4 det V overflows"), overflow)
+    negative = disc < -PHYSICALITY_TOL
+    if negative.any():
+        raise at_first(NonPhysicalCovarianceError(
+            f"Sigma^2 - 4 det V = {disc[negative].flat[0]:.3e} < 0: "
+            "input not a physical covariance"), negative)
+    root = np.sqrt(_clamp(disc))
+    d_plus = np.sqrt(_clamp(sigma_inv + root) / 2.0)
     # d_-^2 d_+^2 = det V: the product form avoids the cancellation in
     # Sigma - sqrt(Sigma^2 - 4 det V) at strong squeezing.
-    if det_v > 0.0 and d_plus > 0.0:
-        d_minus = math.sqrt(det_v) / d_plus
-    else:
-        d_minus = math.sqrt(max(sigma_inv - math.sqrt(disc), 0.0) / 2.0)
+    product = (det_v > 0.0) & (d_plus > 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d_minus = np.where(product, np.sqrt(det_v) / d_plus,
+                           np.sqrt(_clamp(sigma_inv - root) / 2.0))
     return d_plus, d_minus
+
+
+def _result(x: np.ndarray):
+    """A Python scalar for one matrix (0-d input), the array for a stack."""
+    return x.item() if x.ndim == 0 else x
 
 
 def symplectic_eigenvalues_two_mode(v: np.ndarray) -> tuple[float, float]:
     """(d_+, d_-) from the invariant formula 2 d^2 = Sigma -+ sqrt(Sigma^2 - 4 det V),
-    Sigma = det A + det B + 2 det C.  For physical states d_- >= 1/2."""
+    Sigma = det A + det B + 2 det C.  For physical states d_- >= 1/2.
+    A (..., 4, 4) stack gives two arrays over its stack shape."""
     det_a, det_b, det_c, det_v = _block_invariants(v)
-    return _sympl_pair(det_a + det_b + 2.0 * det_c, det_v)
+    return tuple(map(_result, _sympl_pair(det_a + det_b + 2.0 * det_c, det_v)))
 
 
 def ppt_tilde_dminus(v: np.ndarray) -> float:
@@ -119,24 +140,41 @@ def ppt_tilde_dminus(v: np.ndarray) -> float:
     Partial transposition of mode A flips the sign of det C only, so
     d~_- follows from the invariant formula with Sigma~ = det A + det B
     - 2 det C.  The state is entangled iff the result is below 1/2.
+    A (..., 4, 4) stack gives an array over its stack shape; a failed check
+    on a stack carries ``index``, the flat position of the first failing
+    member.
     """
     det_a, det_b, det_c, det_v = _block_invariants(v)
-    return _sympl_pair(det_a + det_b - 2.0 * det_c, det_v)[1]
+    return _result(_sympl_pair(det_a + det_b - 2.0 * det_c, det_v)[1])
 
 
 def logneg_gaussian(v: np.ndarray) -> float:
-    """Logarithmic negativity max[0, -ln(2 d~_-)] (natural log)."""
-    return max(0.0, -math.log(2.0 * ppt_tilde_dminus(v)))
+    """Logarithmic negativity max[0, -ln(2 d~_-)] (natural log).
+
+    One 4x4 covariance gives a float; a (..., 4, 4) stack gives an array
+    over its stack shape, each entry equal to the one-matrix result.  A
+    failed check on a stack carries ``index``, the flat position of the
+    first failing member.
+    """
+    d = np.asarray(ppt_tilde_dminus(v))
+    # d~_- = 0 means det V was lost to cancellation (it is at least 1/16
+    # for a physical state), which happens at squeezing r above about 10.
+    lost = d <= 0.0
+    if lost.any():
+        raise at_first(DomainError(
+            "covariance too ill-conditioned: det V lost to rounding"), lost)
+    en = np.array([max(0.0, -math.log(2.0 * x)) for x in d.ravel().tolist()])
+    return _result(en.reshape(d.shape))
 
 
 def simon_invariant_check(v: np.ndarray) -> bool:
     """Separability-consistency: det A + det B + 2|det C| <= 1/4 + 4 det V.
 
     For Gaussian states violation is equivalent to entanglement (and to
-    d~_- < 1/2).
+    d~_- < 1/2).  A (..., 4, 4) stack gives a boolean array.
     """
     det_a, det_b, det_c, det_v = _block_invariants(v)
-    return det_a + det_b + 2.0 * abs(det_c) <= 0.25 + 4.0 * det_v + 1e-12
+    return _result(det_a + det_b + 2.0 * np.abs(det_c) <= 0.25 + 4.0 * det_v + 1e-12)
 
 
 def thermal_cov(n_bars) -> GaussianState:

@@ -24,7 +24,8 @@ from scipy.constants import c as _c_light
 from scipy.constants import hbar as _hbar
 from scipy.constants import k as _k_boltzmann
 
-from .exceptions import DegenerateSystemError, DomainError, StabilityError
+from .exceptions import (DegenerateSystemError, DomainError, QcbError, StabilityError,
+                         at_first)
 from .gaussian import logneg_gaussian
 
 
@@ -251,9 +252,7 @@ def lyapunov_solve(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     n = a.shape[-1]
     unstable = np.max(np.linalg.eigvals(a).real, axis=-1) >= 0.0
     if unstable.any():
-        exc = StabilityError("drift matrix is not strictly stable")
-        exc.index = int(np.argmax(unstable))
-        raise exc
+        raise at_first(StabilityError("drift matrix is not strictly stable"), unstable)
 
     # (A V + V A^T)_ij = sum_k A_ik V_kj + A_jk V_ik: tally[r, c, x, y] counts
     # how often A_xy multiplies unknown c in equation r (at most twice).
@@ -277,10 +276,9 @@ def lyapunov_solve(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     scale = np.maximum(np.max(np.abs(d), axis=(-2, -1)), 1e-300)
     failed = residual > 1e-10 * scale
     if failed.any():
-        exc = DegenerateSystemError(
-            f"Lyapunov residual {residual[failed].flat[0]:.2e} exceeds 1e-10 * ||D||")
-        exc.index = int(np.argmax(failed))
-        raise exc
+        raise at_first(DegenerateSystemError(
+            f"Lyapunov residual {residual[failed].flat[0]:.2e} exceeds 1e-10 * ||D||"),
+            failed)
     return v
 
 
@@ -343,23 +341,29 @@ def detuning_sweep(p: StationaryParams, deltas_over_wm) -> list[dict]:
     Delta/omega_m of the first failing point.
     """
     xs = np.atleast_1d(np.asarray(deltas_over_wm, dtype=float))
-    delta = xs * p.omega_m
-    alpha_s = _amplitude(p, delta)
-    big_g = p.g * alpha_s * math.sqrt(2.0)
-    stable, s1, s2 = _routh_hurwitz(p, delta, big_g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = xs * p.omega_m
+        alpha_s = _amplitude(p, delta)
+        big_g = p.g * alpha_s * math.sqrt(2.0)
+        stable, s1, s2 = _routh_hurwitz(p, delta, big_g)
+    overflow = ~np.isfinite([alpha_s, big_g, s1, s2]).all(axis=0)
+    if overflow.any():
+        raise DomainError("detuning too large: the sweep overflows at "
+                          f"Delta/omega_m = {xs[overflow][0]:.12g}")
     cov = np.full((xs.size, 4, 4), np.nan)
+    en = np.full(xs.size, np.nan)
     if stable.any():
         try:
             cov[stable] = lyapunov_solve(
                 *_drift_diffusion(p, delta[stable], big_g[stable], p.omega_m))
-        except (StabilityError, DegenerateSystemError) as exc:
+            en[stable] = logneg_gaussian(cov[stable])
+        except QcbError as exc:
             if not hasattr(exc, "index"):
                 raise
             raise type(exc)(
                 f"{exc} at Delta/omega_m = {xs[stable][exc.index]:.12g}") from exc
     n_eff = 0.5 * (cov[:, 0, 0] + cov[:, 1, 1]) - 0.5
-    en = [logneg_gaussian(v) if ok else math.nan for v, ok in zip(cov, stable)]
     table = zip(xs.tolist(), alpha_s.tolist(), big_g.tolist(), s1.tolist(),
-                s2.tolist(), stable.astype(int).tolist(), en, n_eff.tolist(),
+                s2.tolist(), stable.astype(int).tolist(), en.tolist(), n_eff.tolist(),
                 *cov.reshape(-1, 16).T.tolist())
     return [dict(zip(SWEEP_COLUMNS, row)) for row in table]

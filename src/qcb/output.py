@@ -8,42 +8,64 @@ digits so that parse -> re-emit round-trips byte-identically.
 from __future__ import annotations
 
 import json
-import math
 
 from .exceptions import QcbError
 
 
+def _spec(kind: type) -> str:
+    """The %-conversion of a cell of type ``kind``: floats with 12
+    significant digits (nan, inf and -0 as Python prints them), bools as
+    1/0, anything else as ``str`` gives it."""
+    if issubclass(kind, bool):
+        return "%d"
+    if issubclass(kind, float):
+        return "%.12g"
+    return "%s"
+
+
 def fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        return f"{v:.12g}"
-    return str(v)
+    """Text of one table or header cell (see :func:`_spec`)."""
+    return _spec(type(v)) % (v,)
+
+
+def _row_formats(rows, columns):
+    """Yield (conversions, cells) per row, the cells in column order.  The
+    conversions are worked out once per sequence of cell types, so a table
+    of homogeneous rows has one."""
+    formats: dict = {}
+    for row in rows:
+        cells = tuple(map(row.__getitem__, columns))
+        kinds = tuple(map(type, cells))
+        if kinds not in formats:
+            specs = tuple(map(_spec, kinds))
+            formats[kinds] = specs, ",".join(specs)
+        yield formats[kinds], cells
 
 
 def export_table(rows, columns=None, config=None, path=None, fmt="csv") -> str:
     """Serialize homogeneous row dicts; write to ``path`` if given.
 
-    Returns the serialized text.  Unwritable paths raise QcbError (the CLI
-    maps that to exit code 3).
+    Every cell reads as :func:`fmt_value` writes it.  A CSV row is rendered
+    with one %-template (its conversions joined by commas) and a JSON row
+    with the same conversions cell by cell.  Returns the serialized text.
+    Unwritable paths raise QcbError (the CLI maps that to exit code 3).
     """
     rows = list(rows)
     if columns is None:
         columns = list(rows[0].keys()) if rows else []
     config = dict(config or {})
+    typed_rows = _row_formats(rows, columns)
     if fmt == "csv":
         lines = [f"# {k}={fmt_value(v)}" for k, v in sorted(config.items())]
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(fmt_value(row[c]) for c in columns))
+        lines.extend(template % cells for (_, template), cells in typed_rows)
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         payload = {
             "config": {k: fmt_value(v) for k, v in sorted(config.items())},
             "columns": columns,
-            "rows": [[fmt_value(row[c]) for c in columns] for row in rows],
+            "rows": [[spec % (v,) for spec, v in zip(specs, cells)]
+                     for (specs, _), cells in typed_rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
@@ -62,17 +84,22 @@ def write_text(path, text: str) -> None:
         raise QcbError(f"cannot write {path}: {exc}") from exc
 
 
+def read_text(path) -> str:
+    """The text of ``path``; unreadable paths raise QcbError."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise QcbError(f"cannot read {path}: {exc}") from exc
+
+
 def read_table(path) -> tuple[dict, list[str], list[dict]]:
     """Parse a CSV written by :func:`export_table`.
 
     Returns (config, columns, rows); numeric cells come back as floats.
     Unreadable paths raise QcbError.
     """
-    try:
-        with open(path) as fh:
-            lines = fh.read().split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise QcbError(f"cannot read {path}: {exc}") from exc
+    lines = read_text(path).split("\n")
     config: dict = {}
     columns: list[str] = []
     rows: list[dict] = []

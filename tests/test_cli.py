@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,15 +59,20 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "usage:" in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
         ["gaussian", "--r", "300"],
         ["gaussian", "--n-bar", "1e300"],
         ["optomech-steady", "--steps", "2", "--power", "1e300"],
         ["optomech-steady", "--steps", "2", "--mass", "1e-300"],
+        ["optomech-steady", "--steps", "2", "--dmax", "1e300"],
+        ["gaussian", "--r", "20"],
+        ["ed", "report", "--L", "4", "--alpha", "8.98846567431158e+307"],
     ])
     def test_overflowing_inputs_are_domain_errors(self, capsys, argv):
-        # finite flags whose derived quantities overflow: an error, not
-        # nan/inf rows (an entangled state printed as separable=1)
+        # finite flags whose derived quantities overflow (or, at r = 20,
+        # lose det V to rounding): an error, not nan/inf rows or an
+        # entangled state printed as separable=1, and no numpy warning
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("qcb: error:") and "Traceback" not in err
@@ -291,6 +297,40 @@ class TestConfigFile:
     def test_missing_config_file(self, capsys):
         assert run(capsys, "gaussian", "--config", "/nonexistent")[0] == 3
 
+    def test_config_supplies_required_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jcan = 1e-3\ntmin = 1e-4\ntmax = 1e-2\nsteps = 2\n")
+        code, out, _ = run(capsys, "lde", "thermal", "--config", str(cfg))
+        assert code == 0 and "# jcan=0.001" in out and "# tmin=0.0001" in out
+        code, out, _ = run(capsys, "lde", "thermal", "--config", str(cfg),
+                           "--jcan", "2e-3")
+        assert code == 0 and "# jcan=0.002" in out  # flag wins over config
+
+    def test_required_flag_missing_from_argv_and_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jcan = 1e-3\ntmin = 1e-4\n")
+        code, out, err = run(capsys, "lde", "thermal", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "required: --tmax" in err and "Traceback" not in err
+
+
+def reference_cell(v) -> str:
+    """The per-cell text rule that table rows must reproduce."""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        if math.isnan(v):
+            return "nan"
+        return f"{v:.12g}"
+    return str(v)
+
+
+CELL = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                     -2.2250738585072014e-308, 1e300, -1e300, 0.1, 1e16, 123456789012.5]),
+    st.floats().map(np.float64), st.booleans(), st.integers(), st.text("a,%s ", max_size=3))
+
 
 class TestFormatting:
     def test_twelve_significant_digits(self):
@@ -298,6 +338,19 @@ class TestFormatting:
         assert fmt_value(1.0) == "1"
         assert fmt_value(float("nan")) == "nan"
         assert fmt_value(True) == "1"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(CELL, min_size=3, max_size=3), max_size=6))
+    def test_rows_render_as_fmt_value_cells(self, table):
+        """The row templates give each cell the text of fmt_value, in CSV and
+        JSON, over floats (nan, +-inf, +-0.0, subnormals, +-1e300), numpy
+        float64, bools, ints and strings, homogeneous rows or not."""
+        rows = [dict(zip("abc", cells)) for cells in table]
+        csv_rows = export_table(rows, ["a", "b", "c"]).splitlines()[1:]
+        assert csv_rows == [",".join(map(reference_cell, cells)) for cells in table]
+        payload = json.loads(export_table(rows, ["a", "b", "c"], fmt="json"))
+        assert payload["rows"] == [list(map(reference_cell, cells)) for cells in table]
+        assert all(fmt_value(v) == reference_cell(v) for cells in table for v in cells)
 
     def test_unwritable_path(self):
         from qcb.exceptions import QcbError
@@ -337,7 +390,33 @@ FUZZ_COMMANDS = {
                 "--alpha": NUMBER,
                 "--probes": st.sampled_from(["ends", "1,2", "0,9", "a,b", "1"]),
                 "--temps": st.one_of(NUMBER, st.sampled_from(["auto", "0.1,0.2"]))}),
+    "ed report": ({"--L": st.integers(4, 6).map(str)},  # chains of 6-8 spins
+                  {"--alpha": NUMBER,
+                   "--probes": st.sampled_from(["ends", "1,2", "0,9", "a,b"])}),
+    "lde chi": ({"--model": st.sampled_from(["ring", "aklt", "x"])},
+                {"--L": COUNT, "--r": COUNT,
+                 "--method": st.sampled_from(["closed", "numeric", "x"])}),
+    # --in names a file of fuzz_inputs (missing.csv does not exist)
+    "lde fit": ({"--in": st.sampled_from(["thermal.csv", "short.csv", "werner.csv",
+                                          "text.csv", "missing.csv"])},
+                {"--kind": st.sampled_from(["correlator", "jab", "x"]),
+                 "--format": st.sampled_from(["csv", "json"])}),
 }
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Input tables for ``lde fit``: a thermal sweep, a two-row one, a table
+    without a temperature column and a file that is no table."""
+    d = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name, argv in (("thermal.csv", ["lde", "thermal", "--steps", "8"]),
+                           ("short.csv", ["lde", "thermal", "--steps", "2"])):
+            assert main(argv + ["--jcan", "2e-3", "--phi", "0.05", "--tmin", "1e-4",
+                                "--tmax", "4e-2", "--out", str(d / name)]) == 0
+        assert main(["werner", "--grid", "4", "--out", str(d / "werner.csv")]) == 0
+    (d / "text.csv").write_text("not,a\ntable\n\x00\n")
+    return d
 
 
 @st.composite
@@ -351,9 +430,11 @@ def fuzz_argv(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(fuzz_argv())
-def test_argv_fuzz_exit_codes(argv):
+@given(argv=fuzz_argv())
+def test_argv_fuzz_exit_codes(fuzz_inputs, argv):
     """Every generated argv ends in exit 0, 2 or 3, never a traceback."""
+    argv = [str(fuzz_inputs / w) if prev == "--in" else w
+            for prev, w in zip([None] + argv, argv)]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from qcb.exceptions import (
+    DimensionError,
     DomainError,
     NonPhysicalCovarianceError,
     SingularCovarianceError,
@@ -99,6 +100,77 @@ class TestLogNegativity:
         r = 1.0
         nb = (math.e**2 - 1.0) / 2.0
         assert abs(logneg_gaussian(two_mode_squeezed_thermal_cov(r, 0.0, nb).cov)) < 1e-10
+
+
+def raw_squeezed_vacuum(r):
+    """Two-mode squeezed vacuum covariance without the physicality check,
+    which rejects most r above 8 once rounding has eaten det V."""
+    ch, sh = math.cosh(r), math.sinh(r)
+    omega = np.block([[ch * np.eye(2), sh * np.eye(2)], [sh * np.eye(2), ch * np.eye(2)]])
+    v = 0.5 * (omega @ omega.T)
+    return 0.5 * (v + v.T)
+
+
+class TestStacks:
+    """A (..., 4, 4) stack gives, member by member, the bits of one-matrix
+    calls, and a failed check names the first failing member."""
+
+    @staticmethod
+    def stack():
+        rng = np.random.default_rng(11)
+        covs = [random_physical_cov(2, rng, max_squeeze=ms).cov
+                for ms in [1.0] * 300 + [3.0] * 100 + [0.01] * 20]
+        covs += [VAC, thermal_cov([0.7, 2.2]).cov]
+        covs += [two_mode_squeezed_thermal_cov(r, th, nb).cov
+                 for r in (0.0, 0.3, 2.0, 5.0) for th in (0.0, 1.1) for nb in (0.0, 3.0)]
+        return np.array(covs)
+
+    def test_logneg_and_dminus_equal_single_calls(self):
+        covs = self.stack()
+        for fn in (logneg_gaussian, ppt_tilde_dminus, simon_invariant_check):
+            got = fn(covs)
+            assert isinstance(got, np.ndarray) and got.shape == (len(covs),)
+            assert got.tolist() == [fn(v) for v in covs]
+        got = logneg_gaussian(covs.reshape(2, -1, 4, 4))
+        assert got.shape == (2, len(covs) // 2)
+        assert got.ravel().tolist() == logneg_gaussian(covs).tolist()
+        single = logneg_gaussian(VAC)
+        assert type(single) is float and single == 0.0 and math.copysign(1, single) == 1
+
+    def test_product_form_fallback_equals_single_calls(self):
+        # det V rounds to 0 (r = 20) or is negative: Sigma~ - sqrt(disc) branch
+        covs = np.array([raw_squeezed_vacuum(20.0), np.diag([1.0, -1e-3, 1.0, 1.0]),
+                         np.zeros((4, 4)), VAC, raw_squeezed_vacuum(1.0)])
+        got = ppt_tilde_dminus(covs)
+        assert got.tolist() == [ppt_tilde_dminus(v) for v in covs]
+        assert got[0] == 0.0 and got[1] == 0.0
+
+    def test_lost_det_v_is_a_domain_error(self):
+        covs = np.array([VAC, raw_squeezed_vacuum(1.0), raw_squeezed_vacuum(20.0)])
+        with pytest.raises(DomainError) as info:
+            logneg_gaussian(covs)
+        assert info.value.index == 2
+        with pytest.raises(DomainError):
+            logneg_gaussian(covs[2])
+
+    def test_overflowing_member_carries_index(self):
+        covs = np.array([VAC] * 5)
+        covs[3] = raw_squeezed_vacuum(200.0)
+        with pytest.raises(DomainError) as info:
+            logneg_gaussian(covs)
+        assert info.value.index == 3
+
+    def test_nonphysical_member_carries_index(self):
+        covs = np.array([VAC] * 6).reshape(2, 3, 4, 4)
+        covs[1, 1] = [[0.2, -0.6, -0.1, -2.2], [-0.6, 0.8, 0.0, 0.7],
+                      [-0.1, 0.0, -1.2, -1.2], [-2.2, 0.7, -1.2, -1.4]]  # disc = -8.7
+        with pytest.raises(NonPhysicalCovarianceError) as info:
+            ppt_tilde_dminus(covs)
+        assert info.value.index == 4
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(DimensionError):
+            logneg_gaussian(np.eye(6))
 
 
 class TestSqueezedThermalCov:
