@@ -38,6 +38,7 @@ def _checked(convert, ok, what: str):
 _count = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _finite = _checked(float, math.isfinite, "a finite number")
 _positive = _checked(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+_nonnegative = _checked(float, lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
 # Kept as text, which the output header records.
 _temperatures = _checked(str, lambda t: t == "auto" or all(
     _positive(x) for x in t.split(",")), "'auto' or temperatures > 0")
@@ -221,11 +222,10 @@ def _cmd_optomech_unitary(args, parser) -> int:
 
 
 def _cmd_optomech_steady(args, parser) -> int:
-    kappa = args.kappa if args.kappa > 0 else None
     p = optomech_stationary.derive_physical_params(
         length=args.length, mass=args.mass, power=args.power, quality=args.quality,
         temperature=args.temperature, wavelength=args.wavelength,
-        finesse=args.finesse, kappa=kappa, omega_m=2.0 * math.pi * args.fm)
+        finesse=args.finesse, kappa=args.kappa, omega_m=2.0 * math.pi * args.fm)
     xs = np.linspace(args.dmin, args.dmax, args.steps)
     rows = optomech_stationary.detuning_sweep(p, xs)
     cfg = _config_dict(args, ["length", "mass", "power", "quality", "temperature",
@@ -277,7 +277,9 @@ def _cmd_lde(args, parser) -> int:
     if "beta" in columns:
         betas = [row["beta"] for row in rows]
     elif "kT" in columns:
-        betas = [1.0 / row["kT"] for row in rows]
+        # a cell that is no number, or 0, goes to the fit as it is, to be refused
+        betas = [1.0 / t if isinstance(t, float) and t else t
+                 for t in (row["kT"] for row in rows)]
     else:
         raise QcbError("fit input needs a 'beta' or 'kT' column")
     col = "correlator" if args.kind == "correlator" else "J_ab"
@@ -375,12 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mass", type=_positive, default=5e-12, help="mirror mass [kg]")
     p.add_argument("--power", type=_positive, default=50e-3, help="input power [W]")
     p.add_argument("--quality", type=_positive, default=1e5, help="mechanical Q")
-    p.add_argument("--temperature", type=_finite, default=0.4, help="bath T [K]")
+    p.add_argument("--temperature", type=_nonnegative, default=0.4, help="bath T [K]")
     p.add_argument("--wavelength", type=_positive, default=810e-9)
     p.add_argument("--finesse", type=_positive, default=1.07e4)
     p.add_argument("--fm", type=_positive, default=1e7, help="mirror frequency [Hz]")
-    p.add_argument("--kappa", type=_finite, default=0.0,
-                   help="override cavity decay [rad/s] (0 = from finesse)")
+    p.add_argument("--kappa", type=_positive, default=None,
+                   help="cavity decay [rad/s] (default: pi c / (length finesse))")
     p.add_argument("--dmin", type=_finite, default=0.2)
     p.add_argument("--dmax", type=_finite, default=3.0)
     p.add_argument("--steps", type=_count, default=57)

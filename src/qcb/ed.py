@@ -9,14 +9,15 @@ parameters.
 Engine (after Sandvik, arXiv:1101.3281, sec. 4): basis states are bit
 strings, blocks are sorted arrays of equal popcount, and each block matrix
 is assembled with array bit operations and ``searchsorted`` lookups.  The
-probe sector needs only the S_z = -1, 0, +1 blocks (dense below
+probe sector needs only the S_z = -1, 0, +1 blocks (dense up to
 ``DENSE_BLOCK_CAP``, Lanczos from a fixed start vector above it), and total
 spin is verified through <S^2> = S_z^2 + S_z + ||S^+ v||^2.  Thermal averages
 reuse each block's probe-correlator diagonal, computed once per spectrum.
 
-Normalization: bath spins are S = sigma/2; probe operators tau are full Pauli
-matrices (correlator <tau_a . tau_b> in [-3, 1]).  The probe coupling
-alpha J S_site . tau_probe therefore equals 2 alpha J S_site . S_probe in
+Units and normalization: energies are in units of the bath exchange J = 1;
+bath spins are S = sigma/2; probe operators tau are full Pauli matrices
+(correlator <tau_a . tau_b> in [-3, 1]).  The probe coupling
+alpha S_site . tau_probe therefore equals 2 alpha S_site . S_probe in
 uniform spin-1/2 operators, which is how bonds are stored internally.
 """
 
@@ -35,7 +36,7 @@ from .exceptions import (
     SectorAmbiguityError,
     TruncationError,
 )
-from .spin_lde import fit_canonical_params
+from .spin_lde import fit_canonical_params, separability_beta
 
 MAX_SPINS = 16
 DENSE_BLOCK_CAP = 4096
@@ -46,7 +47,7 @@ DEGENERACY_TOL = 1e-9
 class LatticeSpec:
     """l x n_c Heisenberg lattice plus two probes coupled at sites A and B.
 
-    ``bonds`` are (i, j, weight) with weight in units of J for uniform
+    ``bonds`` are (i, j, weight) with weight in units of J = 1 for uniform
     spin-1/2 operators; the constructor helpers fill them in.  Probes are the
     last two spin indices. alpha is the dimensionless probe coupling.
     """
@@ -55,7 +56,6 @@ class LatticeSpec:
     bonds: tuple[tuple[int, int, float], ...]
     probe_sites: tuple[int, int]
     alpha: float
-    J: float = 1.0
     label: str = "custom"
 
     def __post_init__(self):
@@ -82,36 +82,34 @@ class LatticeSpec:
         return self.n_bath, self.n_bath + 1
 
     def coupled_bonds(self) -> tuple[tuple[int, int, float], ...]:
-        """Bath bonds plus the probe bonds 2 alpha J S.S (= alpha J S.tau)."""
+        """Bath bonds plus the probe bonds 2 alpha S.S (= alpha S.tau)."""
         a, b = self.probe_sites
         pa, pb = self.probe_indices
-        extra = ((a, pa, 2.0 * self.alpha * self.J), (b, pb, 2.0 * self.alpha * self.J))
+        extra = ((a, pa, 2.0 * self.alpha), (b, pb, 2.0 * self.alpha))
         return self.bonds + extra
 
 
-def chain(length: int, alpha: float, probes: str | tuple[int, int] = "ends",
-          J: float = 1.0) -> LatticeSpec:
+def chain(length: int, alpha: float, probes: str | tuple[int, int] = "ends") -> LatticeSpec:
     """Open Heisenberg chain with probes at the ends (or given sites)."""
     if length < 2:
         raise DomainError("chain needs at least 2 sites")
-    bonds = tuple((i, i + 1, J) for i in range(length - 1))
+    bonds = tuple((i, i + 1, 1.0) for i in range(length - 1))
     sites = (0, length - 1) if probes == "ends" else (int(probes[0]), int(probes[1]))
     return LatticeSpec(n_bath=length, bonds=bonds, probe_sites=sites,
-                       alpha=alpha, J=J, label=f"chain L={length}")
+                       alpha=alpha, label=f"chain L={length}")
 
 
-def ladder(length: int, alpha: float, probes: str | tuple[int, int] = "ends",
-           J: float = 1.0) -> LatticeSpec:
+def ladder(length: int, alpha: float, probes: str | tuple[int, int] = "ends") -> LatticeSpec:
     """2-leg ladder; probes attach to opposite ends of the first leg."""
     if length < 2:
         raise DomainError("ladder needs at least 2 rungs")
     bonds = []
     for y in (0, 1):
-        bonds += [(x + y * length, x + 1 + y * length, J) for x in range(length - 1)]
-    bonds += [(x, x + length, J) for x in range(length)]
+        bonds += [(x + y * length, x + 1 + y * length, 1.0) for x in range(length - 1)]
+    bonds += [(x, x + length, 1.0) for x in range(length)]
     sites = (0, length - 1) if probes == "ends" else (int(probes[0]), int(probes[1]))
     return LatticeSpec(n_bath=2 * length, bonds=tuple(bonds), probe_sites=sites,
-                       alpha=alpha, J=J, label=f"ladder l={length}")
+                       alpha=alpha, label=f"ladder l={length}")
 
 
 # ---------------------------------------------------------------------------
@@ -207,28 +205,21 @@ class SpectrumResult:
         return self._probe_diagonals
 
 
-def full_spectrum(spec: LatticeSpec, need_vectors: bool = True) -> SpectrumResult:
-    """Dense diagonalization of every S_z block (total dim <= 4096)."""
+def full_spectrum(spec: LatticeSpec) -> SpectrumResult:
+    """Every level of every S_z block (total dim <= 4096, so each block
+    goes through the dense branch of :func:`_low_levels`)."""
     if (1 << spec.n_total) > DENSE_BLOCK_CAP:
         raise ResourceError(
             f"full spectrum needs total dim <= {DENSE_BLOCK_CAP}; "
             f"got {1 << spec.n_total}")
-    energies, vectors, states = {}, {}, {}
-    for m, (sts, h) in build_hamiltonian(spec).items():
-        if need_vectors:
-            w, v = np.linalg.eigh(h.toarray())
-            vectors[m] = v
-        else:
-            w = np.linalg.eigvalsh(h.toarray())
-        energies[m] = w
-        states[m] = sts
-    return SpectrumResult(spec, energies, vectors, states)
+    return _low_levels(spec)
 
 
 def _low_levels(spec: LatticeSpec, k_each: int = 8,
                 blocks: tuple[int, ...] | None = None) -> SpectrumResult:
     """Lowest levels per block (all blocks, or the n_up values in ``blocks``):
-    dense below the cap, Lanczos above it.
+    every level by dense ``eigh`` at or below the cap, ``k_each`` by Lanczos
+    above it.
 
     Lanczos starts from a fixed-seed vector, so repeated calls return the
     same floats.  (A constant start vector would not do: in every block it is
@@ -389,27 +380,21 @@ def thermal_correlator_truncated(spec: LatticeSpec, betas, k_each: int = 8) -> n
 # ---------------------------------------------------------------------------
 
 
-def _bath_spectrum_m0(spec: LatticeSpec):
-    """Dense spectrum of the bath-only Hamiltonian in its S_z = 0 block."""
+def chi_lehman_and_phi(spec: LatticeSpec) -> tuple[float, float]:
+    """(chi, Phi/(2 alpha)^2) from the dense S_z = 0 block of the bath alone
+    (alpha = 0).
+
+    chi = -sum_{k>0} [<0|S_A^z|k><k|S_B^z|0> + c.c.]/(E_k - E_0), positive
+    when the bath favors a probe singlet (J_can ~ 4 alpha^2 chi), and
+    Phi/(2 alpha)^2 = sum_{k>0} |<0|(S_A^z - S_B^z)|k>|^2/(E_k - E_0)^2.
+    eta vanishes at this order.
+    """
     if spec.n_bath % 2:
         raise DegenerateSystemError("bath must have an even number of sites "
                                     "for a singlet ground state")
     m0 = spec.n_bath // 2
     states = _blocks_by_magnetization(spec.n_bath, (m0,))[m0]
-    h = _block_hamiltonian(spec.bonds, states)
-    w, v = np.linalg.eigh(h.toarray())
-    return states, w, v
-
-
-def chi_lehman_and_phi(spec: LatticeSpec) -> tuple[float, float]:
-    """(chi, Phi/(2 J alpha)^2) from the bath spectrum at alpha = 0.
-
-    chi = -sum_{k>0} [<0|S_A^z|k><k|S_B^z|0> + c.c.]/(E_k - E_0), positive
-    when the bath favors a probe singlet (J_can ~ 4 (J alpha)^2 chi), and
-    Phi/(2 J alpha)^2 = sum_{k>0} |<0|(S_A^z - S_B^z)|k>|^2/(E_k - E_0)^2.
-    eta vanishes at this order.
-    """
-    states, w, v = _bath_spectrum_m0(spec)
+    w, v = np.linalg.eigh(_block_hamiltonian(spec.bonds, states).toarray())
     if w[1] - w[0] < DEGENERACY_TOL:
         raise DegenerateSystemError("degenerate bath ground state")
     a, b = spec.probe_sites
@@ -425,38 +410,22 @@ def chi_lehman_and_phi(spec: LatticeSpec) -> tuple[float, float]:
     return chi, phi_coeff
 
 
-def chi_resolvent(spec: LatticeSpec) -> float:
-    """chi via a linear solve, (E_0 - H) x = Q S_B^z |0>: an eigenbasis-free
-    cross-check of :func:`chi_lehman_and_phi`."""
-    states, w, v = _bath_spectrum_m0(spec)
-    a, b = spec.probe_sites
-    za = np.where((states >> a) & 1, 0.5, -0.5)
-    zb = np.where((states >> b) & 1, 0.5, -0.5)
-    h = _block_hamiltonian(spec.bonds, states).toarray()
-    psi0 = v[:, 0]
-    rhs = zb * psi0
-    rhs = rhs - psi0 * (psi0 @ rhs)
-    x, *_ = np.linalg.lstsq(w[0] * np.eye(len(w)) - h, rhs, rcond=None)
-    x = x - psi0 * (psi0 @ x)
-    return 2.0 * float((za * psi0) @ x)
-
-
 # ---------------------------------------------------------------------------
 # End-to-end comparison of the ED oracle with the canonical theory.
 # ---------------------------------------------------------------------------
 
 
-def default_temperature_grid(j_can: float, n: int = 12) -> np.ndarray:
+def default_temperature_grid(j_can: float) -> np.ndarray:
     """12 log-spaced temperatures from k_B T = J_can/20 to 20 J_can."""
-    return np.geomspace(j_can / 20.0, 20.0 * j_can, n)
+    return np.geomspace(j_can / 20.0, 20.0 * j_can, 12)
 
 
-def theory_consistency_report(spec: LatticeSpec, n_temps: int = 12) -> dict:
+def theory_consistency_report(spec: LatticeSpec) -> dict:
     """Exact-diagonalization vs canonical-theory scorecard.
 
     Builds and diagonalizes the lattice once (:func:`full_spectrum`, so at
     most 12 spins) and takes every ED quantity from that one spectrum.
-    Reports (i) J_can_exact against the perturbative 4 (J alpha)^2 chi,
+    Reports (i) J_can_exact against the perturbative 4 alpha^2 chi,
     (ii) the three-parameter fit of the ED thermal correlator with its RMS
     residual, (iii) the T = 0 correlator against -3 + eta + 3 Phi, and
     (iv) the exact separability temperature against 0.93 J_can (1 - Phi).
@@ -464,9 +433,9 @@ def theory_consistency_report(spec: LatticeSpec, n_temps: int = 12) -> dict:
     spectrum = full_spectrum(spec)
     j_can, gap = low_spectrum_jcan(spec, spectrum=spectrum)
     chi, phi_coeff = chi_lehman_and_phi(spec)
-    j_can_pert = 4.0 * (spec.J * spec.alpha) ** 2 * chi
+    j_can_pert = 4.0 * spec.alpha ** 2 * chi
 
-    temps = default_temperature_grid(j_can, n_temps)
+    temps = default_temperature_grid(j_can)
     betas = 1.0 / temps
     corrs = thermal_correlator_exact(spec, betas, spectrum=spectrum)
     fit = fit_canonical_params(list(zip(betas, corrs)))
@@ -482,13 +451,7 @@ def theory_consistency_report(spec: LatticeSpec, n_temps: int = 12) -> dict:
     lo, hi = 1e-3 / j_can, 1e3 / j_can  # betas: high-T (corr ~ 0) to low-T
     t_star = None
     if f(lo) > 0.0 > f(hi):
-        for _ in range(120):
-            mid = math.sqrt(lo * hi)
-            if f(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        t_star = 1.0 / math.sqrt(lo * hi)
+        t_star = 1.0 / separability_beta(f, lo, hi)
     t_star_est = 0.93 * cp.J_can * (1.0 - cp.Phi)
 
     return {
@@ -504,7 +467,7 @@ def theory_consistency_report(spec: LatticeSpec, n_temps: int = 12) -> dict:
         "fit_Phi": cp.Phi,
         "fit_eta": cp.eta,
         "fit_rms_residual": fit.rms_residual,
-        "phi_perturbative": 4.0 * (spec.J * spec.alpha) ** 2 * phi_coeff,
+        "phi_perturbative": 4.0 * spec.alpha ** 2 * phi_coeff,
         "corr_T0_exact": c0_exact,
         "corr_T0_model": c0_model,
         "corr_T0_abs_error": abs(c0_exact - c0_model),

@@ -250,11 +250,3 @@ def random_symplectic(n_modes: int, rng: np.random.Generator,
     s_xxpp = ortho_sympl() @ squeeze @ ortho_sympl()
     perm = _interleave_permutation(n_modes)
     return perm @ s_xxpp @ perm.T
-
-
-def random_physical_cov(n_modes: int, rng: np.random.Generator,
-                        max_squeeze: float = 1.0, max_thermal: float = 2.0) -> GaussianState:
-    s = random_symplectic(n_modes, rng, max_squeeze)
-    n_bars = rng.uniform(0.0, max_thermal, size=n_modes)
-    v = s @ thermal_cov(n_bars).cov @ s.T
-    return GaussianState(0.5 * (v + v.T))

@@ -3,8 +3,8 @@ diffusion, Routh-Hurwitz stability, Lyapunov covariance, and the stationary
 entanglement / effective-occupancy figures of merit.
 
 A detuning sweep is one array pass with one stacked Lyapunov solve over its
-stable points; the one-point functions share its drift-matrix and
-Routh-Hurwitz bodies, so a sweep row and :func:`stationary_point` agree bit
+stable points; the one-point functions share its drift-matrix, Routh-Hurwitz
+and covariance bodies, so a sweep row and :func:`stationary_point` agree bit
 for bit.
 
 Fluctuation basis is (dq, dp, dX, dY): mirror position/momentum followed by
@@ -70,17 +70,16 @@ def thermal_occupancy(omega_m: float, temperature: float) -> float:
 
 
 def derive_physical_params(length: float, mass: float, power: float,
-                           quality: float, temperature: float,
-                           wavelength: float | None = None,
-                           omega_c: float | None = None,
-                           finesse: float | None = None,
-                           kappa: float | None = None,
-                           omega_m: float = 2 * math.pi * 1e7,
-                           Delta0: float = 0.0) -> StationaryParams:
-    """Build :class:`StationaryParams` from laboratory quantities.
+                           quality: float, temperature: float, wavelength: float,
+                           finesse: float, kappa: float | None = None,
+                           omega_m: float = 2 * math.pi * 1e7) -> StationaryParams:
+    """Build :class:`StationaryParams` from laboratory quantities in SI units
+    (length, mass, power, temperature, wavelength; omega_m and kappa in rad/s).
 
-    g = (omega_c/L) sqrt(hbar/(m omega_m)); |E| = sqrt(2 P kappa / hbar w0);
-    kappa defaults to the cavity linewidth pi c/(L F); the finesse-to-kappa
+    omega_c = 2 pi c / wavelength, and the bare detuning Delta0 is 0 (a
+    sweep prescribes the effective detuning instead).  g = (omega_c/L)
+    sqrt(hbar/(m omega_m)); |E| = sqrt(2 P kappa / hbar omega_c); kappa
+    defaults to the cavity linewidth pi c/(L F); the finesse-to-kappa
     convention is ambiguous in the literature, so kappa can be pinned
     directly via ``kappa``.  The default reproduces the reference working
     point (amplitude decay 8.8e7 s^-1 for L = 1 mm, F = 1.07e4, and
@@ -88,13 +87,8 @@ def derive_physical_params(length: float, mass: float, power: float,
     """
     if min(length, mass, power, quality) <= 0:
         raise DomainError("physical inputs must be positive")
-    if omega_c is None:
-        if wavelength is None:
-            raise DomainError("provide wavelength or omega_c")
-        omega_c = 2.0 * math.pi * _c_light / wavelength
+    omega_c = 2.0 * math.pi * _c_light / wavelength
     if kappa is None:
-        if finesse is None:
-            raise DomainError("provide finesse or kappa")
         kappa = math.pi * _c_light / (length * finesse)
     free_spectral_range = math.pi * _c_light / length
     if omega_m / free_spectral_range > 0.01:
@@ -114,7 +108,7 @@ def derive_physical_params(length: float, mass: float, power: float,
         if not math.isfinite(value):
             raise DomainError(f"derived {name} is not finite; inputs out of range")
     return StationaryParams(omega_m=omega_m, gamma_m=omega_m / quality,
-                            kappa=kappa, Delta0=Delta0, g=g, drive_E=drive,
+                            kappa=kappa, Delta0=0.0, g=g, drive_E=drive,
                             n_bar=n_bar)
 
 
@@ -292,14 +286,20 @@ class StationaryResult:
     S2: float
 
 
+def _covariance(p: StationaryParams, delta, big_g):
+    """(V, E_N, n_eff) over the shape of ``delta`` and ``big_g`` [rad/s]:
+    the steady covariance on omega_m-normalized rates, its log-negativity and
+    the effective mirror occupancy (V11 + V22)/2 - 1/2."""
+    v = lyapunov_solve(*_drift_diffusion(p, delta, big_g, p.omega_m))
+    return v, logneg_gaussian(v), 0.5 * (v[..., 0, 0] + v[..., 1, 1]) - 0.5
+
+
 def stationary_point(p: StationaryParams, s: SteadyState) -> StationaryResult:
     """Covariance, log-negativity and effective mirror occupancy at a branch
     (the one-point reference that :func:`detuning_sweep` matches bit for bit)."""
-    v = lyapunov_solve(*_drift_diffusion(p, s.Delta_eff, s.G, p.omega_m))
-    ok, s1, s2 = stability_check(p, s)
-    n_eff = 0.5 * (v[0, 0] + v[1, 1]) - 0.5
-    return StationaryResult(E_N=logneg_gaussian(v), n_eff=float(n_eff), cov=v,
-                            steady=s, S1=s1, S2=s2)
+    v, en, n_eff = _covariance(p, s.Delta_eff, s.G)
+    _, s1, s2 = stability_check(p, s)
+    return StationaryResult(E_N=en, n_eff=float(n_eff), cov=v, steady=s, S1=s1, S2=s2)
 
 
 def steady_entanglement(p: StationaryParams) -> tuple[float, float, np.ndarray]:
@@ -352,17 +352,16 @@ def detuning_sweep(p: StationaryParams, deltas_over_wm) -> list[dict]:
                           f"Delta/omega_m = {xs[overflow][0]:.12g}")
     cov = np.full((xs.size, 4, 4), np.nan)
     en = np.full(xs.size, np.nan)
+    n_eff = np.full(xs.size, np.nan)
     if stable.any():
         try:
-            cov[stable] = lyapunov_solve(
-                *_drift_diffusion(p, delta[stable], big_g[stable], p.omega_m))
-            en[stable] = logneg_gaussian(cov[stable])
+            cov[stable], en[stable], n_eff[stable] = _covariance(
+                p, delta[stable], big_g[stable])
         except QcbError as exc:
             if not hasattr(exc, "index"):
                 raise
             raise type(exc)(
                 f"{exc} at Delta/omega_m = {xs[stable][exc.index]:.12g}") from exc
-    n_eff = 0.5 * (cov[:, 0, 0] + cov[:, 1, 1]) - 0.5
     table = zip(xs.tolist(), alpha_s.tolist(), big_g.tolist(), s1.tolist(),
                 s2.tolist(), stable.astype(int).tolist(), en.tolist(), n_eff.tolist(),
                 *cov.reshape(-1, 16).T.tolist())

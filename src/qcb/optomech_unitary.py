@@ -47,9 +47,6 @@ from .exceptions import (
 )
 from .qstate import DensityMatrix
 
-# Marker values below this are treated as "not witnessing entanglement".
-MARKER_TOL = 1e-14
-
 
 @dataclass(frozen=True)
 class OptoUnitaryParams:
@@ -229,10 +226,6 @@ def marker_upsilon(p: OptoUnitaryParams, sel: SubspaceSelector) -> float:
     pt = np.transpose(raw.reshape(dc, dm, dc, dm), (2, 1, 0, 3)).reshape(dc * dm, dc * dm)
     det = np.linalg.det(pt)
     return float(-det.real)
-
-
-def marker_witnesses_entanglement(value: float) -> bool:
-    return value > MARKER_TOL
 
 
 def renormalization_check(p: OptoUnitaryParams, s: int,

@@ -42,17 +42,16 @@ def _row_formats(rows, columns):
         yield formats[kinds], cells
 
 
-def export_table(rows, columns=None, config=None, path=None, fmt="csv") -> str:
-    """Serialize homogeneous row dicts; write to ``path`` if given.
+def export_table(rows, columns, config=None, fmt="csv") -> str:
+    """The text of a table of row dicts, their cells taken in ``columns``
+    order, with the ``config`` items as sorted ``# key=value`` header lines
+    (CSV) or a ``config`` object (JSON).
 
     Every cell reads as :func:`fmt_value` writes it.  A CSV row is rendered
     with one %-template (its conversions joined by commas) and a JSON row
-    with the same conversions cell by cell.  Returns the serialized text.
-    Unwritable paths raise QcbError (the CLI maps that to exit code 3).
+    with the same conversions cell by cell.  Writing the text is the
+    caller's step (:func:`write_text`).
     """
-    rows = list(rows)
-    if columns is None:
-        columns = list(rows[0].keys()) if rows else []
     config = dict(config or {})
     typed_rows = _row_formats(rows, columns)
     if fmt == "csv":
@@ -70,8 +69,6 @@ def export_table(rows, columns=None, config=None, path=None, fmt="csv") -> str:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         raise QcbError(f"unknown output format {fmt!r}")
-    if path is not None:
-        write_text(path, text)
     return text
 
 
@@ -97,7 +94,8 @@ def read_table(path) -> tuple[dict, list[str], list[dict]]:
     """Parse a CSV written by :func:`export_table`.
 
     Returns (config, columns, rows); numeric cells come back as floats.
-    Unreadable paths raise QcbError.
+    Unreadable paths, and a row whose cell count differs from the header's,
+    raise QcbError.
     """
     lines = read_text(path).split("\n")
     config: dict = {}
@@ -116,6 +114,9 @@ def read_table(path) -> tuple[dict, list[str], list[dict]]:
         if not columns:
             columns = cells
             continue
+        if len(cells) != len(columns):
+            raise QcbError(f"{path}: a row of {len(cells)} cells under a header "
+                           f"of {len(columns)}")
         rows.append({c: _maybe_number(x) for c, x in zip(columns, cells)})
     return config, columns, rows
 

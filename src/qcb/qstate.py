@@ -223,13 +223,8 @@ def thermal_state(h: np.ndarray, beta: float, split: tuple[int, int] | None = No
 
 
 # ---------------------------------------------------------------------------
-# Random-state constructors used by property tests and CLI self-checks.
+# Random-state constructors (the property tests draw from them).
 # ---------------------------------------------------------------------------
-
-
-def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return psi / np.linalg.norm(psi)
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None,
@@ -239,18 +234,6 @@ def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None =
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real, split=split)
-
-
-def random_separable_mixture(d_a: int, d_b: int, rng: np.random.Generator,
-                             n_terms: int = 8) -> DensityMatrix:
-    """Explicit convex mixture of product states (separable by construction)."""
-    rho = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-    weights = rng.dirichlet(np.ones(n_terms))
-    for w in weights:
-        a = random_density_matrix(d_a, rng, rank=max(1, d_a // 2)).matrix
-        b = random_density_matrix(d_b, rng, rank=max(1, d_b // 2)).matrix
-        rho += w * np.kron(a, b)
-    return DensityMatrix(rho, split=(d_a, d_b))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

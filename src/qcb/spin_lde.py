@@ -229,13 +229,28 @@ class CriticalTemperature:
     never_entangled: bool
 
 
+def separability_beta(f, lo: float, hi: float) -> float:
+    """Zero of ``f`` (probe correlator + 1 against beta) between ``lo``
+    (f > 0) and ``hi`` (f <= 0): 120 bisections of log beta, which close any
+    bracket to adjacent floats."""
+    for _ in range(120):
+        mid = math.sqrt(lo * hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
 def critical_temperature(cp: CanonicalParams) -> CriticalTemperature:
     """Temperature at which the probe concurrence vanishes.
 
-    Bisection on beta for correlator = -1 (the exact separability point),
-    refined to relative 1e-10; also reports the saturation estimate
+    The exact separability point (correlator = -1) comes from
+    :func:`separability_beta` on beta J_can, so the bracket does not depend
+    on the scale of J_can; also reports the saturation estimate
     0.93 J_can (1 - Phi) for comparison.  If the T = 0 correlator never
-    drops below -1 the pair is never entangled.
+    drops below -1 the pair is never entangled; if the infinite-temperature
+    correlator eta is already at or below -1 it is never separable.
     """
     if cp.J_can <= 0:
         raise DomainError("critical temperature defined for J_can > 0")
@@ -243,27 +258,20 @@ def critical_temperature(cp: CanonicalParams) -> CriticalTemperature:
     c_zero_t = -3.0 + cp.eta + 3.0 * cp.Phi
     if c_zero_t >= -1.0:
         return CriticalTemperature(None, estimate, True)
+    if cp.eta <= -1.0:
+        raise DomainError(f"eta = {cp.eta} <= -1: the pair is entangled at every "
+                          "temperature")
+    unit = CanonicalParams(1.0, cp.Phi, cp.eta)  # beta in units of 1/J_can
 
-    def f(beta: float) -> float:
-        return correlator_of_beta(cp, beta) + 1.0
+    def f(x: float) -> float:
+        return correlator_of_beta(unit, x) + 1.0
 
-    lo = 1e-6 / cp.J_can
-    hi = 1e6 / cp.J_can
-    if f(lo) <= 0.0 or f(hi) >= 0.0:  # widen until bracketed
-        while f(lo) <= 0.0:
-            lo *= 0.5
-        while f(hi) >= 0.0:
-            hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    beta_star = 0.5 * (lo + hi)
-    return CriticalTemperature(1.0 / beta_star, estimate, False)
+    lo, hi = 1e-6, 1e6
+    while f(lo) <= 0.0:  # widen until bracketed
+        lo *= 0.5
+    while f(hi) >= 0.0:
+        hi *= 2.0
+    return CriticalTemperature(cp.J_can / separability_beta(f, lo, hi), estimate, False)
 
 
 @dataclass(frozen=True)
@@ -281,9 +289,15 @@ def fit_canonical_params(samples, kind: str = "correlator") -> FitResult:
     0 <= eta + 3 Phi <= 4 is enforced through the box-bounded
     parameterization (J_can, s = eta + 3 Phi, Phi); initialization uses the
     high-temperature saturation of J_ab and the low-temperature plateau of
-    beta J_ab.
+    beta J_ab.  Samples must be finite numbers with beta > 0; others raise
+    DomainError.
     """
-    pts = [(float(b), float(v)) for b, v in samples]
+    try:
+        pts = [(float(b), float(v)) for b, v in samples]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"fit samples must be numbers: {exc}") from exc
+    if not all(math.isfinite(v) and 0.0 < b < math.inf for b, v in pts):
+        raise DomainError("fit samples need finite values and 0 < beta < inf")
     if len(pts) < 4:
         raise FitError("need at least 4 temperature points")
     betas = np.array([b for b, _ in pts])

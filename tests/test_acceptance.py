@@ -15,6 +15,8 @@ from scipy.linalg import solve_continuous_lyapunov
 from qcb import ed as ed_mod
 from qcb import gaussian, optomech_stationary, optomech_unitary, qstate, spin_lde
 
+from random_states import random_physical_cov, random_separable_mixture
+
 
 @contextmanager
 def criterion(number: int, description: str, budget_s: float):
@@ -236,11 +238,11 @@ def test_criterion_12_property_suites():
             assert abs(s_a - s_b) <= s_ab + 1e-10 <= s_a + s_b + 2e-10
         # separable states have no negativity
         for _ in range(300):
-            rho = qstate.random_separable_mixture(2, rng.choice([2, 3]), rng)
+            rho = random_separable_mixture(2, rng.choice([2, 3]), rng)
             assert qstate.negativity(rho)[0] <= 1e-10
         # symplectic-invariant conservation under local operations
         for _ in range(100):
-            v = gaussian.random_physical_cov(2, rng).cov
+            v = random_physical_cov(2, rng).cov
             s_a = gaussian.random_symplectic(1, rng)
             s_b = gaussian.random_symplectic(1, rng)
             s = np.block([[s_a, np.zeros((2, 2))], [np.zeros((2, 2)), s_b]])

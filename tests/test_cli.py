@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcb.cli import main
-from qcb.output import export_table, fmt_value, read_table
+from qcb.output import export_table, fmt_value, read_table, write_text
 
 
 def run(capsys, *argv):
@@ -53,6 +53,9 @@ class TestExitCodes:
         ["lde", "thermal", "--jcan", "1e-3", "--tmin", "0", "--tmax", "1e-2"],
         ["ed", "run", "--temps", "abc"],
         ["ed", "run", "--temps", "0"],
+        ["optomech-steady", "--kappa", "-5"],
+        ["optomech-steady", "--kappa", "0"],
+        ["optomech-steady", "--temperature", "-1"],
     ])
     def test_out_of_range_rejected_at_parse_time(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -141,6 +144,13 @@ class TestLde:
         assert columns == ["kT", "beta", "J_ab", "correlator", "concurrence"]
         assert len(rows) == 8
         assert "kT_star_exact" in config
+
+    def test_thermal_never_separable_is_domain_error(self, capsys):
+        # eta = -1: the correlator stays at or below -1 at every temperature,
+        # so there is no separability point to bracket
+        code, out, err = run(capsys, "lde", "thermal", "--jcan", "1", "--phi", "0.5",
+                             "--eta", "-1", "--tmin", "0.1", "--tmax", "1")
+        assert code == 3 and out == "" and err.startswith("qcb: error:")
 
     def test_fit_round_trip(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -235,10 +245,8 @@ class TestDeterminismAndRoundTrip:
         text = export_table(rows, columns, config)
         assert text.encode() == src.read_bytes()
 
-    def test_empty_rows_header_only(self, tmp_path):
-        out = tmp_path / "empty.csv"
-        export_table([], ["a", "b"], {"seed": 1}, out)
-        assert out.read_text() == "# seed=1\na,b\n"
+    def test_empty_rows_header_only(self):
+        assert export_table([], ["a", "b"], {"seed": 1}) == "# seed=1\na,b\n"
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "werner", "--grid", "3", "--format", "json")
@@ -356,7 +364,7 @@ class TestFormatting:
         from qcb.exceptions import QcbError
 
         with pytest.raises(QcbError):
-            export_table([{"a": 1}], ["a"], {}, "/nonexistent-dir/x.csv")
+            write_text("/nonexistent-dir/x.csv", export_table([{"a": 1}], ["a"]))
 
 
 # ------------------------------------------------------------- argv fuzzing
@@ -367,6 +375,14 @@ COUNT = st.one_of(st.integers(-3, 5).map(str), st.sampled_from(["x", "1.5"]))
 SMALL = st.one_of(st.floats(0.0, 3.0).map(repr), NUMBER)
 LEVELS = st.lists(st.integers(0, 6), min_size=1, max_size=3).map(
     lambda levels: ",".join(map(str, levels)))
+# lde fit inputs that are tables but not fit data: a non-numeric kT or beta
+# cell, a row shorter than the header, a beta = 0 row.
+MALFORMED_TABLES = {
+    "text_kt.csv": "kT,correlator\n1e-3,-1.5\n2e-3,-1\nabc,-0.5\n4e-3,-0.3\n",
+    "text_beta.csv": "beta,correlator\n1000,-1.5\nabc,-1\n250,-0.5\n125,-0.3\n",
+    "short_row.csv": "beta,correlator\n1000,-1.5\n500\n250,-0.5\n125,-0.3\n",
+    "zero_beta.csv": "beta,correlator\n1000,-1.5\n500,-1\n250,-0.5\n0,0\n",
+}
 # command: (flags always given, optional flags); sizes stay tiny.
 FUZZ_COMMANDS = {
     "werner": ({}, {"--f": NUMBER, "--grid": COUNT,
@@ -398,7 +414,8 @@ FUZZ_COMMANDS = {
                  "--method": st.sampled_from(["closed", "numeric", "x"])}),
     # --in names a file of fuzz_inputs (missing.csv does not exist)
     "lde fit": ({"--in": st.sampled_from(["thermal.csv", "short.csv", "werner.csv",
-                                          "text.csv", "missing.csv"])},
+                                          "text.csv", "missing.csv",
+                                          *MALFORMED_TABLES])},
                 {"--kind": st.sampled_from(["correlator", "jab", "x"]),
                  "--format": st.sampled_from(["csv", "json"])}),
 }
@@ -407,7 +424,8 @@ FUZZ_COMMANDS = {
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
     """Input tables for ``lde fit``: a thermal sweep, a two-row one, a table
-    without a temperature column and a file that is no table."""
+    without a temperature column, a file that is no table and
+    :data:`MALFORMED_TABLES`."""
     d = tmp_path_factory.mktemp("fuzz")
     with contextlib.redirect_stdout(io.StringIO()):
         for name, argv in (("thermal.csv", ["lde", "thermal", "--steps", "8"]),
@@ -416,7 +434,16 @@ def fuzz_inputs(tmp_path_factory):
                                 "--tmax", "4e-2", "--out", str(d / name)]) == 0
         assert main(["werner", "--grid", "4", "--out", str(d / "werner.csv")]) == 0
     (d / "text.csv").write_text("not,a\ntable\n\x00\n")
+    for name, text in MALFORMED_TABLES.items():
+        (d / name).write_text(text)
     return d
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TABLES))
+def test_malformed_fit_table_exits_3(fuzz_inputs, capsys, name):
+    code, out, err = run(capsys, "lde", "fit", "--in", str(fuzz_inputs / name))
+    assert code == 3 and out == ""
+    assert err.startswith("qcb: error:") and "Traceback" not in err
 
 
 @st.composite

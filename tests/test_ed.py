@@ -12,12 +12,13 @@ from qcb.exceptions import (
 )
 from qcb.ed import (
     LatticeSpec,
+    _block_hamiltonian,
+    _blocks_by_magnetization,
     _low_levels,
     _spin_squared,
     build_hamiltonian,
     chain,
     chi_lehman_and_phi,
-    chi_resolvent,
     default_temperature_grid,
     full_spectrum,
     ground_state_correlator,
@@ -48,6 +49,24 @@ def dense_hamiltonian(spec):
                 h[s, s] -= 0.25 * w
                 h[s ^ (1 << i) ^ (1 << j), s] += 0.5 * w
     return h
+
+
+def chi_resolvent(spec):
+    """chi via a linear solve, (E_0 - H) x = Q S_B^z |0>: an eigenbasis-free
+    oracle for :func:`chi_lehman_and_phi`."""
+    m0 = spec.n_bath // 2
+    states = _blocks_by_magnetization(spec.n_bath, (m0,))[m0]
+    h = _block_hamiltonian(spec.bonds, states).toarray()
+    w, v = np.linalg.eigh(h)
+    a, b = spec.probe_sites
+    za = np.where((states >> a) & 1, 0.5, -0.5)
+    zb = np.where((states >> b) & 1, 0.5, -0.5)
+    psi0 = v[:, 0]
+    rhs = zb * psi0
+    rhs = rhs - psi0 * (psi0 @ rhs)
+    x, *_ = np.linalg.lstsq(w[0] * np.eye(len(w)) - h, rhs, rcond=None)
+    x = x - psi0 * (psi0 @ x)
+    return 2.0 * float((za * psi0) @ x)
 
 
 class TestHamiltonian:

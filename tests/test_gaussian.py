@@ -14,7 +14,6 @@ from qcb.gaussian import (
     GaussianState,
     logneg_gaussian,
     ppt_tilde_dminus,
-    random_physical_cov,
     random_symplectic,
     simon_invariant_check,
     symplectic_eigenvalues_two_mode,
@@ -24,6 +23,8 @@ from qcb.gaussian import (
     two_mode_squeezed_thermal_cov,
     wigner_gaussian,
 )
+
+from random_states import random_physical_cov
 
 VAC = 0.5 * np.eye(4)
 

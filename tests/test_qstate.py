@@ -21,13 +21,13 @@ from qcb.qstate import (
     partial_trace,
     partial_transpose,
     random_density_matrix,
-    random_pure_state,
-    random_separable_mixture,
     random_unitary,
     tangle,
     thermal_state,
     werner_state,
 )
+
+from random_states import random_pure_state, random_separable_mixture
 
 
 def pure(vec, split=None):

@@ -196,6 +196,19 @@ class TestCriticalTemperature:
         ct = critical_temperature(SQUARE_ROW)
         assert 0.9 <= ct.kT_estimate / ct.kT_exact <= 1.0
 
+    @pytest.mark.parametrize("j_can", [1.0, 5.07e-4, 3e-7, 1e-200, 1e200])
+    def test_eta_phi_zero_to_the_last_bits(self, j_can):
+        # correlator = -1 at exp(-beta J_can) = 1/3: k_B T* = J_can / ln 3,
+        # at any scale of J_can (beta J_can is what is bisected)
+        want = j_can / math.log(3.0)
+        got = critical_temperature(CanonicalParams(j_can, 0.0, 0.0)).kT_exact
+        assert abs(got - want) <= 1e-15 * want
+
+    def test_entangled_at_every_temperature_is_refused(self):
+        # eta <= -1: the correlator never climbs above -1, however hot
+        with pytest.raises(DomainError):
+            critical_temperature(CanonicalParams(1.0, 0.5, -1.0))
+
     def test_never_entangled_flag(self):
         ct = critical_temperature(CanonicalParams(1.0, 4.0 / 3.0, 0.0))
         assert ct.never_entangled and ct.kT_exact is None
@@ -251,3 +264,10 @@ class TestCanonicalFit:
     def test_too_few_points(self):
         with pytest.raises(FitError):
             fit_canonical_params([(1.0, -1.0), (2.0, -2.0)])
+
+    @pytest.mark.parametrize("bad", [("x", -1.0), (1.0, "x"), (0.0, -1.0), (-1.0, -1.0),
+                                     (math.inf, -1.0), (1.0, math.nan)])
+    def test_bad_samples_are_domain_errors(self, bad):
+        good = [(b, correlator_of_beta(CHAIN_ROW, b)) for b in (1e3, 2e3, 4e3, 8e3)]
+        with pytest.raises(DomainError):
+            fit_canonical_params(good + [bad])
