@@ -219,34 +219,3 @@ def wigner_gaussian(state: GaussianState, point) -> float:
     quad = delta @ np.linalg.solve(v, delta)
     n = state.n_modes
     return math.exp(-0.5 * quad - 0.5 * logdet - n * math.log(2.0 * math.pi))
-
-
-# ---------------------------------------------------------------------------
-# Random physical covariance generation (tests, self-checks): V = S V_th S^T
-# with S an explicit symplectic, so physicality holds by construction.
-# ---------------------------------------------------------------------------
-
-
-def _interleave_permutation(n: int) -> np.ndarray:
-    """Permutation matrix sending (X1..Xn, P1..Pn) to (X1, P1, ..., Xn, Pn)."""
-    p = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        p[2 * k, k] = 1.0
-        p[2 * k + 1, n + k] = 1.0
-    return p
-
-
-def random_symplectic(n_modes: int, rng: np.random.Generator,
-                      max_squeeze: float = 1.0) -> np.ndarray:
-    """Random symplectic via Euler decomposition O1 diag(e^z, e^-z) O2."""
-    from .qstate import random_unitary
-
-    def ortho_sympl() -> np.ndarray:
-        u = random_unitary(n_modes, rng)
-        return np.block([[u.real, -u.imag], [u.imag, u.real]])
-
-    z = rng.uniform(-max_squeeze, max_squeeze, size=n_modes)
-    squeeze = np.diag(np.concatenate([np.exp(z), np.exp(-z)]))
-    s_xxpp = ortho_sympl() @ squeeze @ ortho_sympl()
-    perm = _interleave_permutation(n_modes)
-    return perm @ s_xxpp @ perm.T

@@ -311,22 +311,6 @@ def steady_entanglement(p: StationaryParams) -> tuple[float, float, np.ndarray]:
     return res.E_N, res.n_eff, res.cov
 
 
-def mirror_variances_zero_detuning(p: StationaryParams, big_g: float
-                                   ) -> tuple[float, float]:
-    """Closed-form V11, V22 of the mirror block at Delta = 0 (V12 = 0).
-
-    V11 = 1/2 + n_bar + G^2 (kappa + gamma_m) / (2 gamma_m (kappa^2 +
-    kappa gamma_m + omega_m^2)) and V22 likewise with G^2 kappa; the
-    effective occupancy follows as n_eff = (V11 + V22)/2 - 1/2.
-    """
-    w = p.omega_m
-    gm, k, g2 = p.gamma_m / w, p.kappa / w, (big_g / w) ** 2
-    denom = 2.0 * gm * (k**2 + k * gm + 1.0)
-    v11 = 0.5 + p.n_bar + g2 * (k + gm) / denom
-    v22 = 0.5 + p.n_bar + g2 * k / denom
-    return v11, v22
-
-
 SWEEP_COLUMNS = ("Delta_over_wm", "alpha_s", "G", "S1", "S2", "stable", "EN",
                  "n_eff") + tuple(f"V{i}{j}" for i in range(1, 5) for j in range(1, 5))
 

@@ -220,23 +220,3 @@ def thermal_state(h: np.ndarray, beta: float, split: tuple[int, int] | None = No
     expw /= expw.sum()
     rho = (v * expw) @ v.conj().T
     return DensityMatrix(rho, split=split)
-
-
-# ---------------------------------------------------------------------------
-# Random-state constructors (the property tests draw from them).
-# ---------------------------------------------------------------------------
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None,
-                          split: tuple[int, int] | None = None) -> DensityMatrix:
-    """Haar-flavored mixed state: normalized Wishart matrix of given rank."""
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, split=split)
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -15,7 +15,13 @@ from scipy.linalg import solve_continuous_lyapunov
 from qcb import ed as ed_mod
 from qcb import gaussian, optomech_stationary, optomech_unitary, qstate, spin_lde
 
-from random_states import random_physical_cov, random_separable_mixture
+from random_states import (
+    mirror_variances_zero_detuning,
+    random_density_matrix,
+    random_physical_cov,
+    random_separable_mixture,
+    random_symplectic,
+)
 
 
 @contextmanager
@@ -151,7 +157,7 @@ def test_criterion_06_lyapunov_solver():
             wavelength=810e-9, finesse=1.07e4)
         st = optomech_stationary.steady_state_at_detuning(p, 0.0)
         res = optomech_stationary.stationary_point(p, st)
-        v11, v22 = optomech_stationary.mirror_variances_zero_detuning(p, st.G)
+        v11, v22 = mirror_variances_zero_detuning(p, st.G)
         assert abs(res.cov[0, 0] - v11) <= 1e-8 * v11
         assert abs(res.cov[1, 1] - v22) <= 1e-8 * v22
         assert abs(res.cov[0, 1]) <= 1e-10
@@ -229,7 +235,7 @@ def test_criterion_12_property_suites():
         # density-matrix invariants + triangle inequality
         for _ in range(200):
             d_a, d_b = rng.choice([2, 3]), rng.choice([2, 3])
-            rho = qstate.random_density_matrix(d_a * d_b, rng, split=(d_a, d_b))
+            rho = random_density_matrix(d_a * d_b, rng, split=(d_a, d_b))
             w = np.linalg.eigvalsh(rho.matrix)
             assert w.min() >= -1e-10 and abs(w.sum() - 1.0) < 1e-10
             s_ab = qstate.entropies(rho)[0]
@@ -243,8 +249,8 @@ def test_criterion_12_property_suites():
         # symplectic-invariant conservation under local operations
         for _ in range(100):
             v = random_physical_cov(2, rng).cov
-            s_a = gaussian.random_symplectic(1, rng)
-            s_b = gaussian.random_symplectic(1, rng)
+            s_a = random_symplectic(1, rng)
+            s_b = random_symplectic(1, rng)
             s = np.block([[s_a, np.zeros((2, 2))], [np.zeros((2, 2)), s_b]])
             w = s @ v @ s.T
             for f in (lambda m: np.linalg.det(m[:2, :2]),

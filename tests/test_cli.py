@@ -255,6 +255,24 @@ class TestDeterminismAndRoundTrip:
         assert payload["columns"] == ["f", "N", "EN"]
         assert len(payload["rows"]) == 3
 
+    @pytest.mark.parametrize("argv, hint", [
+        (["werner", "--f", "-1"], "--grid"),
+        (["gaussian", "--r", "1"], "--grid"),
+        (["optomech-unitary", "--quantity", "marker"], "--sweep-t"),
+        (["optomech-unitary", "--quantity", "tangle", "--sweep-t", "3"], "--sweep-t"),
+        (["lde", "chi", "--model", "aklt", "--r", "1"], "one value"),
+    ])
+    def test_json_of_one_line_result_is_usage_error(self, capsys, argv, hint):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 2 and out == ""
+        assert "--format json" in err and hint in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reports_are_json_whatever_the_format(self, capsys, fmt):
+        code, out, _ = run(capsys, "ed", "report", "--L", "4", "--alpha", "0.08",
+                           "--probes", "1,2", "--format", fmt)
+        assert code == 0 and float(json.loads(out)["J_can_exact"]) > 0
+
     def test_thread_cap_keeps_output_identical(self, tmp_path, capsys, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["optomech-steady", "--steps", "6", "--dmin", "0.4", "--dmax", "2.5"]
@@ -313,6 +331,18 @@ class TestConfigFile:
         code, out, _ = run(capsys, "lde", "thermal", "--config", str(cfg),
                            "--jcan", "2e-3")
         assert code == 0 and "# jcan=0.002" in out  # flag wins over config
+
+    def test_config_keys_are_flag_names(self, tmp_path, capsys):
+        # a key may name the flag (in) or the attribute it sets (infile)
+        data = tmp_path / "t.csv"
+        run(capsys, "lde", "thermal", "--jcan", "2e-3", "--tmin", "1e-4",
+            "--tmax", "4e-2", "--out", str(data))
+        want = run(capsys, "lde", "fit", "--in", str(data))
+        assert want[0] == 0
+        for key in ("in", "infile"):
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {data}\n")
+            assert run(capsys, "lde", "fit", "--config", str(cfg)) == want
 
     def test_required_flag_missing_from_argv_and_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -14,7 +14,6 @@ from qcb.gaussian import (
     GaussianState,
     logneg_gaussian,
     ppt_tilde_dminus,
-    random_symplectic,
     simon_invariant_check,
     symplectic_eigenvalues_two_mode,
     symplectic_form,
@@ -24,7 +23,7 @@ from qcb.gaussian import (
     wigner_gaussian,
 )
 
-from random_states import random_physical_cov
+from random_states import random_physical_cov, random_symplectic
 
 VAC = 0.5 * np.eye(4)
 

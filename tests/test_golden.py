@@ -47,6 +47,10 @@ SINGLE_CASES = [(f"{i:02d}.stdout", cmd) for i, cmd in enumerate(README_COMMANDS
     ("en_grid3.json", "gaussian --grid 3 --format json"),
 ]
 
+# The README commands that print one line instead of writing a table.
+ONE_LINE_CASES = [(golden, cmd) for golden, cmd in SINGLE_CASES
+                  if golden.endswith(".stdout") and "--out" not in cmd]
+
 
 def test_readme_lists_the_guarded_commands():
     """Adding or changing a README command needs a golden output here."""
@@ -91,3 +95,13 @@ def test_readme_detuning_sweep_byte_identical(tmp_path, capsys):
                  "--steps", "281", "--out", str(table)]) == 0
     assert capsys.readouterr().out == ""
     assert table.read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("golden, cmd", ONE_LINE_CASES, ids=[g for g, _ in ONE_LINE_CASES])
+def test_one_line_result_goes_to_out(tmp_path, capsys, golden, cmd):
+    """--out takes a one-line result as it takes a table: the file holds the
+    bytes the command prints without it, and nothing is printed."""
+    out = tmp_path / "result.txt"
+    assert main([*shlex.split(cmd), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()

@@ -13,7 +13,6 @@ from qcb.optomech_stationary import (
     detuning_sweep,
     drift_and_diffusion,
     lyapunov_solve,
-    mirror_variances_zero_detuning,
     stability_check,
     stationary_point,
     steady_entanglement,
@@ -21,6 +20,8 @@ from qcb.optomech_stationary import (
     steady_state_at_detuning,
     thermal_occupancy,
 )
+
+from random_states import mirror_variances_zero_detuning
 
 
 def fig_params(**overrides):

@@ -20,14 +20,17 @@ from qcb.qstate import (
     normalized_mutual_info,
     partial_trace,
     partial_transpose,
-    random_density_matrix,
-    random_unitary,
     tangle,
     thermal_state,
     werner_state,
 )
 
-from random_states import random_pure_state, random_separable_mixture
+from random_states import (
+    random_density_matrix,
+    random_pure_state,
+    random_separable_mixture,
+    random_unitary,
+)
 
 
 def pure(vec, split=None):
