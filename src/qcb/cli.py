@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -55,11 +56,23 @@ def _parse_args(parser: argparse.ArgumentParser, argv):
     if args.config is not None:
         _config_defaults(args.sub, read_text(args.config))
         args = parser.parse_args(argv)
-    missing = [flag for flag in args.needs
-               if getattr(args, args.sub._option_string_actions[flag].dest) is None]
+    missing = [flag for flag in args.needs if _value(args, flag) is None]
     if missing:
         args.sub.error(f"the following arguments are required: {', '.join(missing)}")
     return args
+
+
+def _value(args, flag: str):
+    """The value of ``flag`` of the chosen subcommand, None if not given."""
+    return getattr(args, args.sub._option_string_actions[flag].dest)
+
+
+def _refuse_with(args, other: str, *flags: str) -> None:
+    """A usage error if argv or --config gave any of ``flags``, which the
+    output shape that ``other`` chose does not read."""
+    given = [flag for flag in flags if _value(args, flag) is not None]
+    if given:
+        args.sub.error(f"{', '.join(given)} cannot be combined with {other}")
 
 
 def _config_defaults(sub: argparse.ArgumentParser, text: str) -> None:
@@ -109,6 +122,7 @@ def _refuse_json(args, hint: str) -> None:
 
 def _cmd_werner(args) -> str:
     if args.grid is not None:
+        _refuse_with(args, "--grid", "--f")
         fs = np.linspace(-1.0, 1.0 / 3.0, args.grid)
         rows = []
         for f in fs:
@@ -129,6 +143,7 @@ def _cmd_werner(args) -> str:
 
 def _cmd_gaussian(args) -> str:
     if args.grid is not None:
+        _refuse_with(args, "--grid", "--r", "--theta", "--n-bar")
         grid = [(float(r), float(nb)) for r in np.linspace(0.0, args.r_max, args.grid)
                 for nb in np.linspace(0.0, args.nbar_max, args.grid)]
         covs = np.array([gaussian.two_mode_squeezed_thermal_cov(r, 0.0, nb).cov
@@ -140,7 +155,9 @@ def _cmd_gaussian(args) -> str:
                             _config_dict(args, ["grid", "r_max", "nbar_max"])
                             | {"command": "gaussian"}, fmt=args.format)
     _refuse_json(args, "add --grid N")
-    v = gaussian.two_mode_squeezed_thermal_cov(args.r, args.theta, args.n_bar).cov
+    r, theta, n_bar = (d if x is None else x for x, d in
+                       ((args.r, 1.0), (args.theta, 0.0), (args.n_bar, 0.0)))
+    v = gaussian.two_mode_squeezed_thermal_cov(r, theta, n_bar).cov
     return _line(d_minus=gaussian.ppt_tilde_dminus(v), EN=gaussian.logneg_gaussian(v),
                  separable=gaussian.simon_invariant_check(v))
 
@@ -149,22 +166,22 @@ def _cmd_gaussian(args) -> str:
 
 
 def _cmd_optomech_unitary(args) -> str:
+    q = args.quantity
+    if q != "marker" or args.sweep_t is None:  # a one-line result
+        _refuse_json(args, "add --sweep-t N with --quantity marker")
+    if q != "marker":
+        _refuse_with(args, f"--quantity {q}", "--sweep-t")
     p = optomech_unitary.OptoUnitaryParams(k=args.k, alpha=args.alpha,
                                            n_bar=args.n_bar, t=args.t)
     sel = optomech_unitary.SubspaceSelector(
         *(tuple(int(n) for n in t.split(",")) for t in (args.cavity, args.mirror)))
-    q = args.quantity
-    if q == "marker" and args.sweep_t is not None:
-        rows = []
-        for t in np.linspace(0.0, 2.0 * math.pi, args.sweep_t):
-            pt = optomech_unitary.OptoUnitaryParams(k=args.k, alpha=args.alpha,
-                                                    n_bar=args.n_bar, t=float(t))
-            rows.append({"t": float(t),
-                         "marker": optomech_unitary.marker_upsilon(pt, sel)})
+    if args.sweep_t is not None:
+        rows = [{"t": float(t),
+                 "marker": optomech_unitary.marker_upsilon(replace(p, t=float(t)), sel)}
+                for t in np.linspace(0.0, 2.0 * math.pi, args.sweep_t)]
         cfg = _config_dict(args, ["k", "alpha", "n_bar", "cavity", "mirror"])
         return export_table(rows, ["t", "marker"], cfg | {"command": "optomech-unitary"},
                             fmt=args.format)
-    _refuse_json(args, "add --sweep-t N with --quantity marker")
     if q == "marker":
         return _line(marker=optomech_unitary.marker_upsilon(p, sel))
     if q == "tangle":
@@ -308,9 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, _cmd_werner)
 
     p = sub.add_parser("gaussian", help="two-mode squeezed thermal log-negativity")
-    p.add_argument("--r", type=_finite, default=1.0)
-    p.add_argument("--theta", type=_finite, default=0.0)
-    p.add_argument("--n-bar", type=_finite, default=0.0)
+    p.add_argument("--r", type=_finite, default=None, help="default 1 (not with --grid)")
+    p.add_argument("--theta", type=_finite, default=None, help="default 0 (not with --grid)")
+    p.add_argument("--n-bar", type=_finite, default=None, help="default 0 (not with --grid)")
     p.add_argument("--grid", type=_count, default=None)
     p.add_argument("--r-max", type=_finite, default=2.0)
     p.add_argument("--nbar-max", type=_finite, default=3.0)

@@ -8,11 +8,12 @@ parameters.
 
 Engine (after Sandvik, arXiv:1101.3281, sec. 4): basis states are bit
 strings, blocks are sorted arrays of equal popcount, and each block matrix
-is assembled with array bit operations and ``searchsorted`` lookups.  The
-probe sector needs only the S_z = -1, 0, +1 blocks (dense up to
-``DENSE_BLOCK_CAP``, Lanczos from a fixed start vector above it), and total
-spin is verified through <S^2> = S_z^2 + S_z + ||S^+ v||^2.  Thermal averages
-reuse each block's probe-correlator diagonal, computed once per spectrum.
+is assembled with array bit operations and ``searchsorted`` lookups (dense
+``eigh`` up to ``DENSE_BLOCK_CAP``, Lanczos from a fixed start vector above
+it).  The T = 0 quantities read the S_z = -1, 0, +1 blocks only, of a given
+spectrum or of their own diagonalization, and total spin is verified through
+<S^2> = S_z^2 + S_z + ||S^+ v||^2.  One Boltzmann average serves every
+thermal correlator; it bounds what a truncated spectrum left out.
 
 Units and normalization: energies are in units of the bath exchange J = 1;
 bath spins are S = sigma/2; probe operators tau are full Pauli matrices
@@ -24,7 +25,8 @@ uniform spin-1/2 operators, which is how bonds are stored internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -171,38 +173,35 @@ def _correlator_operator(spec: LatticeSpec, states: np.ndarray) -> csr_matrix:
     return _block_hamiltonian(((pa, pb, 4.0),), states)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectrumResult:
-    """Eigen-decomposition per S_z block plus identified low levels."""
+    """Eigen-decomposition of some S_z blocks, keyed by the number of up spins.
+
+    A block at or below ``DENSE_BLOCK_CAP`` holds every level; a larger one
+    holds its lowest ``k_each`` (truncated).  The ground energy and the probe
+    correlator diagonals are computed on first use and kept.
+    """
 
     spec: LatticeSpec
     energies: dict[int, np.ndarray]
     vectors: dict[int, np.ndarray]
     states: dict[int, np.ndarray]
-    ground_energy: float = field(init=False)
-    _probe_diagonals: dict | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        self.ground_energy = min(float(e[0]) for e in self.energies.values())
+    @cached_property
+    def ground_energy(self) -> float:
+        return min(float(e[0]) for e in self.energies.values())
 
-    def all_levels(self):
-        out = []
-        for m, es in self.energies.items():
-            out.extend((float(e), m, k) for k, e in enumerate(es))
-        out.sort()
-        return out
+    def all_levels(self, blocks=None) -> list[tuple[float, int, int]]:
+        """Sorted (energy, n_up, index) of the stored levels of every block,
+        or of the n_up values in ``blocks``."""
+        return sorted((float(e), m, k) for m in (self.energies if blocks is None else blocks)
+                      for k, e in enumerate(self.energies[m]))
 
+    @cached_property
     def probe_diagonals(self) -> dict[int, np.ndarray]:
-        """<k|tau_a . tau_b|k> for every stored eigenvector, per block.
-
-        Computed on first use and kept, so repeated thermal averages over
-        one spectrum cost an exp and a dot per block.
-        """
-        if self._probe_diagonals is None:
-            self._probe_diagonals = {
-                m: np.einsum("ik,ik->k", v, _correlator_operator(self.spec, self.states[m]) @ v)
+        """<k|tau_a . tau_b|k> for every stored eigenvector, per block."""
+        return {m: np.einsum("ik,ik->k", v, _correlator_operator(self.spec, self.states[m]) @ v)
                 for m, v in self.vectors.items()}
-        return self._probe_diagonals
 
 
 def full_spectrum(spec: LatticeSpec) -> SpectrumResult:
@@ -273,28 +272,33 @@ def _spin_squared(result: SpectrumResult, m: int, level: int) -> float:
     return sz * sz + sz + float(raised @ raised)
 
 
+def _central_levels(spec: LatticeSpec, spectrum: SpectrumResult | None):
+    """``spectrum`` (diagonalized now if None) and the sorted levels of its
+    S_z = -1, 0, +1 blocks, where every total-spin multiplet has a member
+    (SU(2)): the other blocks add nothing to the ground or probe sector."""
+    if spec.n_total % 2:
+        raise SectorAmbiguityError(
+            f"{spec.n_total} spins have half-integer total spin: no probe singlet")
+    mid = spec.n_total // 2
+    blocks = (mid - 1, mid, mid + 1)
+    if spectrum is None:
+        spectrum = _low_levels(spec, blocks=blocks)
+    return spectrum, spectrum.all_levels(blocks)
+
+
 def low_spectrum_jcan(spec: LatticeSpec,
                       spectrum: SpectrumResult | None = None) -> tuple[float, float]:
     """(J_can_exact, robust gap): singlet-triplet splitting and the gap from
     the triplet to the first level outside the 4-dimensional probe sector.
 
-    Levels come from ``spectrum`` when given (e.g. the report's one
-    :func:`full_spectrum`); otherwise from the three central blocks
-    S_z = -1, 0, +1 only.  Every total-spin multiplet that can hold the
-    singlet, the triplet or the next level has a member there (SU(2)), so
-    the other blocks add nothing to the probe sector.  The sector is
-    identified by S_z-block membership and degeneracy counting, and
-    cross-checked with <S_tot^2> = 0 and 2 on the candidate eigenvectors.
+    Levels come from the central blocks of ``spectrum`` when given, else of
+    a new diagonalization of those three blocks alone (:func:`_central_levels`).
+    The sector is identified by S_z-block membership and degeneracy counting,
+    and cross-checked with <S_tot^2> = 0 and 2 on the candidate eigenvectors.
     """
     if spec.alpha <= 0:
         raise DomainError("probe coupling alpha must be > 0 for the probe gap")
-    if spectrum is None:
-        if spec.n_total % 2:
-            raise SectorAmbiguityError(
-                f"{spec.n_total} spins have half-integer total spin: no probe singlet")
-        mid = spec.n_total // 2
-        spectrum = _low_levels(spec, blocks=(mid - 1, mid, mid + 1))
-    levels = spectrum.all_levels()
+    spectrum, levels = _central_levels(spec, spectrum)
     e0, m0, k0 = levels[0]
     if abs(_spin_squared(spectrum, m0, k0)) > 1e-6:
         raise SectorAmbiguityError("ground state is not a total-spin singlet")
@@ -317,62 +321,58 @@ def low_spectrum_jcan(spec: LatticeSpec,
 
 def ground_state_correlator(spec: LatticeSpec,
                             spectrum: SpectrumResult | None = None) -> float:
-    """<tau_a . tau_b> in the global ground state (of ``spectrum`` if given)."""
-    if spectrum is None:
-        spectrum = _low_levels(spec)
-    e0, m0, k0 = spectrum.all_levels()[0]
+    """<tau_a . tau_b> in the lowest level of the central blocks (of
+    ``spectrum`` if given), as in :func:`low_spectrum_jcan`."""
+    spectrum, levels = _central_levels(spec, spectrum)
+    _, m0, k0 = levels[0]
     vec = spectrum.vectors[m0][:, k0]
     op = _correlator_operator(spec, spectrum.states[m0])
     return float(vec @ (op @ vec))
 
 
-def _boltzmann_average(spectrum: SpectrumResult, betas: np.ndarray) -> np.ndarray:
+def _boltzmann_average(spectrum: SpectrumResult, betas) -> np.ndarray:
     """Probe correlator averaged over the stored levels of every block,
-    summed block by block in stored order."""
-    e0 = spectrum.ground_energy
-    diags = spectrum.probe_diagonals()
-    num = np.zeros_like(betas)
-    den = np.zeros_like(betas)
-    for m, es in spectrum.energies.items():
+    summed block by block in stored order.
+
+    The levels a truncated block left out lie above its top stored level, so
+    their weight against the ground level is at most (states not stored) x
+    exp(-beta (lowest top stored level of a truncated block - E0)).  A bound
+    above 1e-10, or a missing S_z block, raises TruncationError.
+    """
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    energies, e0 = spectrum.energies, spectrum.ground_energy
+    if len(energies) <= spectrum.spec.n_total:
+        raise TruncationError(
+            f"thermal average needs every S_z block; got n_up in {sorted(energies)}")
+    left = {m: len(spectrum.states[m]) - len(es) for m, es in energies.items()}
+    if any(left.values()):
+        cut = min(float(energies[m][-1]) for m in energies if left[m])
+        tail = sum(left.values()) * np.exp(-betas * (cut - e0))
+        if np.any(tail > 1e-10):
+            raise TruncationError(
+                f"truncated Boltzmann tail up to {tail.max():.2e} > 1e-10; "
+                "lower the temperature or raise k_each")
+    num, den = np.zeros_like(betas), np.zeros_like(betas)
+    for m, es in energies.items():
         w = np.exp(-np.outer(betas, es - e0))
-        num += w @ diags[m]
+        num += w @ spectrum.probe_diagonals[m]
         den += w.sum(axis=1)
     return num / den
 
 
 def thermal_correlator_exact(spec: LatticeSpec, betas,
                              spectrum: SpectrumResult | None = None) -> np.ndarray:
-    """<tau_a . tau_b>(beta) from the full blockwise spectrum.
-
-    Weights use energies shifted by the global ground energy, so arbitrarily
-    large beta is safe; beta = 0 gives the maximally mixed value 0.  Pass the
-    same ``spectrum`` to repeated calls: its per-block correlator diagonals
-    are computed once.
-    """
-    betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    if spectrum is None:
-        spectrum = full_spectrum(spec)
-    return _boltzmann_average(spectrum, betas)
+    """<tau_a . tau_b>(beta) from the full blockwise spectrum (``spectrum``,
+    whose correlator diagonals are kept across calls, or a new one).  Energies
+    are shifted by the ground energy, so any beta >= 0 is safe."""
+    return _boltzmann_average(full_spectrum(spec) if spectrum is None else spectrum, betas)
 
 
 def thermal_correlator_truncated(spec: LatticeSpec, betas, k_each: int = 8) -> np.ndarray:
-    """Low-temperature correlator from the lowest levels of each block.
-
-    Bounds the neglected Boltzmann tail by (states left) x exp(-beta gap) and
-    raises if it could shift the result at the 1e-10 level.
-    """
-    betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    result = _low_levels(spec, k_each=k_each)
-    e0 = result.ground_energy
-    cut = min(float(es[-1]) for es in result.energies.values() if len(es))
-    n_left = sum(len(result.states[m]) - len(es)
-                 for m, es in result.energies.items())
-    tail = max(n_left, 1) * np.exp(-betas * (cut - e0))
-    if np.any(tail > 1e-10):
-        raise TruncationError(
-            f"truncated Boltzmann tail up to {tail.max():.2e} > 1e-10; "
-            "lower the temperature or raise k_each")
-    return _boltzmann_average(result, betas)
+    """Low-temperature correlator from the lowest ``k_each`` levels of each
+    block above ``DENSE_BLOCK_CAP`` (every level of the others), refused
+    where the levels left out could shift it at the 1e-10 level."""
+    return _boltzmann_average(_low_levels(spec, k_each=k_each), betas)
 
 
 # ---------------------------------------------------------------------------

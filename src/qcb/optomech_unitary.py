@@ -2,17 +2,18 @@
 projection, entanglement markers and closed-form linear entropies.
 
 The cavity mode (Fock index n, m) couples to a mirror mode (Fock index mu, nu)
-through radiation pressure, H = w_c a'a + b'b - k a'a (b + b'), in units of the
-mirror frequency.  Starting from |alpha><alpha| (x) thermal(n_bar), the evolved
-matrix elements have an exact closed form: writing eta(t) = 1 - exp(-i t),
-x = n_bar/(n_bar+1),
+through radiation pressure, H = b'b - k a'a (b + b'), in units of the mirror
+frequency and in the frame rotating at the cavity frequency (whose phases
+exp(-i (n - m) w_c t) cancel in every reported quantity).  Starting from
+|alpha><alpha| (x) thermal(n_bar), the evolved matrix elements have an exact
+closed form: writing eta(t) = 1 - exp(-i t), x = n_bar/(n_bar+1),
 
     rho_{mu nu n m}(t) = Theta_nm e^{-i(phi_n - phi_m)} / ((n_bar+1) sqrt(mu! nu!))
                          * exp[k^2|eta|^2 (x n m - (n^2+m^2)/2)]
                          * [d^mu/da^mu d^nu/db^nu exp(x a b + a P + b Q)]_(a=b=0)
 
 with P = k eta(t) (n - x m), Q = k eta(-t) (m - x n), Theta the coherent-state
-weights and phi_n = n w_c t - k^2 n^2 (t - sin t).  The derivative is the
+weights and phi_n = -k^2 n^2 (t - sin t).  The derivative is the
 finite Leibniz sum over j = 0..min(mu, nu) of
 
     x^j P^(mu-j) Q^(nu-j) mu! nu! / (j! (mu-j)! (nu-j)!),
@@ -53,15 +54,13 @@ class OptoUnitaryParams:
     """Dimensionless model parameters (time in units of 1/omega_m).
 
     k is the scaled coupling g/omega_m, alpha the initial cavity amplitude,
-    n_bar the mirror thermal occupancy.  omega_c enters only pure phases and
-    cancels in every modulus-based quantity; kept for completeness.
+    n_bar the mirror thermal occupancy.
     """
 
     k: float
     alpha: complex
     n_bar: float
     t: float
-    omega_c: float = 0.0
 
     def __post_init__(self):
         if self.k < 0:
@@ -100,7 +99,7 @@ def kerr_phase_integral(t: float) -> float:
 
 
 def _free_phase(p: OptoUnitaryParams, n: int) -> float:
-    return n * p.omega_c * p.t - p.k**2 * n**2 * kerr_phase_integral(p.t)
+    return -p.k**2 * n**2 * kerr_phase_integral(p.t)
 
 
 def _poisson_log_weight(alpha_abs2: float, n: int) -> float:
@@ -293,18 +292,17 @@ def _check_cutoff(alpha: complex, cutoff: int) -> None:
             f"Poisson tail beyond cutoff {cutoff} is {tail:.2e} >= 1e-12")
 
 
-def linear_entropies_closed(p: OptoUnitaryParams, cutoff: int | None = None
-                            ) -> tuple[float, float, float]:
+def linear_entropies_closed(p: OptoUnitaryParams) -> tuple[float, float, float]:
     """(S_total, S_cavity, S_mirror) linear entropies, S := 1 - Tr rho^2.
 
     S_total = 1 - 1/(2 n_bar + 1) is time independent (unitary evolution).
     The partial purities are double Poisson sums with Gaussian dephasing
     factors exp(-|k eta|^2 (p-q)^2 c), c = 1 + 2 n_bar for the cavity and
     c = 1/(1 + 2 n_bar) for the mirror (which also carries the thermal purity
-    prefactor 1/(1 + 2 n_bar)).
+    prefactor 1/(1 + 2 n_bar)).  The Poisson sums stop at
+    :func:`default_fock_cutoff`.
     """
-    if cutoff is None:
-        cutoff = default_fock_cutoff(p.alpha)
+    cutoff = default_fock_cutoff(p.alpha)
     _check_cutoff(p.alpha, cutoff)
     s_cav, s_mir = _partial_entropies_vec(p, np.array([p.t]), cutoff)
     s_total = 1.0 - 1.0 / (2.0 * p.n_bar + 1.0)
@@ -336,20 +334,19 @@ def _partial_entropies_vec(p: OptoUnitaryParams, t: np.ndarray, cutoff: int
     return s_cav, s_mir
 
 
-def normalized_mi_time(p: OptoUnitaryParams, cutoff: int | None = None) -> float:
+def normalized_mi_time(p: OptoUnitaryParams) -> float:
     """Normalized linear mutual information 1 - S_total/(S_cav + S_mir).
 
     Values above 1/2 witness quantum correlations (classical bound).
     """
-    s_total, s_cav, s_mir = linear_entropies_closed(p, cutoff)
+    s_total, s_cav, s_mir = linear_entropies_closed(p)
     denom = s_cav + s_mir
     if denom <= 1e-12:
         raise UndefinedMutualInfoError("S_cav + S_mir vanishes; normalized MI undefined")
     return 1.0 - s_total / denom
 
 
-def averaged_mi(p: OptoUnitaryParams, n_steps: int = 256,
-                cutoff: int | None = None) -> float:
+def averaged_mi(p: OptoUnitaryParams, n_steps: int = 256) -> float:
     """Normalized MI averaged over one mirror period by composite trapezoid.
 
     Convergence is asserted by doubling the grid; the doubled value is
@@ -359,8 +356,7 @@ def averaged_mi(p: OptoUnitaryParams, n_steps: int = 256,
         raise DomainError("n_steps must be >= 64")
     if p.n_bar <= 0.0:
         raise UndefinedMutualInfoError("averaged MI undefined at n_bar = 0 (t = 0 endpoint)")
-    if cutoff is None:
-        cutoff = default_fock_cutoff(p.alpha)
+    cutoff = default_fock_cutoff(p.alpha)
     _check_cutoff(p.alpha, cutoff)
     s_total = 1.0 - 1.0 / (2.0 * p.n_bar + 1.0)
 

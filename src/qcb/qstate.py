@@ -176,27 +176,15 @@ def entropies(rho: DensityMatrix) -> tuple[float, float, float]:
     return s_vn, s_lin, purity
 
 
-def _entropy(rho: DensityMatrix, kind: str) -> float:
-    s_vn, s_lin, _ = entropies(rho)
-    if kind == "von-neumann":
-        return s_vn
-    if kind == "linear":
-        return s_lin
-    raise DomainError(f"unknown entropy kind {kind!r}")
-
-
-def normalized_mutual_info(rho: DensityMatrix, entropy_kind: str = "von-neumann") -> float:
-    """(S_A + S_B - S_AB) / (S_A + S_B); values above 1/2 witness quantumness.
-
-    The 1/2 bound is exact for classical Shannon entropies; with the linear
-    entropy it is used here as the same heuristic threshold.
-    """
-    s_a = _entropy(partial_trace(rho, "A"), entropy_kind)
-    s_b = _entropy(partial_trace(rho, "B"), entropy_kind)
+def normalized_mutual_info(rho: DensityMatrix) -> float:
+    """(S_A + S_B - S_AB) / (S_A + S_B) of the von Neumann entropies; values
+    above 1/2 witness quantumness (the bound is exact for classical Shannon
+    entropies)."""
+    s_a = entropies(partial_trace(rho, "A"))[0]
+    s_b = entropies(partial_trace(rho, "B"))[0]
     if s_a + s_b <= 1e-12:
         raise UndefinedMutualInfoError("S_A + S_B vanishes; normalized MI undefined")
-    s_ab = _entropy(rho, entropy_kind)
-    return (s_a + s_b - s_ab) / (s_a + s_b)
+    return (s_a + s_b - entropies(rho)[0]) / (s_a + s_b)
 
 
 def werner_state(f: float) -> DensityMatrix:

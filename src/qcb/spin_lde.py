@@ -243,34 +243,28 @@ def separability_beta(f, lo: float, hi: float) -> float:
 
 
 def critical_temperature(cp: CanonicalParams) -> CriticalTemperature:
-    """Temperature at which the probe concurrence vanishes.
+    """Temperature at which the probe concurrence vanishes, and the
+    saturation estimate 0.93 J_can (1 - Phi) for comparison.
 
-    The exact separability point (correlator = -1) comes from
-    :func:`separability_beta` on beta J_can, so the bracket does not depend
-    on the scale of J_can; also reports the saturation estimate
-    0.93 J_can (1 - Phi) for comparison.  If the T = 0 correlator never
-    drops below -1 the pair is never entangled; if the infinite-temperature
-    correlator eta is already at or below -1 it is never separable.
+    :func:`separability_beta` finds the zero of f(x) = correlator + 1 in
+    x = beta J_can on [1e-300, 1e6], where exp(-x) rounds to 1 and to 0, so
+    f there equals its limits f(0) and f(inf).  f(inf) >= 0 means the pair is
+    never entangled; f(0) <= 0 (never separable) is refused.
     """
     if cp.J_can <= 0:
         raise DomainError("critical temperature defined for J_can > 0")
     estimate = 0.93 * cp.J_can * (1.0 - cp.Phi)
-    c_zero_t = -3.0 + cp.eta + 3.0 * cp.Phi
-    if c_zero_t >= -1.0:
-        return CriticalTemperature(None, estimate, True)
-    if cp.eta <= -1.0:
-        raise DomainError(f"eta = {cp.eta} <= -1: the pair is entangled at every "
-                          "temperature")
     unit = CanonicalParams(1.0, cp.Phi, cp.eta)  # beta in units of 1/J_can
 
     def f(x: float) -> float:
         return correlator_of_beta(unit, x) + 1.0
 
-    lo, hi = 1e-6, 1e6
-    while f(lo) <= 0.0:  # widen until bracketed
-        lo *= 0.5
-    while f(hi) >= 0.0:
-        hi *= 2.0
+    lo, hi = 1e-300, 1e6
+    if f(hi) >= 0.0:
+        return CriticalTemperature(None, estimate, True)
+    if f(lo) <= 0.0:
+        raise DomainError(f"eta = {cp.eta} <= -1: the pair is entangled at every "
+                          "temperature")
     return CriticalTemperature(cp.J_can / separability_beta(f, lo, hi), estimate, False)
 
 

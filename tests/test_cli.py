@@ -62,6 +62,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "usage:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["werner", "--grid", "2"], "--f", "5"),
+        (["gaussian", "--grid", "2"], "--n-bar", "1"),
+        (["optomech-unitary", "--quantity", "tangle"], "--sweep-t", "3"),
+    ])
+    def test_flag_of_the_other_output_shape_is_a_usage_error(self, tmp_path, capsys,
+                                                             argv, flag, value):
+        # a flag that the chosen output shape would not read, from argv or
+        # from --config, is refused with both flags named
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag.lstrip('-')} = {value}\n")
+        for extra in ([flag, value], ["--config", str(cfg)]):
+            code, out, err = run(capsys, *argv, *extra)
+            assert code == 2 and out == ""
+            assert flag in err and argv[1] in err and "Traceback" not in err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
         ["gaussian", "--r", "300"],
@@ -144,6 +160,20 @@ class TestLde:
         assert columns == ["kT", "beta", "J_ab", "correlator", "concurrence"]
         assert len(rows) == 8
         assert "kT_star_exact" in config
+
+    def test_thermal_never_entangled_an_ulp_from_minus_one(self):
+        # -3 + eta + 3 Phi is an ulp below -1, but the correlator that the
+        # bisection reads never drops below -1: never entangled, exit 0 (a
+        # subprocess with a timeout, so that an endless bracket search fails)
+        argv = ["lde", "thermal", "--jcan", "1", "--phi", "0.44082434220621386",
+                "--eta", "0.6775269733813583", "--tmin", "0.1", "--tmax", "1",
+                "--steps", "2"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run([sys.executable, "-m", "qcb.cli", *argv], timeout=5,
+                                env=os.environ | {"PYTHONPATH": src},
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert "# kT_star_exact=nan\n" in result.stdout
 
     def test_thermal_never_separable_is_domain_error(self, capsys):
         # eta = -1: the correlator stays at or below -1 at every temperature,
@@ -309,6 +339,9 @@ class TestConfigFile:
         cfg.write_text("r = abc\n")
         code, _, err = run(capsys, "gaussian", "--config", str(cfg))
         assert code == 3 and err.startswith("qcb: error:")
+        cfg.write_text("quantity = bogus\n")  # a value outside the flag's choices
+        code, _, err = run(capsys, "optomech-unitary", "--config", str(cfg))
+        assert code == 3 and err.startswith("qcb: error:") and "bogus" in err
 
     def test_nested_subcommand_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -406,12 +439,13 @@ SMALL = st.one_of(st.floats(0.0, 3.0).map(repr), NUMBER)
 LEVELS = st.lists(st.integers(0, 6), min_size=1, max_size=3).map(
     lambda levels: ",".join(map(str, levels)))
 # lde fit inputs that are tables but not fit data: a non-numeric kT or beta
-# cell, a row shorter than the header, a beta = 0 row.
+# cell, a row shorter than the header, a beta = 0 row, no correlator column.
 MALFORMED_TABLES = {
     "text_kt.csv": "kT,correlator\n1e-3,-1.5\n2e-3,-1\nabc,-0.5\n4e-3,-0.3\n",
     "text_beta.csv": "beta,correlator\n1000,-1.5\nabc,-1\n250,-0.5\n125,-0.3\n",
     "short_row.csv": "beta,correlator\n1000,-1.5\n500\n250,-0.5\n125,-0.3\n",
     "zero_beta.csv": "beta,correlator\n1000,-1.5\n500,-1\n250,-0.5\n0,0\n",
+    "no_correlator.csv": "beta,J_ab\n1000,1e-3\n500,1e-3\n250,9e-4\n125,8e-4\n",
 }
 # command: (flags always given, optional flags); sizes stay tiny.
 FUZZ_COMMANDS = {

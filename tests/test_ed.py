@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qcb import ed
 from qcb.exceptions import (
     DegenerateSystemError,
     DomainError,
@@ -155,11 +156,13 @@ class TestLowSpectrum:
         assert abs(total_spin_expectation(result, levels[1][1], levels[1][2]) - 2.0) < 1e-8
 
     def test_given_spectrum_matches_central_blocks(self):
-        for spec in (chain(**ACCEPT, alpha=0.05), chain(8, alpha=0.05),
-                     chain(6, alpha=0.1, probes=(1, 4))):
-            fresh = low_spectrum_jcan(spec)
-            given = low_spectrum_jcan(spec, spectrum=full_spectrum(spec))
-            assert np.max(np.abs(np.subtract(fresh, given))) < 1e-12
+        # both routes read the same central blocks, so the floats agree exactly
+        for spec in (chain(10, alpha=0.05, probes=(1, 8)), chain(**ACCEPT, alpha=0.05),
+                     chain(8, alpha=0.05), chain(6, alpha=0.1, probes=(1, 4)),
+                     ladder(4, alpha=0.05)):
+            spectrum = full_spectrum(spec)
+            assert low_spectrum_jcan(spec) == low_spectrum_jcan(spec, spectrum=spectrum)
+            assert ground_state_correlator(spec) == ground_state_correlator(spec, spectrum)
 
     def test_raising_operator_spin_check_matches_pair_operator(self):
         # 16 spins, central blocks through Lanczos: ground singlet and the
@@ -204,6 +207,11 @@ class TestLowSpectrum:
         # singlet/triplet sector cannot exist and identification must refuse
         with pytest.raises(SectorAmbiguityError):
             low_spectrum_jcan(chain(13, alpha=0.05, probes=(1, 11)))
+        spec = chain(5, alpha=0.05)  # 7 spins, on the given-spectrum route too
+        for quantity in (low_spectrum_jcan, ground_state_correlator):
+            for spectrum in (None, full_spectrum(spec)):
+                with pytest.raises(SectorAmbiguityError):
+                    quantity(spec, spectrum)
 
     def test_desk_scale_cap_uses_lanczos_blocks(self):
         # 16 spins: the central S_z blocks exceed the dense cap and go through
@@ -254,15 +262,27 @@ class TestThermalCorrelator:
         vals = thermal_correlator_exact(spec, betas)
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_truncated_path(self):
+    def test_truncated_path(self, monkeypatch):
         spec = chain(**ACCEPT, alpha=0.05)
         j_can, _ = low_spectrum_jcan(spec)
         betas = 1.0 / default_temperature_grid(j_can)[:4]
         exact = thermal_correlator_exact(spec, betas)
+        # at or below the dense cap every level is kept, and nothing is refused
+        assert np.array_equal(thermal_correlator_truncated(spec, [0.1], k_each=4),
+                              thermal_correlator_exact(spec, [0.1]))
+        # a cap of 100 sends the five central blocks of 10 spins through Lanczos
+        monkeypatch.setattr(ed, "DENSE_BLOCK_CAP", 100)
         trunc = thermal_correlator_truncated(spec, betas, k_each=12)
         assert np.max(np.abs(exact - trunc)) < 1e-10
         with pytest.raises(TruncationError):
             thermal_correlator_truncated(spec, [0.1], k_each=4)
+
+    def test_spectrum_missing_a_block_is_refused(self):
+        spec = chain(**ACCEPT, alpha=0.05)
+        central = _low_levels(spec, blocks=(4, 5, 6))
+        assert low_spectrum_jcan(spec, spectrum=central) == low_spectrum_jcan(spec)
+        with pytest.raises(TruncationError):
+            thermal_correlator_exact(spec, [1e3], spectrum=central)
 
 
 class TestLehmann:

@@ -15,6 +15,7 @@ from qcb.exceptions import (
 from qcb.optomech_unitary import (
     OptoUnitaryParams,
     SubspaceSelector,
+    _check_cutoff,
     _partial_entropies_vec,
     _poisson_weights,
     averaged_mi,
@@ -80,8 +81,7 @@ class TestRhoElement:
                     assert abs(rho_element(p, n, m, mu, mu - 1)) < 1e-15
 
     def test_hermiticity(self):
-        p = OptoUnitaryParams(k=0.6, alpha=0.8 - 0.2j, n_bar=2.3, t=1.9,
-                              omega_c=3.7)
+        p = OptoUnitaryParams(k=0.6, alpha=0.8 - 0.2j, n_bar=2.3, t=1.9)
         for n, m, mu, nu in [(0, 1, 2, 3), (2, 2, 0, 1), (4, 1, 3, 0)]:
             lhs = rho_element(p, n, m, mu, nu)
             rhs = np.conj(rho_element(p, m, n, nu, mu))
@@ -108,14 +108,14 @@ def mp_leibniz_block(p, cav, mir, dps=50):
     from mpmath import mp, mpc, mpf
 
     with mp.workdps(dps):
-        k, nb, t, wc = mpf(p.k), mpf(p.n_bar), mpf(p.t), mpf(p.omega_c)
+        k, nb, t = mpf(p.k), mpf(p.n_bar), mpf(p.t)
         alpha = mpc(p.alpha)
         x = nb / (nb + 1)
         et = 1 - mp.exp(-1j * t)
         y2 = k**2 * abs(et) ** 2
 
         def phi(n):
-            return n * wc * t - k**2 * n**2 * (t - mp.sin(t))
+            return -k**2 * n**2 * (t - mp.sin(t))
 
         out = np.empty((len(cav), len(mir), len(cav), len(mir)), dtype=complex)
         for i, n in enumerate(cav):
@@ -142,8 +142,7 @@ class TestLeibnizKernel:
         # Leibniz sum keeps its digits
         cav, mir = tuple(range(4)), tuple(range(9))
         for n_bar in (0.0, 2.0):
-            p = OptoUnitaryParams(k=0.4, alpha=0.8 + 0.6j, n_bar=n_bar, t=2.5,
-                                  omega_c=1.3)
+            p = OptoUnitaryParams(k=0.4, alpha=0.8 + 0.6j, n_bar=n_bar, t=2.5)
             raw = projected_density(p, SubspaceSelector(cav, mir), normalize=False)
             want = mp_leibniz_block(p, cav, mir).reshape(raw.shape)
             assert np.max(np.abs(raw - want)) <= 1e-12 * np.max(np.abs(want))
@@ -393,8 +392,9 @@ class TestEntropies:
         p = OptoUnitaryParams(k=0.5, alpha=3.0, n_bar=1.0, t=1.0)
         assert default_fock_cutoff(p.alpha) >= abs(p.alpha) ** 2 + 10 * math.sqrt(
             abs(p.alpha) ** 2 + 1) - 1
+        _check_cutoff(p.alpha, default_fock_cutoff(p.alpha))
         with pytest.raises(TruncationError):
-            linear_entropies_closed(p, cutoff=10)
+            _check_cutoff(p.alpha, 10)
 
 
 def double_sum_partial_entropies(p, t, cutoff):

@@ -242,17 +242,17 @@ class TestEntropies:
 class TestNormalizedMutualInfo:
     def test_product_state_zero(self):
         # von Neumann entropy is additive, so the normalized MI vanishes on
-        # product states (the linear-entropy variant does not share this)
+        # product states
         rng = np.random.default_rng(13)
         a = random_density_matrix(2, rng)
         b = random_density_matrix(2, rng)
         rho = DensityMatrix(np.kron(a.matrix, b.matrix), split=(2, 2))
-        assert abs(normalized_mutual_info(rho, "von-neumann")) < 1e-10
+        assert abs(normalized_mutual_info(rho)) < 1e-10
 
     def test_entangled_pure_is_maximal(self):
         for th in (0.3, 0.8, 1.4):
             rho = pure([math.cos(th), 0, 0, math.sin(th)], split=(2, 2))
-            assert abs(normalized_mutual_info(rho, "von-neumann") - 1.0) < 1e-10
+            assert abs(normalized_mutual_info(rho) - 1.0) < 1e-10
 
     def test_werner_half_matches_spectral_oracle(self):
         rho = werner_state(-0.5)
@@ -261,7 +261,7 @@ class TestNormalizedMutualInfo:
         s_ab = -(p * np.log(p)).sum()
         s_a = math.log(2)  # reductions are maximally mixed by symmetry
         want = (2 * s_a - s_ab) / (2 * s_a)
-        got = normalized_mutual_info(rho, "von-neumann")
+        got = normalized_mutual_info(rho)
         assert abs(got - want) < 1e-12
         assert abs(got - 0.22560252965230082) < 1e-10  # frozen from the oracle
 
