@@ -8,6 +8,7 @@ configuration.  Every command writes its text once, to --out or to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -47,14 +48,16 @@ _levels = _checked(str, lambda t: all(x.isdecimal() for x in t.split(",")),
                    "levels 'i,j,...'")
 
 
-def _parse_args(parser: argparse.ArgumentParser, argv):
+def _parse_args(argv):
     """Parse ``argv``.  The key=value pairs of a --config file become the
-    defaults of the chosen subcommand, so explicit flags win and the file can
-    supply needed flags; a needed flag given by neither is a usage error.
+    defaults of the chosen subcommand of a freshly built parser, so they never
+    reach a later call; explicit flags win and the file can supply needed
+    flags.  A needed flag given by neither is a usage error.
     """
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.config is not None:
-        _config_defaults(args.sub, read_text(args.config))
+        parser = build_parser()
+        _config_defaults(parser.parse_args(argv).sub, read_text(args.config))
         args = parser.parse_args(argv)
     missing = [flag for flag in args.needs if _value(args, flag) is None]
     if missing:
@@ -401,9 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every call, built once per process; parsing leaves it
+    unchanged, while --config defaults go to a parser of their own."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = _parse_args(build_parser(), argv)
+        args = _parse_args(argv)
         text = args.run(args)
         if args.out is None:
             sys.stdout.write(text)

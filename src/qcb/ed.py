@@ -10,8 +10,11 @@ Engine (after Sandvik, arXiv:1101.3281, sec. 4): basis states are bit
 strings, blocks are sorted arrays of equal popcount, and each block matrix
 is assembled with array bit operations and ``searchsorted`` lookups (dense
 ``eigh`` up to ``DENSE_BLOCK_CAP``, Lanczos from a fixed start vector above
-it).  The T = 0 quantities read the S_z = -1, 0, +1 blocks only, of a given
-spectrum or of their own diagonalization, and total spin is verified through
+it).  Importing this module loads no scipy: block assembly imports
+``scipy.sparse``, and only the Lanczos branch imports ``scipy.sparse.linalg``,
+so dense-only runs never load the sparse eigensolver.  The T = 0 quantities
+read the S_z = -1, 0, +1 blocks only, of a given spectrum or of their own
+diagonalization, and total spin is verified through
 <S^2> = S_z^2 + S_z + ||S^+ v||^2.  One Boltzmann average serves every
 thermal correlator; it bounds what a truncated spectrum left out.
 
@@ -27,9 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .exceptions import (
     DegenerateSystemError,
@@ -39,6 +42,9 @@ from .exceptions import (
     TruncationError,
 )
 from .spin_lde import fit_canonical_params, separability_beta
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 MAX_SPINS = 16
 DENSE_BLOCK_CAP = 4096
@@ -138,6 +144,8 @@ def _block_hamiltonian(bonds, states: np.ndarray) -> csr_matrix:
     The diagonal is summed bond by bond in bond order; its floats, and so the
     printed eigenvalues, depend on that order.
     """
+    from scipy.sparse import csr_matrix
+
     dim = len(states)
     rows, cols, vals = [], [], []
     diag = np.zeros(dim)
@@ -224,14 +232,14 @@ def _low_levels(spec: LatticeSpec, k_each: int = 8,
     same floats.  (A constant start vector would not do: in every block it is
     the fully polarized S = n/2 eigenstate.)
     """
-    from scipy.sparse.linalg import eigsh
-
     energies, vectors, states = {}, {}, {}
     for m, (sts, h) in build_hamiltonian(spec, blocks).items():
         dim = h.shape[0]
         if dim <= DENSE_BLOCK_CAP:
             w, v = np.linalg.eigh(h.toarray())
         else:
+            from scipy.sparse.linalg import eigsh
+
             k = min(k_each, dim - 1)
             v0 = np.random.default_rng(0).standard_normal(dim)
             w, v = eigsh(h, k=k, which="SA", tol=1e-12, v0=v0)

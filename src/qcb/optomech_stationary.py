@@ -20,13 +20,16 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import c as _c_light
-from scipy.constants import hbar as _hbar
-from scipy.constants import k as _k_boltzmann
 
 from .exceptions import (DegenerateSystemError, DomainError, QcbError, StabilityError,
                          at_first)
 from .gaussian import logneg_gaussian
+
+# The exact SI values (c, k and h are defined constants since 2019); each
+# float equals its scipy.constants counterpart.
+_c_light = 299792458.0                    # speed of light [m/s]
+_k_boltzmann = 1.380649e-23               # Boltzmann constant [J/K]
+_hbar = 6.62607015e-34 / (2 * math.pi)    # reduced Planck constant [J s]
 
 
 @dataclass(frozen=True)

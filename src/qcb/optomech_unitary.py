@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
 
 from .exceptions import (
     DomainError,
@@ -276,6 +275,8 @@ def default_fock_cutoff(alpha: complex) -> int:
 
 
 def _poisson_weights(alpha: complex, cutoff: int) -> np.ndarray:
+    from scipy.special import gammaln
+
     a2 = abs(alpha) ** 2
     n = np.arange(cutoff + 1)
     if a2 == 0.0:
@@ -286,6 +287,8 @@ def _poisson_weights(alpha: complex, cutoff: int) -> np.ndarray:
 
 
 def _check_cutoff(alpha: complex, cutoff: int) -> None:
+    from scipy.special import pdtrc
+
     tail = float(pdtrc(cutoff, abs(alpha) ** 2))  # Poisson P(N > cutoff)
     if tail >= 1e-12:
         raise TruncationError(

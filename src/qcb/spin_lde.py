@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import least_squares
 
 from .exceptions import DomainError, FitError, QcbError
 from .qstate import DensityMatrix, PAULI_DOT, concurrence_from_correlator
@@ -87,6 +85,7 @@ def _ring_integral(x: float) -> tuple[float, float]:
     integrand develops a second, logarithmic scale (tau - x ~ x), handled by
     the substitution tau = x cosh v on [x, tau_split] which equidistributes it.
     """
+    from scipy.integrate import quad
 
     def h(tau: float) -> float:
         return tau / math.pi - 1.0
@@ -136,6 +135,8 @@ def chi_aklt(r: int, method: str = "closed") -> float:
         return (1.0 / AKLT_GAP) * (-1.0) ** (r + 1) * (1.0 + 4.0 * r / 3.0) \
             * math.exp(-r / AKLT_XI)
     if method == "numeric":
+        from scipy.integrate import quad
+
         a, b = -2.0 / 3.0, 80.0 / 81.0
 
         def integrand(q: float) -> float:
@@ -202,12 +203,16 @@ def jab_of_beta(cp: CanonicalParams, beta: float) -> float:
     a_den, b_den = 4.0 - cp.Phi + cp.eta, cp.Phi + cp.eta / 3.0
 
     def log_lin_exp(a: float, b: float) -> float:
-        # log(a + b e^bj), stable for large bj (b >= 0 there by the constraint)
-        if bj > 50.0:
-            if b <= 0.0:
+        # log(a + b e^bj), stable for large bj (b >= 0 there by the constraint);
+        # b = 0 never forms e^bj, which overflows beyond bj = 709
+        if b == 0.0:
+            arg = a
+        elif bj > 50.0:
+            if b < 0.0:
                 raise DomainError("canonical parameterization leaves log argument <= 0")
             return bj + math.log(b + a * math.exp(-bj))
-        arg = a + b * math.exp(bj)
+        else:
+            arg = a + b * math.exp(bj)
         if arg <= 0.0:
             raise DomainError("canonical parameterization leaves log argument <= 0")
         return math.log(arg)
@@ -286,6 +291,8 @@ def fit_canonical_params(samples, kind: str = "correlator") -> FitResult:
     beta J_ab.  Samples must be finite numbers with beta > 0; others raise
     DomainError.
     """
+    from scipy.optimize import least_squares
+
     try:
         pts = [(float(b), float(v)) for b, v in samples]
     except (TypeError, ValueError) as exc:

@@ -98,10 +98,11 @@ class TestExitCodes:
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    """Importing the CLI (and with it every module) stays off scipy.stats,
-    whose import is a large share of the start-up time."""
+    """Importing the CLI (and with it every module) loads no scipy module:
+    each scipy name is imported by the function that calls it, so a command
+    that needs none starts without scipy's import time."""
     code = ("import sys, qcb.cli; qcb.cli.build_parser(); "
-            "sys.exit('scipy.stats' in sys.modules)")
+            "sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)")
     src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run([sys.executable, "-c", code], env=os.environ | {"PYTHONPATH": src},
                             capture_output=True, text=True)
@@ -174,6 +175,15 @@ class TestLde:
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert "# kT_star_exact=nan\n" in result.stdout
+
+    @pytest.mark.parametrize("tmin", ["0.01", "1e-4"])
+    def test_thermal_without_corrections_at_low_temperature(self, capsys, tmin):
+        # Phi = eta = 0 zeroes the e^(beta J) term of the J_ab denominator;
+        # at beta J = 1e4 forming e^(beta J) would overflow
+        code, out, err = run(capsys, "lde", "thermal", "--jcan", "1", "--tmin", tmin,
+                             "--tmax", "1", "--steps", "2")
+        assert code == 0, err
+        assert out.splitlines()[-2].split(",")[2] == "0.25"
 
     def test_thermal_never_separable_is_domain_error(self, capsys):
         # eta = -1: the correlator stays at or below -1 at every temperature,
@@ -352,6 +362,19 @@ class TestConfigFile:
         assert "# phi=0.01" in out and "# steps=3" in out
         table = [line for line in out.splitlines() if not line.startswith("#")]
         assert len(table) == 1 + 3  # header and three temperatures
+
+    def test_config_defaults_do_not_reach_a_later_call(self, tmp_path, capsys):
+        argv = ["lde", "thermal", "--jcan", "1e-3", "--tmin", "1e-4", "--tmax", "1e-2"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        fresh = subprocess.run([sys.executable, "-m", "qcb.cli", *argv],
+                               env=os.environ | {"PYTHONPATH": src},
+                               capture_output=True, text=True)
+        assert fresh.returncode == 0, fresh.stderr
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps = 3\nphi = 0.01\n")
+        code, out, _ = run(capsys, *argv, "--config", str(cfg))
+        assert code == 0 and "# steps=3" in out
+        assert run(capsys, *argv) == (0, fresh.stdout, "")
 
     def test_missing_config_file(self, capsys):
         assert run(capsys, "gaussian", "--config", "/nonexistent")[0] == 3

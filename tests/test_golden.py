@@ -11,7 +11,10 @@ rewrite of the numerics or of the table writer.
 
 import contextlib
 import io
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,21 @@ def test_readme_lists_the_guarded_commands():
     listed = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
               if line.startswith("qcb ")]
     assert listed == [shlex.split(cmd) for cmd in README_COMMANDS]
+
+
+def test_scipy_free_readme_commands_load_no_scipy(tmp_path):
+    """The README commands that call no scipy function run in a fresh
+    process without loading any scipy module."""
+    argvs = [shlex.split(README_COMMANDS[i - 1]) for i in (1, 2, 3, 4, 5, 6, 8, 9, 11)]
+    code = ("import contextlib, io, sys; from qcb.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)")
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                            env=os.environ | {"PYTHONPATH": str(ROOT / "src")},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("golden, cmd", SINGLE_CASES, ids=[g for g, _ in SINGLE_CASES])

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.constants
 from scipy.linalg import solve_continuous_lyapunov
 
+from qcb import optomech_stationary
 from qcb.exceptions import DomainError, StabilityError
 from qcb.gaussian import symplectic_form
 from qcb.optomech_stationary import (
@@ -307,3 +309,9 @@ class TestStationaryEntanglement:
         # anti-damping side and has no stable branch
         with pytest.raises(StabilityError):
             steady_entanglement(fig_params())
+
+
+def test_si_constants_equal_scipy_constants():
+    assert optomech_stationary._c_light == scipy.constants.c
+    assert optomech_stationary._k_boltzmann == scipy.constants.k
+    assert optomech_stationary._hbar == scipy.constants.hbar
