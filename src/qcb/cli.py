@@ -197,7 +197,7 @@ def _cmd_optomech_unitary(args) -> str:
         return _line(S_total=s_tot, S_cav=s_cav, S_mir=s_mir)
     if q == "mi":
         return _line(MI=optomech_unitary.normalized_mi_time(p))
-    return _line(MI_av=optomech_unitary.averaged_mi(p, args.mi_steps))  # mi-average
+    return _line(MI_av=optomech_unitary.averaged_mi(p))  # mi-average
 
 
 # ------------------------------------------------------------ optomech-steady
@@ -229,7 +229,7 @@ def _cmd_lde_chi(args) -> str:
         return fmt_value(spin_lde.chi_ring(spin_lde.RingGeometry(args.L, args.r))) + "\n"
     if args.r is None:
         args.sub.error("aklt model needs --r")
-    return fmt_value(spin_lde.chi_aklt(args.r, args.method)) + "\n"
+    return fmt_value(spin_lde.chi_aklt(args.r)) + "\n"
 
 
 def _cmd_lde_thermal(args) -> str:
@@ -347,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cavity", type=_levels, default="0,1")
     p.add_argument("--mirror", type=_levels, default="0,1")
     p.add_argument("--sweep-t", type=_count, default=None)
-    p.add_argument("--mi-steps", type=_count, default=256)
     common(p, _cmd_optomech_unitary)
 
     p = sub.add_parser("optomech-steady", help="driven-cavity detuning sweep")
@@ -372,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--model", choices=["ring", "aklt"], help=needed)
     q.add_argument("--L", type=int, default=None)
     q.add_argument("--r", type=int, default=None)
-    q.add_argument("--method", default="closed", choices=["closed", "numeric"])
     common(q, _cmd_lde_chi, "--model")
     q = lde_sub.add_parser("thermal", help="canonical-model temperature sweep")
     q.add_argument("--jcan", type=_finite, help=needed)
@@ -422,8 +420,8 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:  # usage errors, from argparse or a handler
         return exc.code if isinstance(exc.code, int) else 2
-    except (QcbError, ArithmeticError) as exc:  # overflow on extreme inputs
-        print(f"qcb: error: {exc}", file=sys.stderr)
+    except (QcbError, ArithmeticError, MemoryError) as exc:  # extreme inputs
+        print(f"qcb: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

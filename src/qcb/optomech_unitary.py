@@ -29,6 +29,7 @@ block's largest element.
 The partial purities of the linear entropies are double Poisson sums whose
 dephasing factor depends only on p - q; they are evaluated through the
 autocorrelation of the Poisson weights, O(T N) for T times and cutoff N.
+The MI average over one mirror period sizes its own trapezoid grid.
 """
 
 from __future__ import annotations
@@ -269,21 +270,21 @@ def subspace_tangle_t0(p: OptoUnitaryParams) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Finest grid of averaged_mi; it bounds its (intervals + 1, cutoff + 1) arrays.
+MI_MAX_INTERVALS = 4096
+
+
 def default_fock_cutoff(alpha: complex) -> int:
     a2 = abs(alpha) ** 2
     return math.ceil(a2 + 10.0 * math.sqrt(a2 + 1.0))
 
 
 def _poisson_weights(alpha: complex, cutoff: int) -> np.ndarray:
-    from scipy.special import gammaln
+    from scipy.special import gammaln, xlogy
 
     a2 = abs(alpha) ** 2
     n = np.arange(cutoff + 1)
-    if a2 == 0.0:
-        w = np.zeros(cutoff + 1)
-        w[0] = 1.0
-        return w
-    return np.exp(n * math.log(a2) - a2 - gammaln(n + 1))
+    return np.exp(xlogy(n, a2) - a2 - gammaln(n + 1))  # xlogy(0, 0) = 0
 
 
 def _check_cutoff(alpha: complex, cutoff: int) -> None:
@@ -296,34 +297,30 @@ def _check_cutoff(alpha: complex, cutoff: int) -> None:
 
 
 def linear_entropies_closed(p: OptoUnitaryParams) -> tuple[float, float, float]:
-    """(S_total, S_cavity, S_mirror) linear entropies, S := 1 - Tr rho^2.
-
-    S_total = 1 - 1/(2 n_bar + 1) is time independent (unitary evolution).
-    The partial purities are double Poisson sums with Gaussian dephasing
-    factors exp(-|k eta|^2 (p-q)^2 c), c = 1 + 2 n_bar for the cavity and
-    c = 1/(1 + 2 n_bar) for the mirror (which also carries the thermal purity
-    prefactor 1/(1 + 2 n_bar)).  The Poisson sums stop at
-    :func:`default_fock_cutoff`.
-    """
-    cutoff = default_fock_cutoff(p.alpha)
-    _check_cutoff(p.alpha, cutoff)
-    s_cav, s_mir = _partial_entropies_vec(p, np.array([p.t]), cutoff)
-    s_total = 1.0 - 1.0 / (2.0 * p.n_bar + 1.0)
+    """(S_total, S_cavity, S_mirror) linear entropies at ``p.t``, S := 1 - Tr rho^2."""
+    s_total, s_cav, s_mir = _linear_entropies(p, np.array([p.t]))
     return s_total, float(s_cav[0]), float(s_mir[0])
 
 
-def _partial_entropies_vec(p: OptoUnitaryParams, t: np.ndarray, cutoff: int
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """(S_cavity, S_mirror) at the times ``t``, Poisson weights w_0..w_cutoff.
+def _linear_entropies(p: OptoUnitaryParams, t: np.ndarray
+                      ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(S_total, S_cavity, S_mirror) at the times ``t``.
 
-    The dephasing factor exp(-c y^2 (p-q)^2), y^2 = |k eta(t)|^2, depends on
-    p - q only, so the double sum over (p, q) is a sum over the lag d with the
-    autocorrelation r[d] = sum_p w_p w_(p+d):
+    S_total = 1 - 1/(2 n_bar + 1) is time independent (unitary evolution).
+    The partial purities are double Poisson sums, over w_0..w_cutoff with the
+    cutoff of :func:`default_fock_cutoff`, with the Gaussian dephasing factor
+    exp(-c y^2 (p-q)^2), y^2 = |k eta(t)|^2, c = 1 + 2 n_bar for the cavity
+    and c = 1/(1 + 2 n_bar) for the mirror (which also carries the thermal
+    purity prefactor 1/(1 + 2 n_bar)).  The factor depends on p - q only, so
+    the double sum is a sum over the lag d with the autocorrelation
+    r[d] = sum_p w_p w_(p+d):
 
         sum_pq w_p w_q e^(-c y^2 (p-q)^2) = r[0] + 2 sum_(d>0) r[d] e^(-c y^2 d^2).
 
     One (T, cutoff + 1) exponential matrix per factor c, times a vector.
     """
+    cutoff = default_fock_cutoff(p.alpha)
+    _check_cutoff(p.alpha, cutoff)
     w = _poisson_weights(p.alpha, cutoff)
     r = np.correlate(w, w, mode="full")[cutoff:]
     lag_weight = 2.0 * r
@@ -334,7 +331,7 @@ def _partial_entropies_vec(p: OptoUnitaryParams, t: np.ndarray, cutoff: int
     c_mir = 1.0 / (1.0 + 2.0 * p.n_bar)
     s_cav = 1.0 - np.exp(-np.multiply.outer(y2 * c_cav, d2)) @ lag_weight
     s_mir = 1.0 - c_mir * (np.exp(-np.multiply.outer(y2 * c_mir, d2)) @ lag_weight)
-    return s_cav, s_mir
+    return 1.0 - 1.0 / (2.0 * p.n_bar + 1.0), s_cav, s_mir
 
 
 def normalized_mi_time(p: OptoUnitaryParams) -> float:
@@ -349,23 +346,20 @@ def normalized_mi_time(p: OptoUnitaryParams) -> float:
     return 1.0 - s_total / denom
 
 
-def averaged_mi(p: OptoUnitaryParams, n_steps: int = 256) -> float:
+def averaged_mi(p: OptoUnitaryParams) -> float:
     """Normalized MI averaged over one mirror period by composite trapezoid.
 
-    Convergence is asserted by doubling the grid; the doubled value is
-    returned.  Requires n_bar > 0 (at n_bar = 0 the t -> 0 limit is singular).
+    The grid starts at 256 intervals and doubles until two successive
+    averages agree within 5e-4 (relative above 1); the finer one is returned.
+    No agreement by MI_MAX_INTERVALS intervals raises TruncationError.
+    Requires n_bar > 0 (at n_bar = 0 the t -> 0 limit is singular).
     """
-    if n_steps < 64:
-        raise DomainError("n_steps must be >= 64")
     if p.n_bar <= 0.0:
         raise UndefinedMutualInfoError("averaged MI undefined at n_bar = 0 (t = 0 endpoint)")
-    cutoff = default_fock_cutoff(p.alpha)
-    _check_cutoff(p.alpha, cutoff)
-    s_total = 1.0 - 1.0 / (2.0 * p.n_bar + 1.0)
 
     def average(steps: int) -> float:
         t = np.linspace(0.0, 2.0 * math.pi, steps + 1)
-        s_cav, s_mir = _partial_entropies_vec(p, t, cutoff)
+        s_total, s_cav, s_mir = _linear_entropies(p, t)
         mi = np.empty_like(t)
         denom = s_cav + s_mir
         ok = denom > 1e-12
@@ -373,8 +367,11 @@ def averaged_mi(p: OptoUnitaryParams, n_steps: int = 256) -> float:
         mi[~ok] = 0.0  # t = 0 (mod 2 pi): product state, MI -> 0
         return float(np.trapezoid(mi, t) / (2.0 * math.pi))
 
-    coarse, fine = average(n_steps), average(2 * n_steps)
-    if abs(fine - coarse) > 5e-4 * max(1.0, abs(fine)):
-        raise TruncationError(
-            f"trapezoid average not converged: {coarse} vs {fine} at n_steps={n_steps}")
-    return fine
+    steps, fine = 256, average(256)
+    while steps < MI_MAX_INTERVALS:
+        steps, coarse = 2 * steps, fine
+        fine = average(steps)
+        if abs(fine - coarse) <= 5e-4 * max(1.0, abs(fine)):
+            return fine
+    raise TruncationError(
+        f"trapezoid average not converged: {coarse} vs {fine} at {steps} intervals")

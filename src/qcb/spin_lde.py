@@ -5,7 +5,8 @@ all temperatures.
 Probe operators are Pauli matrices (correlator <tau_a . tau_b> in [-3, 1]);
 bath spins are spin-1/2.  Ring susceptibilities are quoted in units of the
 non-universal bosonization amplitude over the Fermi velocity (both set to 1),
-and the ring formula is asymptotic in the probe separation.
+and the ring formula is asymptotic in the probe separation.  The AKLT
+susceptibility is the closed form of the single-mode approximation.
 """
 
 from __future__ import annotations
@@ -122,33 +123,13 @@ def _ring_integral(x: float) -> tuple[float, float]:
     return i1 + i2, e1 + e2
 
 
-def chi_aklt(r: int, method: str = "closed") -> float:
-    """Probe-probe response of the biquadratic spin-1 chain at separation r.
-
-    closed: (1/gap) (-1)^(r+1) (1 + 4r/3) exp(-r/xi);
-    numeric: single-mode-approximation integral over the magnon band
-    w_q = 5(5 + 3 cos q)/27 with weights a = -2/3, b = 80/81.
-    """
+def chi_aklt(r: int) -> float:
+    """Probe-probe response of the biquadratic spin-1 chain at separation r,
+    in closed form: (1/gap) (-1)^(r+1) (1 + 4r/3) exp(-r/xi)."""
     if r < 1:
         raise DomainError("separation r must be >= 1")
-    if method == "closed":
-        return (1.0 / AKLT_GAP) * (-1.0) ** (r + 1) * (1.0 + 4.0 * r / 3.0) \
-            * math.exp(-r / AKLT_XI)
-    if method == "numeric":
-        from scipy.integrate import quad
-
-        a, b = -2.0 / 3.0, 80.0 / 81.0
-
-        def integrand(q: float) -> float:
-            w = 5.0 * (5.0 + 3.0 * math.cos(q)) / 27.0
-            return math.cos(q * r) / w * (a + b / w) / (2.0 * math.pi)
-
-        val, _ = quad(integrand, -math.pi, math.pi, epsabs=1e-12, epsrel=1e-12,
-                      limit=400)
-        # overall -2: the structure-factor convolution carries a factor 2 and
-        # the sign convention is fixed so positive chi favors the singlet
-        return -2.0 * val
-    raise DomainError(f"unknown method {method!r}")
+    return (1.0 / AKLT_GAP) * (-1.0) ** (r + 1) * (1.0 + 4.0 * r / 3.0) \
+        * math.exp(-r / AKLT_XI)
 
 
 def effective_coupling(j_probe: float, chi: float) -> float:

@@ -1,6 +1,9 @@
-"""Random-state constructors and closed forms that only the tests use."""
+"""Random-state constructors, closed forms and reference integrals that
+only the tests use."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -91,3 +94,23 @@ def mirror_variances_zero_detuning(p: StationaryParams, big_g: float
     v11 = 0.5 + p.n_bar + g2 * (k + gm) / denom
     v22 = 0.5 + p.n_bar + g2 * k / denom
     return v11, v22
+
+
+def chi_aklt_sma(r: int) -> float:
+    """AKLT probe-probe response at separation r as the single-mode-approximation
+    integral over the magnon band w_q = 5(5 + 3 cos q)/27 with weights
+    a = -2/3, b = 80/81: the reference for the closed form ``spin_lde.chi_aklt``.
+    """
+    from scipy.integrate import quad
+
+    a, b = -2.0 / 3.0, 80.0 / 81.0
+
+    def integrand(q: float) -> float:
+        w = 5.0 * (5.0 + 3.0 * math.cos(q)) / 27.0
+        return math.cos(q * r) / w * (a + b / w) / (2.0 * math.pi)
+
+    val, _ = quad(integrand, -math.pi, math.pi, epsabs=1e-12, epsrel=1e-12,
+                  limit=400)
+    # overall -2: the structure-factor convolution carries a factor 2 and
+    # the sign convention is fixed so positive chi favors the singlet
+    return -2.0 * val

@@ -16,6 +16,7 @@ from qcb import ed as ed_mod
 from qcb import gaussian, optomech_stationary, optomech_unitary, qstate, spin_lde
 
 from random_states import (
+    chi_aklt_sma,
     mirror_variances_zero_detuning,
     random_density_matrix,
     random_physical_cov,
@@ -191,8 +192,7 @@ def test_criterion_08_aklt():
                       "chi(1) = 2.1 exactly", 1.0):
         assert abs(spin_lde.chi_aklt(1) - 2.1) <= 1e-12
         for r in range(1, 11):
-            assert abs(spin_lde.chi_aklt(r, "closed")
-                       - spin_lde.chi_aklt(r, "numeric")) <= 1e-6
+            assert abs(spin_lde.chi_aklt(r) - chi_aklt_sma(r)) <= 1e-6
 
 
 def test_criterion_09_thermal_threshold():

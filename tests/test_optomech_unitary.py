@@ -16,7 +16,7 @@ from qcb.optomech_unitary import (
     OptoUnitaryParams,
     SubspaceSelector,
     _check_cutoff,
-    _partial_entropies_vec,
+    _linear_entropies,
     _poisson_weights,
     averaged_mi,
     default_fock_cutoff,
@@ -418,7 +418,7 @@ class TestMutualInformation:
         for n_bar in (10.0, 1.0, 0.3):
             p = OptoUnitaryParams(k=1.0, alpha=alpha, n_bar=n_bar, t=0.0)
             t = np.linspace(0.0, 2.0 * math.pi, 257)
-            got = _partial_entropies_vec(p, t, cutoff)
+            got = _linear_entropies(p, t)[1:]
             want = double_sum_partial_entropies(p, t, cutoff)
             for g, w in zip(got, want):
                 assert np.max(np.abs(g - w)) < 1e-13
@@ -458,6 +458,20 @@ class TestMutualInformation:
     def test_averaged_value_headline(self):
         p = OptoUnitaryParams(k=1.0, alpha=10.0, n_bar=10.0, t=0.0)
         assert abs(averaged_mi(p) - 0.52) <= 0.02
+
+    def test_averaged_grid_sizes_itself(self):
+        # 256 and 512 intervals disagree here; the grid keeps doubling
+        p = OptoUnitaryParams(k=20.0, alpha=3.0, n_bar=0.1, t=0.0)
+        t = np.linspace(0.0, 2.0 * math.pi, 8193)
+        s_total, s_cav, s_mir = _linear_entropies(p, t)
+        reference = np.trapezoid(1.0 - s_total / (s_cav + s_mir), t) / (2.0 * math.pi)
+        assert abs(averaged_mi(p) - reference) <= 5e-4
+
+    def test_averaged_refuses_beyond_the_finest_grid(self, monkeypatch):
+        # the same parameters with 512 intervals as the finest grid
+        monkeypatch.setattr("qcb.optomech_unitary.MI_MAX_INTERVALS", 512)
+        with pytest.raises(TruncationError, match="at 512 intervals"):
+            averaged_mi(OptoUnitaryParams(k=20.0, alpha=3.0, n_bar=0.1, t=0.0))
 
     def test_averaged_requires_thermal_mirror(self):
         with pytest.raises(UndefinedMutualInfoError):

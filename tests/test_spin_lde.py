@@ -22,6 +22,8 @@ from qcb.spin_lde import (
     probe_state_thermal,
 )
 
+from random_states import chi_aklt_sma
+
 CHAIN_ROW = CanonicalParams(5.07e-4, 1.03e-2, 6.23e-4)       # table: spin chain
 SQUARE_ROW = CanonicalParams(3.04e-3, 1.46e-1, -1.34e-2)     # table: square lattice
 
@@ -78,7 +80,7 @@ class TestAkltSusceptibility:
 
     def test_closed_matches_numeric(self):
         for r in range(1, 11):
-            assert abs(chi_aklt(r) - chi_aklt(r, "numeric")) <= 1e-6
+            assert abs(chi_aklt(r) - chi_aklt_sma(r)) <= 1e-6
 
     def test_sign_alternation(self):
         for r in range(1, 9):
