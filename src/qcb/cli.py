@@ -35,7 +35,17 @@ def _checked(convert, ok, what: str):
     return parse
 
 
-_count = _checked(int, lambda n: n >= 0, "an integer >= 0")
+# Most cells (rows x columns) of a table, some 70 GB of text: a table flag
+# beyond it is a usage error; a smaller table too big for memory exits 3.
+MAX_TABLE_CELLS = 2**32
+
+
+def _rows(columns: int, power: int = 1):
+    """argparse type of a table-size flag N: N**power rows of ``columns`` cells."""
+    return _checked(int, lambda n: n >= 0 and n**power * columns <= MAX_TABLE_CELLS,
+                    f"an integer >= 0 giving at most {MAX_TABLE_CELLS} table cells")
+
+
 _finite = _checked(float, math.isfinite, "a finite number")
 _positive = _checked(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
 _nonnegative = _checked(float, lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
@@ -99,8 +109,12 @@ def _config_defaults(sub: argparse.ArgumentParser, text: str) -> None:
         sub.set_defaults(**{action.dest: value})
 
 
-def _config_dict(args, keys):
-    return {k: getattr(args, k) for k in keys}
+def _table(args, table, keys, **config) -> str:
+    """The text of every column of ``table`` (a dict, or a record array), its
+    config the values of the flags ``keys`` and the items ``config``."""
+    columns = list(table.dtype.names if isinstance(table, np.ndarray) else table)
+    return export_table(table, columns, {k: getattr(args, k) for k in keys} | config,
+                        fmt=args.format)
 
 
 def _line(**values) -> str:
@@ -127,13 +141,9 @@ def _cmd_werner(args) -> str:
     if args.grid is not None:
         _refuse_with(args, "--grid", "--f")
         fs = np.linspace(-1.0, 1.0 / 3.0, args.grid)
-        rows = []
-        for f in fs:
-            n, en = qstate.negativity(qstate.werner_state(float(f)))
-            rows.append({"f": float(f), "N": n, "EN": en})
-        return export_table(rows, ["f", "N", "EN"],
-                            _config_dict(args, ["grid"]) | {"command": "werner"},
-                            fmt=args.format)
+        n, en = np.reshape([qstate.negativity(qstate.werner_state(f))
+                            for f in fs.tolist()], (-1, 2)).T
+        return _table(args, {"f": fs, "N": n, "EN": en}, ["grid"], command="werner")
     _refuse_json(args, "add --grid N")
     if args.f is None:
         args.sub.error("provide --f or --grid")
@@ -147,16 +157,14 @@ def _cmd_werner(args) -> str:
 def _cmd_gaussian(args) -> str:
     if args.grid is not None:
         _refuse_with(args, "--grid", "--r", "--theta", "--n-bar")
-        grid = [(float(r), float(nb)) for r in np.linspace(0.0, args.r_max, args.grid)
-                for nb in np.linspace(0.0, args.nbar_max, args.grid)]
+        rs = np.repeat(np.linspace(0.0, args.r_max, args.grid), args.grid).tolist()
+        nbs = np.tile(np.linspace(0.0, args.nbar_max, args.grid), args.grid).tolist()
         covs = np.array([gaussian.two_mode_squeezed_thermal_cov(r, 0.0, nb).cov
-                         for r, nb in grid]).reshape(-1, 4, 4)
-        rows = [{"r": r, "n_bar": nb, "EN": en,
-                 "EN_closed": max(0.0, 2.0 * r - math.log(2.0 * nb + 1.0))}
-                for (r, nb), en in zip(grid, gaussian.logneg_gaussian(covs).tolist())]
-        return export_table(rows, ["r", "n_bar", "EN", "EN_closed"],
-                            _config_dict(args, ["grid", "r_max", "nbar_max"])
-                            | {"command": "gaussian"}, fmt=args.format)
+                         for r, nb in zip(rs, nbs)]).reshape(-1, 4, 4)
+        table = {"r": rs, "n_bar": nbs, "EN": gaussian.logneg_gaussian(covs),
+                 "EN_closed": [max(0.0, 2.0 * r - math.log(2.0 * nb + 1.0))
+                               for r, nb in zip(rs, nbs)]}
+        return _table(args, table, ["grid", "r_max", "nbar_max"], command="gaussian")
     _refuse_json(args, "add --grid N")
     r, theta, n_bar = (d if x is None else x for x, d in
                        ((args.r, 1.0), (args.theta, 0.0), (args.n_bar, 0.0)))
@@ -179,12 +187,11 @@ def _cmd_optomech_unitary(args) -> str:
     sel = optomech_unitary.SubspaceSelector(
         *(tuple(int(n) for n in t.split(",")) for t in (args.cavity, args.mirror)))
     if args.sweep_t is not None:
-        rows = [{"t": float(t),
-                 "marker": optomech_unitary.marker_upsilon(replace(p, t=float(t)), sel)}
-                for t in np.linspace(0.0, 2.0 * math.pi, args.sweep_t)]
-        cfg = _config_dict(args, ["k", "alpha", "n_bar", "cavity", "mirror"])
-        return export_table(rows, ["t", "marker"], cfg | {"command": "optomech-unitary"},
-                            fmt=args.format)
+        ts = np.linspace(0.0, 2.0 * math.pi, args.sweep_t)
+        table = {"t": ts, "marker": [optomech_unitary.marker_upsilon(replace(p, t=t), sel)
+                                     for t in ts.tolist()]}
+        return _table(args, table, ["k", "alpha", "n_bar", "cavity", "mirror"],
+                      command="optomech-unitary")
     if q == "marker":
         return _line(marker=optomech_unitary.marker_upsilon(p, sel))
     if q == "tangle":
@@ -209,13 +216,10 @@ def _cmd_optomech_steady(args) -> str:
         temperature=args.temperature, wavelength=args.wavelength,
         finesse=args.finesse, kappa=args.kappa, omega_m=2.0 * math.pi * args.fm)
     xs = np.linspace(args.dmin, args.dmax, args.steps)
-    rows = optomech_stationary.detuning_sweep(p, xs)
-    cfg = _config_dict(args, ["length", "mass", "power", "quality", "temperature",
-                              "wavelength", "finesse", "fm", "dmin", "dmax", "steps"])
-    cfg |= {"command": "optomech-steady", "kappa": p.kappa, "n_bar": p.n_bar,
-            "g": p.g, "drive_E": p.drive_E}
-    return export_table(rows, list(optomech_stationary.SWEEP_COLUMNS), cfg,
-                        fmt=args.format)
+    return _table(args, optomech_stationary.detuning_sweep(p, xs),
+                  ["length", "mass", "power", "quality", "temperature", "wavelength",
+                   "finesse", "fm", "dmin", "dmax", "steps"], command="optomech-steady",
+                  kappa=p.kappa, n_bar=p.n_bar, g=p.g, drive_E=p.drive_E)
 
 
 # ------------------------------------------------------------------------ lde
@@ -235,41 +239,34 @@ def _cmd_lde_chi(args) -> str:
 def _cmd_lde_thermal(args) -> str:
     cp = spin_lde.CanonicalParams(args.jcan, args.phi, args.eta)
     temps = np.geomspace(args.tmin, args.tmax, args.steps)
-    rows = []
-    for t in temps:
-        beta = 1.0 / float(t)
-        c = spin_lde.correlator_of_beta(cp, beta)
-        rows.append({"kT": float(t), "beta": beta,
-                     "J_ab": spin_lde.jab_of_beta(cp, beta),
-                     "correlator": c,
-                     "concurrence": qstate.concurrence_from_correlator(c)})
+    betas = [1.0 / t for t in temps.tolist()]
+    corrs = [spin_lde.correlator_of_beta(cp, beta) for beta in betas]
+    table = {"kT": temps, "beta": betas,
+             "J_ab": [spin_lde.jab_of_beta(cp, beta) for beta in betas],
+             "correlator": corrs,
+             "concurrence": [qstate.concurrence_from_correlator(c) for c in corrs]}
     ct = spin_lde.critical_temperature(cp)
-    cfg = _config_dict(args, ["jcan", "phi", "eta", "tmin", "tmax", "steps"])
-    cfg |= {"command": "lde-thermal",
-            "kT_star_exact": float("nan") if ct.kT_exact is None else ct.kT_exact,
-            "kT_star_estimate": ct.kT_estimate}
-    return export_table(rows, ["kT", "beta", "J_ab", "correlator", "concurrence"],
-                        cfg, fmt=args.format)
+    return _table(args, table, ["jcan", "phi", "eta", "tmin", "tmax", "steps"],
+                  command="lde-thermal", kT_star_estimate=ct.kT_estimate,
+                  kT_star_exact=float("nan") if ct.kT_exact is None else ct.kT_exact)
 
 
 def _cmd_lde_fit(args) -> str:
-    config, columns, rows = read_table(args.infile)
+    _, columns, table = read_table(args.infile)
     if "beta" in columns:
-        betas = [row["beta"] for row in rows]
+        betas = table["beta"]
     elif "kT" in columns:
         # a cell that is no number, or 0, goes to the fit as it is, to be refused
-        betas = [1.0 / t if isinstance(t, float) and t else t
-                 for t in (row["kT"] for row in rows)]
+        betas = [1.0 / t if isinstance(t, float) and t else t for t in table["kT"]]
     else:
         raise QcbError("fit input needs a 'beta' or 'kT' column")
     col = "correlator" if args.kind == "correlator" else "J_ab"
     if col not in columns:
         raise QcbError(f"fit input lacks a {col!r} column")
-    fit = spin_lde.fit_canonical_params(
-        [(b, row[col]) for b, row in zip(betas, rows)], kind=args.kind)
+    fit = spin_lde.fit_canonical_params(list(zip(betas, table[col])), kind=args.kind)
     return _json({"J_can": fit.params.J_can, "Phi": fit.params.Phi,
                   "eta": fit.params.eta, "rms_residual": fit.rms_residual,
-                  "n_points": len(rows)})
+                  "n_points": len(betas)})
 
 
 # ------------------------------------------------------------------------- ed
@@ -292,13 +289,10 @@ def _cmd_ed_run(args) -> str:
         temps = np.array([float(t) for t in args.temps.split(",")])
     betas = 1.0 / temps
     corrs = ed_mod.thermal_correlator_exact(spec, betas, spectrum=spectrum)
-    rows = [{"kT": float(t), "beta": float(b), "correlator": float(c),
-             "concurrence": qstate.concurrence_from_correlator(float(c))}
-            for t, b, c in zip(temps, betas, corrs)]
-    cfg = _config_dict(args, ["lattice", "L", "alpha", "probes", "temps"])
-    cfg |= {"command": "ed-run", "J_can_exact": j_can, "robust_gap": gap}
-    return export_table(rows, ["kT", "beta", "correlator", "concurrence"],
-                        cfg, fmt=args.format)
+    table = {"kT": temps, "beta": betas, "correlator": corrs,
+             "concurrence": [qstate.concurrence_from_correlator(c) for c in corrs.tolist()]}
+    return _table(args, table, ["lattice", "L", "alpha", "probes", "temps"],
+                  command="ed-run", J_can_exact=j_can, robust_gap=gap)
 
 
 def _cmd_ed_report(args) -> str:
@@ -324,14 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("werner", help="Werner-family negativity")
     p.add_argument("--f", type=_finite, default=None)
-    p.add_argument("--grid", type=_count, default=None)
+    p.add_argument("--grid", type=_rows(3), default=None)
     common(p, _cmd_werner)
 
     p = sub.add_parser("gaussian", help="two-mode squeezed thermal log-negativity")
     p.add_argument("--r", type=_finite, default=None, help="default 1 (not with --grid)")
     p.add_argument("--theta", type=_finite, default=None, help="default 0 (not with --grid)")
     p.add_argument("--n-bar", type=_finite, default=None, help="default 0 (not with --grid)")
-    p.add_argument("--grid", type=_count, default=None)
+    p.add_argument("--grid", type=_rows(4, power=2), default=None)
     p.add_argument("--r-max", type=_finite, default=2.0)
     p.add_argument("--nbar-max", type=_finite, default=3.0)
     common(p, _cmd_gaussian)
@@ -346,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_finite, default=math.pi)
     p.add_argument("--cavity", type=_levels, default="0,1")
     p.add_argument("--mirror", type=_levels, default="0,1")
-    p.add_argument("--sweep-t", type=_count, default=None)
+    p.add_argument("--sweep-t", type=_rows(2), default=None)
     common(p, _cmd_optomech_unitary)
 
     p = sub.add_parser("optomech-steady", help="driven-cavity detuning sweep")
@@ -362,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cavity decay [rad/s] (default: pi c / (length finesse))")
     p.add_argument("--dmin", type=_finite, default=0.2)
     p.add_argument("--dmax", type=_finite, default=3.0)
-    p.add_argument("--steps", type=_count, default=57)
+    p.add_argument("--steps", type=_rows(len(optomech_stationary.SWEEP_COLUMNS)), default=57)
     common(p, _cmd_optomech_steady)
 
     p = sub.add_parser("lde", help="spin-bus long-distance entanglement")
@@ -378,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--eta", type=_finite, default=0.0)
     q.add_argument("--tmin", type=_positive, help=needed)
     q.add_argument("--tmax", type=_positive, help=needed)
-    q.add_argument("--steps", type=_count, default=12)
+    q.add_argument("--steps", type=_rows(5), default=12)
     common(q, _cmd_lde_thermal, "--jcan", "--tmin", "--tmax")
     q = lde_sub.add_parser("fit", help="fit canonical parameters to data (JSON)")
     q.add_argument("--in", dest="infile", help=needed)

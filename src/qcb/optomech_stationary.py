@@ -2,10 +2,10 @@
 diffusion, Routh-Hurwitz stability, Lyapunov covariance, and the stationary
 entanglement / effective-occupancy figures of merit.
 
-A detuning sweep is one array pass with one stacked Lyapunov solve over its
-stable points; the one-point functions share its drift-matrix, Routh-Hurwitz
-and covariance bodies, so a sweep row and :func:`stationary_point` agree bit
-for bit.
+A detuning sweep is one array pass, a structured array of columns, with one
+stacked Lyapunov solve over the points that Routh-Hurwitz proves stable; the
+one-point functions share its drift-matrix, Routh-Hurwitz and covariance
+bodies, so a sweep record and :func:`stationary_point` agree bit for bit.
 
 Fluctuation basis is (dq, dp, dX, dY): mirror position/momentum followed by
 the cavity quadratures, matching the quadrature conventions of
@@ -246,11 +246,15 @@ def lyapunov_solve(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or d.shape != a.shape:
         raise DomainError("A and D must be square matrices of equal size")
-    n = a.shape[-1]
     unstable = np.max(np.linalg.eigvals(a).real, axis=-1) >= 0.0
     if unstable.any():
         raise at_first(StabilityError("drift matrix is not strictly stable"), unstable)
+    return _solve_lyapunov(a, d)
 
+
+def _solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """:func:`lyapunov_solve` past its checks, for stacks of known-stable A."""
+    n = a.shape[-1]
     # (A V + V A^T)_ij = sum_k A_ik V_kj + A_jk V_ik: tally[r, c, x, y] counts
     # how often A_xy multiplies unknown c in equation r (at most twice).
     i, j = np.triu_indices(n)
@@ -292,16 +296,19 @@ class StationaryResult:
 def _covariance(p: StationaryParams, delta, big_g):
     """(V, E_N, n_eff) over the shape of ``delta`` and ``big_g`` [rad/s]:
     the steady covariance on omega_m-normalized rates, its log-negativity and
-    the effective mirror occupancy (V11 + V22)/2 - 1/2."""
-    v = lyapunov_solve(*_drift_diffusion(p, delta, big_g, p.omega_m))
+    the effective mirror occupancy (V11 + V22)/2 - 1/2, at Routh-Hurwitz
+    stable points only."""
+    v = _solve_lyapunov(*_drift_diffusion(p, delta, big_g, p.omega_m))
     return v, logneg_gaussian(v), 0.5 * (v[..., 0, 0] + v[..., 1, 1]) - 0.5
 
 
 def stationary_point(p: StationaryParams, s: SteadyState) -> StationaryResult:
-    """Covariance, log-negativity and effective mirror occupancy at a branch
-    (the one-point reference that :func:`detuning_sweep` matches bit for bit)."""
+    """Covariance, log-negativity and effective mirror occupancy at a stable
+    branch (the one-point reference that :func:`detuning_sweep` matches)."""
+    stable, s1, s2 = stability_check(p, s)
+    if not stable:
+        raise StabilityError("drift matrix is not strictly stable (Routh-Hurwitz)")
     v, en, n_eff = _covariance(p, s.Delta_eff, s.G)
-    _, s1, s2 = stability_check(p, s)
     return StationaryResult(E_N=en, n_eff=float(n_eff), cov=v, steady=s, S1=s1, S2=s2)
 
 
@@ -318,14 +325,13 @@ SWEEP_COLUMNS = ("Delta_over_wm", "alpha_s", "G", "S1", "S2", "stable", "EN",
                  "n_eff") + tuple(f"V{i}{j}" for i in range(1, 5) for j in range(1, 5))
 
 
-def detuning_sweep(p: StationaryParams, deltas_over_wm) -> list[dict]:
-    """Per-detuning record of the quantities emitted by the CLI sweep, keyed
-    by :data:`SWEEP_COLUMNS` (V is the 4 x 4 covariance).
-
-    One array pass over the detuning axis and one stacked
-    :func:`lyapunov_solve` over its stable points; each row has the bits of
-    :func:`stationary_point` at that point.  A failed check names the
-    Delta/omega_m of the first failing point.
+def detuning_sweep(p: StationaryParams, deltas_over_wm) -> np.ndarray:
+    """The CLI sweep as a record array, one record per detuning with the
+    fields :data:`SWEEP_COLUMNS` (``stable`` an int, the rest floats, NaN
+    where unstable; V is the 4 x 4 covariance): ``sweep["EN"]`` is a column
+    and ``sweep[i]["EN"]`` a cell.  Each stable record has the bits of
+    :func:`stationary_point`; a failed residual check names the Delta/omega_m
+    of the first failing point.
     """
     xs = np.atleast_1d(np.asarray(deltas_over_wm, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -349,7 +355,5 @@ def detuning_sweep(p: StationaryParams, deltas_over_wm) -> list[dict]:
                 raise
             raise type(exc)(
                 f"{exc} at Delta/omega_m = {xs[stable][exc.index]:.12g}") from exc
-    table = zip(xs.tolist(), alpha_s.tolist(), big_g.tolist(), s1.tolist(),
-                s2.tolist(), stable.astype(int).tolist(), en.tolist(), n_eff.tolist(),
-                *cov.reshape(-1, 16).T.tolist())
-    return [dict(zip(SWEEP_COLUMNS, row)) for row in table]
+    return np.rec.fromarrays((xs, alpha_s, big_g, s1, s2, stable.astype(int), en, n_eff,
+                              *cov.reshape(-1, 16).T), names=SWEEP_COLUMNS)

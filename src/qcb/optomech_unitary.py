@@ -298,11 +298,20 @@ def _check_cutoff(alpha: complex, cutoff: int) -> None:
 
 def linear_entropies_closed(p: OptoUnitaryParams) -> tuple[float, float, float]:
     """(S_total, S_cavity, S_mirror) linear entropies at ``p.t``, S := 1 - Tr rho^2."""
-    s_total, s_cav, s_mir = _linear_entropies(p, np.array([p.t]))
+    s_total, s_cav, s_mir = _linear_entropies(p, np.array([p.t]), _lag_weights(p.alpha))
     return s_total, float(s_cav[0]), float(s_mir[0])
 
 
-def _linear_entropies(p: OptoUnitaryParams, t: np.ndarray
+def _lag_weights(alpha: complex) -> np.ndarray:
+    """r[0], 2 r[1], ..., 2 r[cutoff]: the lag weights of :func:`_linear_entropies`."""
+    cutoff = default_fock_cutoff(alpha)
+    _check_cutoff(alpha, cutoff)
+    w = _poisson_weights(alpha, cutoff)
+    r = np.correlate(w, w, mode="full")[cutoff:]
+    return np.concatenate((r[:1], 2.0 * r[1:]))
+
+
+def _linear_entropies(p: OptoUnitaryParams, t: np.ndarray, lag_weight: np.ndarray
                       ) -> tuple[float, np.ndarray, np.ndarray]:
     """(S_total, S_cavity, S_mirror) at the times ``t``.
 
@@ -319,13 +328,7 @@ def _linear_entropies(p: OptoUnitaryParams, t: np.ndarray
 
     One (T, cutoff + 1) exponential matrix per factor c, times a vector.
     """
-    cutoff = default_fock_cutoff(p.alpha)
-    _check_cutoff(p.alpha, cutoff)
-    w = _poisson_weights(p.alpha, cutoff)
-    r = np.correlate(w, w, mode="full")[cutoff:]
-    lag_weight = 2.0 * r
-    lag_weight[0] = r[0]
-    d2 = np.arange(cutoff + 1) ** 2
+    d2 = np.arange(lag_weight.size) ** 2
     y2 = (p.k**2) * np.abs(eta(t)) ** 2  # |k eta(t)|^2, shape of t
     c_cav = 1.0 + 2.0 * p.n_bar
     c_mir = 1.0 / (1.0 + 2.0 * p.n_bar)
@@ -356,10 +359,11 @@ def averaged_mi(p: OptoUnitaryParams) -> float:
     """
     if p.n_bar <= 0.0:
         raise UndefinedMutualInfoError("averaged MI undefined at n_bar = 0 (t = 0 endpoint)")
+    lag_weight = _lag_weights(p.alpha)
 
     def average(steps: int) -> float:
         t = np.linspace(0.0, 2.0 * math.pi, steps + 1)
-        s_total, s_cav, s_mir = _linear_entropies(p, t)
+        s_total, s_cav, s_mir = _linear_entropies(p, t, lag_weight)
         mi = np.empty_like(t)
         denom = s_cav + s_mir
         ok = denom > 1e-12

@@ -1,8 +1,9 @@
 """Deterministic CSV/JSON emission for sweep results.
 
-CSV files carry the fully resolved run configuration as ``# key=value``
-comment lines before the header row; floats are printed with 12 significant
-digits so that parse -> re-emit round-trips byte-identically.
+A table is named columns, ``table[name]``: a dict of lists or arrays, or a
+structured array.  CSV files carry the resolved run configuration as
+``# key=value`` comment lines before the header row; floats are printed with
+12 significant digits so that parse -> re-emit round-trips byte-identically.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ def fmt_value(v) -> str:
     return _spec(type(v)) % (v,)
 
 
-def _row_formats(rows, columns):
-    """Yield (conversions, cells) per row, the cells in column order.  The
-    conversions are worked out once per sequence of cell types, so a table
-    of homogeneous rows has one."""
+def _row_formats(table, columns):
+    """Yield (conversions, cells) per row, the cells in column order (Python
+    scalars: ``tolist`` of an array column).  The conversions are worked out
+    once per sequence of cell types, so a table of homogeneous columns has one."""
     formats: dict = {}
-    for row in rows:
-        cells = tuple(map(row.__getitem__, columns))
+    cols = (table[c] for c in columns)
+    for cells in zip(*(c.tolist() if hasattr(c, "tolist") else c for c in cols)):
         kinds = tuple(map(type, cells))
         if kinds not in formats:
             specs = tuple(map(_spec, kinds))
@@ -42,10 +43,10 @@ def _row_formats(rows, columns):
         yield formats[kinds], cells
 
 
-def export_table(rows, columns, config=None, fmt="csv") -> str:
-    """The text of a table of row dicts, their cells taken in ``columns``
-    order, with the ``config`` items as sorted ``# key=value`` header lines
-    (CSV) or a ``config`` object (JSON).
+def export_table(table, columns, config=None, fmt="csv") -> str:
+    """The text of the ``columns`` of ``table``, in that order, with the
+    ``config`` items as sorted ``# key=value`` header lines (CSV) or a
+    ``config`` object (JSON).
 
     Every cell reads as :func:`fmt_value` writes it.  A CSV row is rendered
     with one %-template (its conversions joined by commas) and a JSON row
@@ -53,7 +54,7 @@ def export_table(rows, columns, config=None, fmt="csv") -> str:
     caller's step (:func:`write_text`).
     """
     config = dict(config or {})
-    typed_rows = _row_formats(rows, columns)
+    typed_rows = _row_formats(table, columns)
     if fmt == "csv":
         lines = [f"# {k}={fmt_value(v)}" for k, v in sorted(config.items())]
         lines.append(",".join(columns))
@@ -90,20 +91,17 @@ def read_text(path) -> str:
         raise QcbError(f"cannot read {path}: {exc}") from exc
 
 
-def read_table(path) -> tuple[dict, list[str], list[dict]]:
+def read_table(path) -> tuple[dict, list[str], dict]:
     """Parse a CSV written by :func:`export_table`.
 
-    Returns (config, columns, rows); numeric cells come back as floats.
-    Unreadable paths, and a row whose cell count differs from the header's,
-    raise QcbError.
+    Returns (config, columns, table), the table a dict of column lists;
+    numeric cells come back as floats.  Unreadable paths, and a row whose
+    cell count differs from the header's, raise QcbError.
     """
-    lines = read_text(path).split("\n")
     config: dict = {}
     columns: list[str] = []
-    rows: list[dict] = []
-    for line in lines:
-        if not line:
-            continue
+    rows: list[list] = []
+    for line in filter(None, read_text(path).split("\n")):
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body:
@@ -117,8 +115,8 @@ def read_table(path) -> tuple[dict, list[str], list[dict]]:
         if len(cells) != len(columns):
             raise QcbError(f"{path}: a row of {len(cells)} cells under a header "
                            f"of {len(columns)}")
-        rows.append({c: _maybe_number(x) for c, x in zip(columns, cells)})
-    return config, columns, rows
+        rows.append(list(map(_maybe_number, cells)))
+    return config, columns, {c: [row[i] for row in rows] for i, c in enumerate(columns)}
 
 
 def _maybe_number(s: str):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcb.cli import main
+from qcb.cli import MAX_TABLE_CELLS, _parser, main
 from qcb.output import export_table, fmt_value, read_table, write_text
 
 
@@ -61,6 +61,28 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "usage:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gaussian", "--grid", "100000"],
+        ["optomech-steady", "--steps", "1000000000"],
+        ["werner", "--grid", str(MAX_TABLE_CELLS // 3 + 1)],
+        ["optomech-unitary", "--sweep-t", str(MAX_TABLE_CELLS // 2 + 1)],
+        ["lde", "thermal", "--jcan", "1", "--tmin", "0.1", "--tmax", "1",
+         "--steps", str(MAX_TABLE_CELLS // 5 + 1)],
+    ])
+    def test_oversized_table_rejected_at_parse_time(self, capsys, argv):
+        # more than MAX_TABLE_CELLS cells: a usage error before any allocation
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "table cells" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gaussian", "--grid", "1000"],
+        ["optomech-steady", "--steps", "1000000"],
+        ["werner", "--grid", str(MAX_TABLE_CELLS // 3)],
+    ])
+    def test_large_tables_within_the_bound_parse(self, argv):
+        assert _parser().parse_args(argv).run is not None
 
     @pytest.mark.parametrize("argv", [
         ["lde", "chi", "--model", "aklt", "--r", "1", "--method", "numeric"],
@@ -165,11 +187,11 @@ class TestWerner:
         out = tmp_path / "w.csv"
         code, _, _ = run(capsys, "werner", "--grid", "10", "--out", str(out))
         assert code == 0
-        config, columns, rows = read_table(out)
+        config, columns, table = read_table(out)
         assert columns == ["f", "N", "EN"]
-        assert len(rows) == 10
-        assert abs(rows[0]["N"] - 0.5) < 1e-12   # f = -1
-        assert rows[-1]["N"] == 0.0              # f = 1/3
+        assert len(table["N"]) == 10
+        assert abs(table["N"][0] - 0.5) < 1e-12   # f = -1
+        assert table["N"][-1] == 0.0              # f = 1/3
 
 
 class TestLde:
@@ -186,9 +208,9 @@ class TestLde:
                          "--phi", "0.01", "--eta", "0", "--tmin", "1e-4",
                          "--tmax", "1e-2", "--steps", "8", "--out", str(out))
         assert code == 0
-        config, columns, rows = read_table(out)
+        config, columns, table = read_table(out)
         assert columns == ["kT", "beta", "J_ab", "correlator", "concurrence"]
-        assert len(rows) == 8
+        assert len(table["kT"]) == 8
         assert "kT_star_exact" in config
 
     def test_thermal_never_entangled_an_ulp_from_minus_one(self):
@@ -239,9 +261,9 @@ class TestEd:
         code, _, _ = run(capsys, "ed", "run", "--L", "6", "--alpha", "0.08",
                          "--out", str(out))
         assert code == 0
-        config, columns, rows = read_table(out)
+        config, columns, table = read_table(out)
         assert columns == ["kT", "beta", "correlator", "concurrence"]
-        assert len(rows) == 12
+        assert len(table["kT"]) == 12
         assert config["J_can_exact"] > 0
         code, rep, _ = run(capsys, "ed", "report", "--L", "6", "--alpha", "0.08",
                            "--probes", "1,4")
@@ -257,11 +279,11 @@ class TestOptomechUnitary:
                          "--k", "0.3", "--alpha", "0.9", "--n-bar", "0",
                          "--sweep-t", "9", "--out", str(out))
         assert code == 0
-        _, columns, rows = read_table(out)
+        _, columns, table = read_table(out)
         assert columns == ["t", "marker"]
-        assert len(rows) == 9
-        assert abs(rows[0]["marker"]) < 1e-20        # t = 0: product state
-        assert max(r["marker"] for r in rows) > 0.0  # entangled in between
+        assert len(table["marker"]) == 9
+        assert abs(table["marker"][0]) < 1e-20  # t = 0: product state
+        assert max(table["marker"]) > 0.0       # entangled in between
 
     def test_mi_average_print(self, capsys):
         code, out, _ = run(capsys, "optomech-unitary", "--quantity",
@@ -276,12 +298,12 @@ class TestOptomechSteady:
         code, _, _ = run(capsys, "optomech-steady", "--steps", "4",
                          "--dmin", "0.5", "--dmax", "2.0", "--out", str(out))
         assert code == 0
-        _, columns, rows = read_table(out)
+        _, columns, table = read_table(out)
         want = ["Delta_over_wm", "alpha_s", "G", "S1", "S2", "stable", "EN",
                 "n_eff"] + [f"V{i}{j}" for i in range(1, 5) for j in range(1, 5)]
         assert columns == want
-        assert len(rows) == 4
-        assert all(r["stable"] == 1 for r in rows)
+        assert len(table["stable"]) == 4
+        assert all(s == 1 for s in table["stable"])
 
     def test_zero_steps_header_only(self, capsys):
         code, out, _ = run(capsys, "optomech-steady", "--steps", "0")
@@ -310,12 +332,20 @@ class TestDeterminismAndRoundTrip:
     def test_csv_parse_reemit_byte_identical(self, tmp_path, capsys):
         src = tmp_path / "src.csv"
         run(capsys, "werner", "--grid", "25", "--out", str(src))
-        config, columns, rows = read_table(src)
-        text = export_table(rows, columns, config)
+        config, columns, table = read_table(src)
+        text = export_table(table, columns, config)
         assert text.encode() == src.read_bytes()
 
+    def test_structured_array_reads_as_its_columns(self):
+        # a structured array and a dict of the same columns give one text
+        cols = {"x": [0.1, -0.0, math.nan, 1e300], "stable": [1, 0, 0, 1]}
+        records = np.rec.fromarrays(list(cols.values()), names=list(cols))
+        for fmt in ("csv", "json"):
+            assert (export_table(records, ["stable", "x"], {"n": 4}, fmt)
+                    == export_table(cols, ["stable", "x"], {"n": 4}, fmt))
+
     def test_empty_rows_header_only(self):
-        assert export_table([], ["a", "b"], {"seed": 1}) == "# seed=1\na,b\n"
+        assert export_table({"a": [], "b": []}, ["a", "b"], {"seed": 1}) == "# seed=1\na,b\n"
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "werner", "--grid", "3", "--format", "json")
@@ -468,10 +498,10 @@ class TestFormatting:
         """The row templates give each cell the text of fmt_value, in CSV and
         JSON, over floats (nan, +-inf, +-0.0, subnormals, +-1e300), numpy
         float64, bools, ints and strings, homogeneous rows or not."""
-        rows = [dict(zip("abc", cells)) for cells in table]
-        csv_rows = export_table(rows, ["a", "b", "c"]).splitlines()[1:]
+        columns = {c: [cells[i] for cells in table] for i, c in enumerate("abc")}
+        csv_rows = export_table(columns, ["a", "b", "c"]).splitlines()[1:]
         assert csv_rows == [",".join(map(reference_cell, cells)) for cells in table]
-        payload = json.loads(export_table(rows, ["a", "b", "c"], fmt="json"))
+        payload = json.loads(export_table(columns, ["a", "b", "c"], fmt="json"))
         assert payload["rows"] == [list(map(reference_cell, cells)) for cells in table]
         assert all(fmt_value(v) == reference_cell(v) for cells in table for v in cells)
 
@@ -479,7 +509,7 @@ class TestFormatting:
         from qcb.exceptions import QcbError
 
         with pytest.raises(QcbError):
-            write_text("/nonexistent-dir/x.csv", export_table([{"a": 1}], ["a"]))
+            write_text("/nonexistent-dir/x.csv", export_table({"a": [1]}, ["a"]))
 
 
 # ------------------------------------------------------------- argv fuzzing

@@ -3,7 +3,9 @@
 ``golden/NN.stdout`` holds the standard output of the NN-th command of the
 README's "Command line" section and ``golden/<name>`` each ``--out`` file it
 writes; ``sweep5.json`` and ``en_grid3.json`` hold the JSON tables of a short
-detuning sweep and a squeezed-thermal grid.  Every printed digit (qubit and
+detuning sweep and a squeezed-thermal grid, and ``sweep150.csv`` and
+``sweep150.json`` a 150 mW sweep whose unstable points (about four in five)
+print ``stable=0`` and NaN cells.  Every printed digit (qubit and
 Gaussian measures, the exact cavity-mirror model, the steady-state sweep,
 the spin-bus quadratures and the ED engine) must stay the same through any
 rewrite of the numerics or of the table writer.
@@ -48,6 +50,9 @@ SINGLE_CASES = [(f"{i:02d}.stdout", cmd) for i, cmd in enumerate(README_COMMANDS
                 if i not in (8, 12, 13, 14)] + [
     ("sweep5.json", "optomech-steady --steps 5 --format json"),
     ("en_grid3.json", "gaussian --grid 3 --format json"),
+    ("sweep150.csv", "optomech-steady --dmin 0.2 --dmax 3.0 --steps 281 --power 0.15"),
+    ("sweep150.json",
+     "optomech-steady --dmin 0.2 --dmax 3.0 --steps 281 --power 0.15 --format json"),
 ]
 
 # The README commands that print one line instead of writing a table.

@@ -310,6 +310,46 @@ class TestStationaryEntanglement:
         with pytest.raises(StabilityError):
             steady_entanglement(fig_params())
 
+    def test_stationary_point_refuses_unstable_branch(self):
+        p = fig_params(power=0.15)
+        st = steady_state_at_detuning(p, 1.0 * p.omega_m)
+        assert not st.stable
+        with pytest.raises(StabilityError):
+            stationary_point(p, st)
+
+    def test_sweep_is_a_table_of_columns(self):
+        xs = np.linspace(0.2, 3.0, 7)
+        sweep = detuning_sweep(fig_params(power=0.15), xs)
+        assert sweep.dtype.names == optomech_stationary.SWEEP_COLUMNS
+        assert len(sweep) == 7 and sweep["stable"].dtype.kind == "i"
+        assert np.array_equal(sweep["Delta_over_wm"], xs)
+        assert sweep[3]["G"] == sweep["G"][3]
+        unstable = sweep["stable"] == 0
+        assert unstable.any() and np.isnan(sweep["V11"][unstable]).all()
+
+
+# The benchmark's seed-0 maps (2810 steps) and the README sweep (281 steps at
+# the default 50 mW), each as (power [W], steps).
+REAL_SWEEPS = [(0.005, 2810), (0.025, 2810), (0.075, 2810), (0.15, 2810), (0.05, 281)]
+
+
+@pytest.mark.parametrize("power, steps", REAL_SWEEPS)
+def test_routh_hurwitz_stable_points_need_no_eigenvalue_check(power, steps):
+    """The sweep solves the points that Routh-Hurwitz calls stable without
+    lyapunov_solve's eigenvalue check.  On the real maps every such point has
+    max Re eig(A) < 0, and the public solver, checks and all, gives the
+    sweep's covariances bit for bit."""
+    p = fig_params(power=power)
+    sweep = detuning_sweep(p, np.linspace(0.2, 3.0, steps))
+    stable = sweep["stable"] == 1
+    assert stable.any()
+    delta = sweep["Delta_over_wm"][stable] * p.omega_m
+    a, d = optomech_stationary._drift_diffusion(p, delta, sweep["G"][stable], p.omega_m)
+    assert np.max(np.linalg.eigvals(a).real, axis=-1).max() < 0.0
+    cov = np.stack([sweep[f"V{i}{j}"][stable] for i in range(1, 5) for j in range(1, 5)],
+                   axis=-1).reshape(-1, 4, 4)
+    assert np.array_equal(cov, lyapunov_solve(a, d))
+
 
 def test_si_constants_equal_scipy_constants():
     assert optomech_stationary._c_light == scipy.constants.c

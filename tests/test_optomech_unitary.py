@@ -16,6 +16,7 @@ from qcb.optomech_unitary import (
     OptoUnitaryParams,
     SubspaceSelector,
     _check_cutoff,
+    _lag_weights,
     _linear_entropies,
     _poisson_weights,
     averaged_mi,
@@ -418,7 +419,7 @@ class TestMutualInformation:
         for n_bar in (10.0, 1.0, 0.3):
             p = OptoUnitaryParams(k=1.0, alpha=alpha, n_bar=n_bar, t=0.0)
             t = np.linspace(0.0, 2.0 * math.pi, 257)
-            got = _linear_entropies(p, t)[1:]
+            got = _linear_entropies(p, t, _lag_weights(alpha))[1:]
             want = double_sum_partial_entropies(p, t, cutoff)
             for g, w in zip(got, want):
                 assert np.max(np.abs(g - w)) < 1e-13
@@ -459,11 +460,17 @@ class TestMutualInformation:
         p = OptoUnitaryParams(k=1.0, alpha=10.0, n_bar=10.0, t=0.0)
         assert abs(averaged_mi(p) - 0.52) <= 0.02
 
+    def test_averaged_value_frozen_at_large_alpha(self):
+        # frozen before the lag weights were hoisted out of the grid loop:
+        # the weights, and so every float, must not change
+        p = OptoUnitaryParams(k=1.0, alpha=100.0, n_bar=10.0, t=0.0)
+        assert averaged_mi(p) == 0.5218170409599779
+
     def test_averaged_grid_sizes_itself(self):
         # 256 and 512 intervals disagree here; the grid keeps doubling
         p = OptoUnitaryParams(k=20.0, alpha=3.0, n_bar=0.1, t=0.0)
         t = np.linspace(0.0, 2.0 * math.pi, 8193)
-        s_total, s_cav, s_mir = _linear_entropies(p, t)
+        s_total, s_cav, s_mir = _linear_entropies(p, t, _lag_weights(p.alpha))
         reference = np.trapezoid(1.0 - s_total / (s_cav + s_mir), t) / (2.0 * math.pi)
         assert abs(averaged_mi(p) - reference) <= 5e-4
 
