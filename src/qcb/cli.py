@@ -141,8 +141,7 @@ def _cmd_werner(args) -> str:
     if args.grid is not None:
         _refuse_with(args, "--grid", "--f")
         fs = np.linspace(-1.0, 1.0 / 3.0, args.grid)
-        n, en = np.reshape([qstate.negativity(qstate.werner_state(f))
-                            for f in fs.tolist()], (-1, 2)).T
+        n, en = qstate.negativity(qstate.werner_state(fs))
         return _table(args, {"f": fs, "N": n, "EN": en}, ["grid"], command="werner")
     _refuse_json(args, "add --grid N")
     if args.f is None:
@@ -159,9 +158,8 @@ def _cmd_gaussian(args) -> str:
         _refuse_with(args, "--grid", "--r", "--theta", "--n-bar")
         rs = np.repeat(np.linspace(0.0, args.r_max, args.grid), args.grid).tolist()
         nbs = np.tile(np.linspace(0.0, args.nbar_max, args.grid), args.grid).tolist()
-        covs = np.array([gaussian.two_mode_squeezed_thermal_cov(r, 0.0, nb).cov
-                         for r, nb in zip(rs, nbs)]).reshape(-1, 4, 4)
-        table = {"r": rs, "n_bar": nbs, "EN": gaussian.logneg_gaussian(covs),
+        en = gaussian.logneg_gaussian(gaussian.two_mode_squeezed_thermal_cov(rs, 0.0, nbs).cov)
+        table = {"r": rs, "n_bar": nbs, "EN": en,
                  "EN_closed": [max(0.0, 2.0 * r - math.log(2.0 * nb + 1.0))
                                for r, nb in zip(rs, nbs)]}
         return _table(args, table, ["grid", "r_max", "nbar_max"], command="gaussian")

@@ -1,8 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the helpers that point a
+failure at the member of a stack of systems where it happened.
 
 All numeric-domain failures derive from :class:`QcbError` so callers (and the
 CLI, which maps them to exit code 3) can catch one base class.
 """
+
+# Members of a stack that one stacked step takes at a time, which bounds its
+# temporaries (16 MB for complex 4 x 4 matrices).
+STACK_CHUNK = 2**16
 
 
 class QcbError(ValueError):
@@ -14,6 +19,21 @@ def at_first(exc: QcbError, failed) -> QcbError:
     entry of ``failed``, a boolean array over a stack of systems."""
     exc.index = int(failed.argmax())
     return exc
+
+
+def by_chunks(fn, stack) -> list:
+    """``fn`` of each run of :data:`STACK_CHUNK` members of ``stack`` (an
+    array, members along its first axis), in order; an empty stack is one
+    empty run.  A failure's ``index`` counts from the start of ``stack``."""
+    parts = []
+    for start in range(0, max(len(stack), 1), STACK_CHUNK):
+        try:
+            parts.append(fn(stack[start:start + STACK_CHUNK]))
+        except QcbError as exc:
+            if hasattr(exc, "index"):
+                exc.index += start
+            raise
+    return parts
 
 
 class SplitRequiredError(QcbError):

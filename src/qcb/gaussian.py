@@ -20,6 +20,7 @@ from .exceptions import (
     NonPhysicalCovarianceError,
     SingularCovarianceError,
     at_first,
+    by_chunks,
 )
 
 SYMMETRY_TOL = 1e-12
@@ -34,9 +35,28 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return out
 
 
+def _check_covariances(v: np.ndarray) -> None:
+    """Finiteness, symmetry and physicality of a (m, 2n, 2n) stack; a failed
+    check carries ``index``, the position of the first failing member."""
+    bad = ~np.isfinite(v).all(axis=(-2, -1))
+    if bad.any():
+        raise at_first(DomainError("covariance not finite: its entries overflow"), bad)
+    bad = np.max(np.abs(v - v.swapaxes(-1, -2)), axis=(-2, -1)) > SYMMETRY_TOL
+    if bad.any():
+        raise at_first(DomainError("covariance matrix not symmetric within 1e-12"), bad)
+    herm = v + 0.5j * symplectic_form(v.shape[-1] // 2)
+    bad = np.linalg.eigvalsh(herm).min(axis=-1) < -PHYSICALITY_TOL
+    if bad.any():
+        raise at_first(NonPhysicalCovarianceError(
+            "V + i sigma/2 has eigenvalue < -1e-10"), bad)
+
+
 @dataclass(frozen=True)
 class GaussianState:
-    """Covariance matrix V (2n x 2n, symmetric, physical) and mean vector."""
+    """Covariance matrix V (2n x 2n, symmetric, physical) and mean vector,
+    or a stack of them: ``cov`` of shape (..., 2n, 2n) and ``mean`` of shape
+    (..., 2n).  A failed check on a stack carries ``index``, the flat
+    position of the first failing member."""
 
     cov: np.ndarray
     mean: np.ndarray | None = None
@@ -44,17 +64,14 @@ class GaussianState:
 
     def __post_init__(self):
         v = np.asarray(self.cov, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
+        if v.ndim < 2 or v.shape[-2] != v.shape[-1] or v.shape[-1] % 2 or not v.shape[-1]:
             raise DimensionError(f"covariance must be 2n x 2n, got {v.shape}")
-        if np.max(np.abs(v - v.T)) > SYMMETRY_TOL:
-            raise DomainError("covariance matrix not symmetric within 1e-12")
-        n = v.shape[0] // 2
-        herm = v + 0.5j * symplectic_form(n)
-        if np.linalg.eigvalsh(herm).min() < -PHYSICALITY_TOL:
-            raise NonPhysicalCovarianceError("V + i sigma/2 has eigenvalue < -1e-10")
-        mean = np.zeros(2 * n) if self.mean is None else np.asarray(self.mean, dtype=float)
-        if mean.shape != (2 * n,):
-            raise DimensionError(f"mean must have length {2 * n}")
+        n = v.shape[-1] // 2
+        by_chunks(_check_covariances, v.reshape(-1, 2 * n, 2 * n))
+        mean = np.asarray(np.zeros(v.shape[:-1]) if self.mean is None else self.mean,
+                          dtype=float)
+        if mean.shape != v.shape[:-1]:
+            raise DimensionError(f"mean must have shape {v.shape[:-1]}")
         v.setflags(write=False)
         mean.setflags(write=False)
         object.__setattr__(self, "cov", v)
@@ -186,28 +203,54 @@ def thermal_cov(n_bars) -> GaussianState:
     return GaussianState(np.diag(diag))
 
 
-def two_mode_squeezed_thermal_cov(r: float, theta: float = 0.0,
-                                  n_bar: float = 0.0) -> GaussianState:
+def _per_point(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` of each entry of ``x``: the ``math`` function, which need not
+    round as its NumPy counterpart does."""
+    return np.reshape([fn(t) for t in x.ravel().tolist()], x.shape)
+
+
+def two_mode_squeezed_thermal_cov(r, theta=0.0, n_bar=0.0) -> GaussianState:
     """Two-mode squeezed thermal state, V = Omega(z) V(n_bar) Omega(z)^T.
 
     Block determinants: det V = (1+2n)^4/16, det A = det B =
     (1+2n)^2 cosh^2(2r)/4, det C = -(1+2n)^2 cosh^2 r sinh^2 r.
     E_N = max[0, 2r - ln(2 n_bar + 1)].
+
+    Scalar (r, theta, n_bar) give one state; arrays, broadcast together,
+    give one :class:`GaussianState` holding the (..., 4, 4) stack, each
+    member equal bit for bit to its one-point state.  A failed check names
+    the flat position of the first failing member in ``index``.
     """
-    if r < 0:
-        raise DomainError("squeezing parameter r must be >= 0")
-    if n_bar < 0:
-        raise DomainError("thermal occupancy must be >= 0")
-    ch, sh = math.cosh(r), math.sinh(r)
-    rot = np.array([[math.cos(theta), math.sin(theta)],
-                    [math.sin(theta), -math.cos(theta)]])
-    omega = np.block([[ch * np.eye(2), sh * rot], [sh * rot, ch * np.eye(2)]])
-    v = (n_bar + 0.5) * (omega @ omega.T)
-    return GaussianState(0.5 * (v + v.T))
+    r, theta, n_bar = (np.asarray(x, dtype=float) for x in (r, theta, n_bar))
+    shape = np.broadcast_shapes(r.shape, theta.shape, n_bar.shape)
+    for x, what in ((r, "squeezing parameter r"), (n_bar, "thermal occupancy")):
+        bad = np.broadcast_to(x < 0, shape)
+        if bad.any():
+            raise at_first(DomainError(f"{what} must be >= 0"), bad)
+    ch, sh, c, s, n_bar = (np.broadcast_to(x, shape) for x in (
+        _per_point(math.cosh, r), _per_point(math.sinh, r),
+        _per_point(math.cos, theta), _per_point(math.sin, theta), n_bar))
+    # Omega = [[ch I, sh R], [sh R, ch I]] with the reflection R = [[c, s], [s, -c]]
+    omega = np.zeros(shape + (4, 4))
+    for k in range(4):
+        omega[..., k, k] = ch
+    for i, j in ((0, 2), (2, 0)):
+        omega[..., i, j], omega[..., i + 1, j + 1] = sh * c, -(sh * c)
+        omega[..., i, j + 1] = omega[..., i + 1, j] = sh * s
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = omega @ omega.swapaxes(-1, -2)
+        del omega
+        # in place: (n_bar + 1/2) Omega Omega^T, then (V + V^T)/2
+        v *= (n_bar + 0.5)[..., None, None]
+        v += v.swapaxes(-1, -2)
+        v *= 0.5
+        return GaussianState(v)
 
 
 def wigner_gaussian(state: GaussianState, point) -> float:
     """Wigner density at a phase-space point; normalized so the integral is 1."""
+    if state.cov.ndim != 2:
+        raise DimensionError("the Wigner density needs one covariance, not a stack")
     point = np.asarray(point, dtype=float)
     if point.shape != state.mean.shape:
         raise DimensionError(f"point must have length {state.mean.shape[0]}")

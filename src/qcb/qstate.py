@@ -22,6 +22,8 @@ from .exceptions import (
     PurityError,
     SplitRequiredError,
     UndefinedMutualInfoError,
+    at_first,
+    by_chunks,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -45,7 +47,10 @@ class DensityMatrix:
     Parameters
     ----------
     matrix : ndarray
-        Square complex matrix.
+        Square complex matrix, or a (..., dim, dim) stack of them; a failed
+        check on a stack carries ``index``, the flat position of the first
+        failing member.  :func:`partial_transpose` and :func:`negativity`
+        take a stack; the other functions here take one matrix.
     split : tuple (d_A, d_B), optional
         Bipartite factorization with ``d_A * d_B == dim``; A is the slow index.
     """
@@ -56,26 +61,20 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim < 2 or m.shape[-2] != m.shape[-1] or not m.shape[-1]:
             raise DimensionError(f"density matrix must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise DomainError("matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise DomainError(f"trace is {np.trace(m)}, expected 1 within 1e-10")
-        w = np.linalg.eigvalsh(m)
-        if w.min() < -PSD_TOL:
-            raise DomainError(f"matrix not positive semidefinite: min eigenvalue {w.min():.3e}")
+        w = np.concatenate(by_chunks(_checked_spectrum, _flat(m))).reshape(m.shape[:-1])
         if self.split is not None:
             d_a, d_b = self.split
-            if d_a * d_b != m.shape[0]:
-                raise DimensionError(f"split {self.split} incompatible with dim {m.shape[0]}")
+            if d_a * d_b != m.shape[-1]:
+                raise DimensionError(f"split {self.split} incompatible with dim {m.shape[-1]}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_eigvals", w)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum, with tiny negative values clamped to 0."""
@@ -87,6 +86,37 @@ class DensityMatrix:
         return self.split
 
 
+def _flat(m: np.ndarray) -> np.ndarray:
+    """A (..., d, d) stack as (k, d, d)."""
+    return m.reshape((-1,) + m.shape[-2:])
+
+
+def _checked_spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending spectra of a (k, d, d) stack that passes the checks of
+    :class:`DensityMatrix`; a failure carries ``index``."""
+    bad = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1)) > HERMITICITY_TOL
+    if bad.any():
+        raise at_first(DomainError("matrix is not Hermitian within 1e-12"), bad)
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    bad = (abs(tr.real - 1.0) > TRACE_TOL) | (abs(tr.imag) > TRACE_TOL)
+    if bad.any():
+        raise at_first(DomainError(f"trace is {tr[bad][0]}, expected 1 within 1e-10"), bad)
+    w = np.linalg.eigvalsh(m)
+    low = w.min(axis=-1)
+    bad = low < -PSD_TOL
+    if bad.any():
+        raise at_first(DomainError("matrix not positive semidefinite: min eigenvalue "
+                                   f"{low[bad][0]:.3e}"), bad)
+    return w
+
+
+def _one(rho: DensityMatrix) -> DensityMatrix:
+    """``rho``, refused unless it holds one matrix."""
+    if rho.matrix.ndim != 2:
+        raise DimensionError(f"needs one density matrix, got a stack {rho.matrix.shape}")
+    return rho
+
+
 def _as_blocks(rho: DensityMatrix) -> np.ndarray:
     d_a, d_b = rho.require_split()
     return rho.matrix.reshape(d_a, d_b, d_a, d_b)
@@ -94,7 +124,7 @@ def _as_blocks(rho: DensityMatrix) -> np.ndarray:
 
 def partial_trace(rho: DensityMatrix, keep: str = "A") -> DensityMatrix:
     """Reduced state of one subsystem; local observable averages are preserved."""
-    blocks = _as_blocks(rho)
+    blocks = _as_blocks(_one(rho))
     if keep == "A":
         reduced = np.einsum("ikjk->ij", blocks)
     elif keep == "B":
@@ -105,33 +135,50 @@ def partial_trace(rho: DensityMatrix, keep: str = "A") -> DensityMatrix:
 
 
 def partial_transpose(rho: DensityMatrix, on: str = "A") -> np.ndarray:
-    """Partial transpose on one subsystem; Hermitian but possibly not PSD."""
-    blocks = _as_blocks(rho)
+    """Partial transpose on one subsystem; Hermitian but possibly not PSD.
+    A stack gives the stack of partial transposes."""
+    return _transpose(rho.matrix, rho.require_split(), on)
+
+
+def _transpose(m: np.ndarray, split: tuple[int, int], on: str) -> np.ndarray:
+    d_a, d_b = split
+    blocks = m.reshape(m.shape[:-2] + (d_a, d_b, d_a, d_b))
     if on == "A":
-        out = np.einsum("ikjl->jkil", blocks)
+        out = np.einsum("...ikjl->...jkil", blocks)
     elif on == "B":
-        out = np.einsum("ikjl->iljk", blocks)
+        out = np.einsum("...ikjl->...iljk", blocks)
     else:
         raise DomainError(f"on must be 'A' or 'B', got {on!r}")
-    d = rho.dim
-    return out.reshape(d, d)
+    return out.reshape(m.shape)
 
 
-def negativity(rho: DensityMatrix) -> tuple[float, float]:
+def negativity(rho: DensityMatrix):
     """Negativity N and logarithmic negativity E_N = log2(2N + 1).
 
     N is half of (trace norm of the partial transpose - 1), equal to the
     absolute sum of the negative eigenvalues; both vanish iff the partial
-    transpose stays positive.
+    transpose stays positive.  One matrix gives two floats; a stack gives
+    two arrays over its stack shape, each entry equal to the one-matrix
+    result bit for bit.
     """
-    w = np.linalg.eigvalsh(partial_transpose(rho, "A"))
-    n = float(-w[w < 0.0].sum())
-    return n, float(np.log2(2.0 * n + 1.0))
+    split, m = rho.require_split(), rho.matrix
+    parts = by_chunks(lambda part: np.linalg.eigvalsh(_transpose(part, split, "A")), _flat(m))
+    w = np.concatenate(parts).reshape(m.shape[:-1])
+    # The negative eigenvalues are the first k of each ascending spectrum.
+    # Summing the k of all rows with equal k adds them as one row's sum does
+    # (zeros in their place would regroup a pairwise sum of 8 or more).
+    k = (w < 0.0).sum(axis=-1)
+    negative_sum = np.zeros(k.shape)
+    for j in np.unique(k).tolist():
+        negative_sum[k == j] = w[k == j, :j].sum(axis=-1)
+    n = -negative_sum
+    en = np.log2(2.0 * n + 1.0)
+    return (n.item(), en.item()) if n.ndim == 0 else (n, en)
 
 
 def tangle(rho: DensityMatrix) -> float:
     """4 det of a reduced state; pure-state monotone on C^2 (x) C^2 only."""
-    d_a, d_b = rho.require_split()
+    d_a, d_b = _one(rho).require_split()
     if (d_a, d_b) != (2, 2):
         raise DimensionError(f"tangle needs a 2x2 split, got {rho.split}")
     purity = float(np.trace(rho.matrix @ rho.matrix).real)
@@ -143,7 +190,7 @@ def tangle(rho: DensityMatrix) -> float:
 
 def concurrence(rho: DensityMatrix) -> float:
     """Two-qubit concurrence via the spin-flip eigenvalue construction."""
-    if rho.dim != 4:
+    if _one(rho).dim != 4:
         raise DimensionError(f"concurrence needs dim 4, got {rho.dim}")
     yy = np.kron(PAULI["y"], PAULI["y"])
     m = rho.matrix @ yy @ rho.matrix.conj() @ yy
@@ -167,7 +214,7 @@ def entropies(rho: DensityMatrix) -> tuple[float, float, float]:
 
     S_vn = -sum p ln p; S_lin = d/(d-1) (1 - purity).
     """
-    p = rho.eigenvalues()
+    p = _one(rho).eigenvalues()
     nz = p[p > 0.0]
     s_vn = float(-(nz * np.log(nz)).sum())
     purity = float((rho._eigvals**2).sum())
@@ -187,14 +234,20 @@ def normalized_mutual_info(rho: DensityMatrix) -> float:
     return (s_a + s_b - entropies(rho)[0]) / (s_a + s_b)
 
 
-def werner_state(f: float) -> DensityMatrix:
+def werner_state(f) -> DensityMatrix:
     """SU(2)-invariant two-qubit family rho(f) = (1 + f sum sigma.sigma)/4.
 
-    f in [-1, 1/3]; f = -1 is the singlet and f > -1/3 is separable.
+    f in [-1, 1/3]; f = -1 is the singlet and f > -1/3 is separable.  An
+    array of f gives the stack of its states.
     """
-    if not -1.0 <= f <= 1.0 / 3.0 + 1e-15:
-        raise DomainError(f"Werner parameter {f} outside [-1, 1/3]")
-    rho = 0.25 * (np.eye(4, dtype=complex) + f * PAULI_DOT)
+    f = np.asarray(f, dtype=float)
+    outside = ~((-1.0 <= f) & (f <= 1.0 / 3.0 + 1e-15))
+    if outside.any():
+        raise at_first(DomainError(
+            f"Werner parameter {f[outside].flat[0]} outside [-1, 1/3]"), outside)
+    rho = f[..., None, None] * PAULI_DOT
+    rho += np.eye(4)
+    rho *= 0.25  # in place: 0.25 (1 + f sum sigma.sigma)
     return DensityMatrix(rho, split=(2, 2))
 
 

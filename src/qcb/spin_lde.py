@@ -217,10 +217,17 @@ class CriticalTemperature:
 
 def separability_beta(f, lo: float, hi: float) -> float:
     """Zero of ``f`` (probe correlator + 1 against beta) between ``lo``
-    (f > 0) and ``hi`` (f <= 0): 120 bisections of log beta, which close any
-    bracket to adjacent floats."""
+    (f > 0) and ``hi`` (f <= 0), by bisection of log beta.
+
+    At most 120 steps, which close any bracket to adjacent floats.  The loop
+    stops once the midpoint rounds to an endpoint: ``f`` is deterministic
+    and the caller has checked f(lo) > 0 >= f(hi), so every later step would
+    set that endpoint to itself and return the same float.
+    """
     for _ in range(120):
         mid = math.sqrt(lo * hi)
+        if mid == lo or mid == hi:
+            break
         if f(mid) > 0.0:
             lo = mid
         else:

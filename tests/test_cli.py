@@ -119,11 +119,14 @@ class TestExitCodes:
         ["optomech-steady", "--steps", "2", "--dmax", "1e300"],
         ["gaussian", "--r", "20"],
         ["ed", "report", "--L", "4", "--alpha", "8.98846567431158e+307"],
+        ["gaussian", "--r", "400"],
+        ["gaussian", "--grid", "3", "--r-max", "400"],
     ])
     def test_overflowing_inputs_are_domain_errors(self, capsys, argv):
         # finite flags whose derived quantities overflow (or, at r = 20,
         # lose det V to rounding): an error, not nan/inf rows or an
-        # entangled state printed as separable=1, and no numpy warning
+        # entangled state printed as separable=1, and no numpy warning.
+        # From r = 356 on, cosh(r)^2 overflows the covariance itself.
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("qcb: error:") and "Traceback" not in err
@@ -180,6 +183,38 @@ class TestFileErrors:
     def test_lde_fit_missing_input(self, tmp_path, capsys):
         code, _, err = run(capsys, "lde", "fit", "--in", str(tmp_path / "none.csv"))
         assert code == 3 and err.startswith("qcb: error:")
+
+
+def count_calls(monkeypatch, owner, name):
+    """A list that grows by one per call of ``owner.name``."""
+    calls, inner = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, counted", [
+    (["gaussian", "--grid", "20"], [("gaussian.GaussianState", "__post_init__")]),
+    (["werner", "--grid", "100"], [("qstate", "negativity"),
+                                   ("qstate.DensityMatrix", "__post_init__")]),
+])
+def test_grid_commands_make_one_stacked_call(monkeypatch, capsys, argv, counted):
+    """A grid is one array call, not one state object per point."""
+    import qcb
+
+    tallies = []
+    for path, name in counted:
+        owner = qcb
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        tallies.append(count_calls(monkeypatch, owner, name))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) > 100
+    assert [len(t) for t in tallies] == [1] * len(counted)
 
 
 class TestWerner:
@@ -309,6 +344,14 @@ class TestOptomechSteady:
         code, out, _ = run(capsys, "optomech-steady", "--steps", "0")
         assert code == 0
         assert out.splitlines()[-1].startswith("Delta_over_wm,alpha_s,")
+
+    @pytest.mark.parametrize("power", ["0.0644", "0.0647", "0.0986", "0.1167"])
+    def test_marginal_points_refined_past_the_gate(self, capsys, power):
+        # One point of each map missed the 1e-10 ||D|| gate after two plain
+        # refinement steps; the compensated steps bring it below.
+        code, out, _ = run(capsys, "optomech-steady", "--steps", "2810", "--power", power)
+        assert code == 0
+        assert sum(not line.startswith("#") for line in out.splitlines()) == 1 + 2810
 
     def test_residual_failure_names_the_point(self, capsys):
         # A marginally stable point (S2 ~ 6e-6) whose Lyapunov residual
@@ -518,6 +561,9 @@ NUMBER = st.one_of(st.floats().map(repr),
                    st.sampled_from(["0", "-1", "1e-300", "1e300", "abc", ""]))
 COUNT = st.one_of(st.integers(-3, 5).map(str), st.sampled_from(["x", "1.5"]))
 SMALL = st.one_of(st.floats(0.0, 3.0).map(repr), NUMBER)
+# r from 356 to 710 overflows cosh(r)^2 but not cosh(r)
+SQUEEZING = st.one_of(NUMBER, st.floats(356.0, 710.0).map(repr),
+                      st.sampled_from(["356", "400", "709.7"]))
 LEVELS = st.lists(st.integers(0, 6), min_size=1, max_size=3).map(
     lambda levels: ",".join(map(str, levels)))
 # lde fit inputs that are tables but not fit data: a non-numeric kT or beta
@@ -533,8 +579,8 @@ MALFORMED_TABLES = {
 FUZZ_COMMANDS = {
     "werner": ({}, {"--f": NUMBER, "--grid": COUNT,
                     "--format": st.sampled_from(["csv", "json"])}),
-    "gaussian": ({}, {"--r": NUMBER, "--theta": NUMBER, "--n-bar": NUMBER,
-                      "--grid": COUNT, "--r-max": NUMBER, "--nbar-max": NUMBER}),
+    "gaussian": ({}, {"--r": SQUEEZING, "--theta": NUMBER, "--n-bar": NUMBER,
+                      "--grid": COUNT, "--r-max": SQUEEZING, "--nbar-max": NUMBER}),
     "optomech-unitary": ({"--quantity": st.sampled_from(
         ["marker", "tangle", "negativity", "entropies", "mi", "mi-average"]),
         "--n-bar": SMALL},

@@ -194,6 +194,100 @@ class TestSqueezedThermalCov:
             two_mode_squeezed_thermal_cov(0.5, 0.0, -0.1)
 
 
+def squeezed_thermal_one_point(r, theta, n_bar):
+    """The one-point construction of V = (n_bar + 1/2) Omega Omega^T, one
+    matrix at a time with ``np.block``: the oracle of the stacked build."""
+    ch, sh = math.cosh(r), math.sinh(r)
+    rot = np.array([[math.cos(theta), math.sin(theta)],
+                    [math.sin(theta), -math.cos(theta)]])
+    omega = np.block([[ch * np.eye(2), sh * rot], [sh * rot, ch * np.eye(2)]])
+    v = (n_bar + 0.5) * (omega @ omega.T)
+    return 0.5 * (v + v.T)
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+class TestSqueezedThermalStack:
+    """Arrays of (r, theta, n_bar) give one state holding the stack, each
+    member with the bits of the one-point construction."""
+
+    def test_readme_grid_bit_for_bit(self):
+        rs = np.repeat(np.linspace(0.0, 2.0, 20), 20)
+        nbs = np.tile(np.linspace(0.0, 3.0, 20), 20)
+        stack = two_mode_squeezed_thermal_cov(rs, 0.0, nbs).cov
+        assert stack.shape == (400, 4, 4)
+        assert same_bits(stack, [squeezed_thermal_one_point(r, 0.0, nb)
+                                 for r, nb in zip(rs.tolist(), nbs.tolist())])
+        assert same_bits(stack, [two_mode_squeezed_thermal_cov(r, 0.0, nb).cov
+                                 for r, nb in zip(rs.tolist(), nbs.tolist())])
+
+    def test_random_draws_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        rs, thetas = rng.uniform(0.0, 4.0, 500), rng.uniform(-7.0, 7.0, 500)
+        nbs = rng.exponential(3.0, 500)
+        stack = two_mode_squeezed_thermal_cov(rs.reshape(5, 100), thetas.reshape(5, 100),
+                                              nbs.reshape(5, 100)).cov
+        assert stack.shape == (5, 100, 4, 4)
+        assert same_bits(stack.reshape(-1, 4, 4), [
+            squeezed_thermal_one_point(*x) for x in zip(rs.tolist(), thetas.tolist(),
+                                                        nbs.tolist())])
+
+    def test_scalars_broadcast(self):
+        st = two_mode_squeezed_thermal_cov(0.3, 0.7, [[1.5], [0.2]])
+        assert st.cov.shape == (2, 1, 4, 4) and st.mean.shape == (2, 1, 4)
+        assert st.n_modes == 2
+        assert same_bits(st.cov[1, 0], two_mode_squeezed_thermal_cov(0.3, 0.7, 0.2).cov)
+        assert two_mode_squeezed_thermal_cov(0.3).cov.shape == (4, 4)
+
+    def test_nonphysical_member_carries_index(self):
+        # at r = 7.5 rounding has eaten det V, and V + i sigma/2 is not PSD
+        with pytest.raises(NonPhysicalCovarianceError) as info:
+            two_mode_squeezed_thermal_cov([0.5, 1.0, 2.0, 7.5, 2.0, 7.5])
+        assert info.value.index == 3
+        covs = np.array([VAC] * 6).reshape(2, 3, 4, 4)
+        covs[1, 1] = 0.1 * np.eye(4)
+        with pytest.raises(NonPhysicalCovarianceError) as info:
+            GaussianState(covs)
+        assert info.value.index == 4
+
+    def test_failure_index_counts_across_chunks(self, monkeypatch):
+        import qcb.exceptions
+
+        monkeypatch.setattr(qcb.exceptions, "STACK_CHUNK", 4)
+        covs = np.array([VAC] * 11)
+        covs[9] = 0.1 * np.eye(4)
+        with pytest.raises(NonPhysicalCovarianceError) as info:
+            GaussianState(covs)
+        assert info.value.index == 9
+        GaussianState(covs[:9])  # every chunk of the rest passes
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r", [356.0, 400.0, 710.0])
+    def test_overflowing_covariance_is_a_domain_error(self, r):
+        # cosh(r)^2 overflows while cosh(r) does not: inf and nan entries
+        with pytest.raises(DomainError, match="not finite") as info:
+            two_mode_squeezed_thermal_cov([1.0, r], 0.3, 0.0)
+        assert info.value.index == 1
+        with pytest.raises(DomainError, match="not finite"):
+            GaussianState(np.full((4, 4), np.nan))
+
+    def test_negative_inputs_carry_index(self):
+        with pytest.raises(DomainError, match="squeezing") as info:
+            two_mode_squeezed_thermal_cov([[0.1, 0.2], [0.3, -0.4]])
+        assert info.value.index == 3
+        with pytest.raises(DomainError, match="occupancy") as info:
+            two_mode_squeezed_thermal_cov([0.1, 0.2], 0.0, [[0.0], [-1.0]])
+        assert info.value.index == 2
+
+    def test_empty_stack(self):
+        st = two_mode_squeezed_thermal_cov(np.zeros(0))
+        assert st.cov.shape == (0, 4, 4)
+        assert logneg_gaussian(st.cov).shape == (0,)
+
+
 class TestSimonCriterion:
     def test_vacuum_consistent(self):
         assert simon_invariant_check(VAC)
@@ -284,3 +378,8 @@ class TestWigner:
         with pytest.raises(SingularCovarianceError):
             wigner_gaussian(bad, [0.0, 0.0])
         assert wigner_gaussian(st, [1.0, 1.0]) > 0
+
+    def test_stack_refused(self):
+        st = GaussianState(np.array([0.5 * np.eye(2)] * 3))
+        with pytest.raises(DimensionError):
+            wigner_gaussian(st, [0.0, 0.0])

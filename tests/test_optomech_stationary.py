@@ -355,3 +355,71 @@ def test_si_constants_equal_scipy_constants():
     assert optomech_stationary._c_light == scipy.constants.c
     assert optomech_stationary._k_boltzmann == scipy.constants.k
     assert optomech_stationary._hbar == scipy.constants.hbar
+
+
+@pytest.mark.parametrize("power, steps", REAL_SWEEPS)
+def test_passing_systems_take_no_compensated_steps(monkeypatch, power, steps):
+    """Only systems that miss the residual gate take the compensated
+    refinement steps, so every point of the real maps keeps its bits."""
+    def refuse(*args):
+        raise AssertionError("a passing map took a compensated step")
+
+    monkeypatch.setattr(optomech_stationary, "_residual_dot2", refuse)
+    detuning_sweep(fig_params(power=power), np.linspace(0.2, 3.0, steps))
+
+
+def exact_lyapunov(a, d):
+    """V of A V + V A^T = -D from a 50-digit solve of the 16 x 16 Kronecker
+    system, independent of the library's vectorization."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        n = a.shape[0]
+        m = mpmath.zeros(n * n, n * n)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    m[n * i + j, n * k + j] += mpmath.mpf(a[i, k])
+                    m[n * i + j, n * i + k] += mpmath.mpf(a[j, k])
+        rhs = mpmath.matrix([-mpmath.mpf(x) for x in d.ravel().tolist()])
+        sol = mpmath.lu_solve(m, rhs)
+        return np.array([float(sol[r]) for r in range(n * n)]).reshape(n, n)
+
+
+@pytest.mark.parametrize("power, x", [(0.0797, 1.65233179067), (0.0684, 1.45496618014)])
+def test_marginal_systems_refined_to_the_last_bit(power, x):
+    """At the two points of the 79.7 and 68.4 mW maps (2810 steps) that
+    miss the gate, the compensated steps bring V within one unit in the last
+    place of the 50-digit solution.  The gate still fails there: evaluated
+    in double, even that solution rounded to double has a residual above
+    1e-10 ||D||, so no accurate V can pass it."""
+    p = fig_params(power=power)
+    xs = np.linspace(0.2, 3.0, 2810)
+    delta = xs[np.abs(xs - x).argmin()] * p.omega_m
+    big_g = p.g * optomech_stationary._amplitude(p, delta) * math.sqrt(2.0)
+    a, d = optomech_stationary._drift_diffusion(p, delta, big_g, p.omega_m)
+    v, residual, failed = optomech_stationary._refined_solution(a, d)
+    exact = exact_lyapunov(a, d)
+    # V_qp = <dq dp + dp dq>/2 vanishes; the 50-digit solve leaves it ~1e-48
+    assert np.all(np.abs(v - exact) <= np.maximum(np.spacing(np.abs(exact)), 1e-40))
+    assert failed and optomech_stationary._gate(a, d, exact)[1]
+
+
+def test_compensated_residual_against_mpmath():
+    """rhs - op @ sol from error-free transformations is the exact value
+    rounded, up to a term of order eps^2 times the sum of the |terms|."""
+    import mpmath
+
+    rng = np.random.default_rng(21)
+    op = rng.normal(size=(20, 10, 10)) * 10.0 ** rng.integers(-3, 4, size=(20, 10, 10))
+    sol = rng.normal(size=(20, 10, 1))
+    rhs = np.einsum("kij,kjl->kil", op, sol) * (1.0 + 1e-12 * rng.normal(size=(20, 10, 1)))
+    got = optomech_stationary._residual_dot2(op, sol, rhs)
+    with mpmath.workdps(60):
+        for k in range(20):
+            for i in range(10):
+                terms = [-mpmath.mpf(op[k, i, j]) * mpmath.mpf(sol[k, j, 0])
+                         for j in range(10)]
+                exact = mpmath.mpf(rhs[k, i, 0]) + mpmath.fsum(terms)
+                size = abs(rhs[k, i, 0]) + sum(abs(float(t)) for t in terms)
+                assert abs(got[k, i, 0] - exact) <= 2.3e-16 * abs(exact) + 1e-30 * size

@@ -303,3 +303,89 @@ class TestStateFactories:
             DensityMatrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))  # not Hermitian
         with pytest.raises(DomainError):
             DensityMatrix(np.diag([1.5, -0.5]))  # not PSD
+
+
+def same_bits(x, y):
+    x = np.asarray(x)
+    y = np.asarray(y, dtype=x.dtype)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def negativity_one_matrix(m, split):
+    """N and E_N of one matrix from its partial-transpose spectrum, summing
+    the negative eigenvalues alone: the oracle of the stacked sum."""
+    w = np.linalg.eigvalsh(partial_transpose(DensityMatrix(m, split=split), "A"))
+    n = float(-w[w < 0.0].sum())
+    return n, float(np.log2(2.0 * n + 1.0))
+
+
+class TestStacks:
+    """A (..., d, d) stack of density matrices gives, member by member, the
+    bits of one-matrix calls, and a failed check names the first failing
+    member."""
+
+    @pytest.mark.parametrize("split", [(2, 2), (2, 3), (3, 4), (4, 5)])
+    def test_negativity_equals_single_calls(self, split):
+        # rank-1 states of 3x4 and 4x5 have up to 6 and 12 negative
+        # eigenvalues, enough to regroup a pairwise sum
+        rng = np.random.default_rng(sum(split))
+        d = split[0] * split[1]
+        mats = np.array([random_density_matrix(d, rng, rank=rank).matrix
+                         for rank in [1] * 30 + [2] * 10 + [d] * 10])
+        mats[-1] = np.eye(d) / d  # separable: N = -0.0
+        n, en = negativity(DensityMatrix(mats, split=split))
+        assert n.shape == en.shape == (50,)
+        for fn in (lambda m: negativity(DensityMatrix(m, split=split)),
+                   lambda m: negativity_one_matrix(m, split)):
+            want_n, want_en = zip(*map(fn, mats))
+            assert same_bits(n, want_n) and same_bits(en, want_en)
+        assert math.copysign(1.0, n[-1]) == -1.0
+        single = negativity(DensityMatrix(mats[0], split=split))
+        assert all(type(x) is float for x in single)
+
+    def test_werner_grid(self):
+        fs = np.linspace(-1.0, 1.0 / 3.0, 333)
+        n, en = negativity(werner_state(fs))
+        want_n, want_en = zip(*(negativity_one_matrix(werner_state(f).matrix, (2, 2))
+                                for f in fs.tolist()))
+        assert same_bits(n, want_n) and same_bits(en, want_en)
+        assert same_bits(werner_state(fs).matrix,
+                         [0.25 * (np.eye(4, dtype=complex) + f * PAULI_DOT)
+                          for f in fs.tolist()])
+        assert np.allclose(n, np.maximum(0.0, -(1.0 + 3.0 * fs) / 4.0), atol=1e-12)
+
+    def test_stack_shape_and_chunks(self, monkeypatch):
+        import qcb.exceptions
+
+        fs = np.linspace(-1.0, 0.3, 12).reshape(3, 4)
+        n, en = negativity(werner_state(fs))
+        assert n.shape == (3, 4)
+        monkeypatch.setattr(qcb.exceptions, "STACK_CHUNK", 5)
+        assert same_bits(negativity(werner_state(fs))[0], n)
+        with pytest.raises(DomainError) as info:
+            werner_state(np.where(np.arange(12) == 7, 0.5, fs.ravel()))
+        assert info.value.index == 7
+        mats = np.array([np.eye(4) / 4] * 11)
+        mats[8] = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(DomainError, match="positive semidefinite") as info:
+            DensityMatrix(mats)
+        assert info.value.index == 8
+
+    def test_failed_member_carries_index(self):
+        mats = np.array([np.eye(2) / 2] * 6, dtype=complex).reshape(2, 3, 2, 2)
+        for bad, what in ((np.diag([0.7, 0.7]), "trace"),
+                          (np.array([[0.5, 0.5], [-0.5, 0.5]]), "Hermitian"),
+                          (np.diag([1.5, -0.5]), "positive")):
+            stack = mats.copy()
+            stack[1, 0] = bad
+            with pytest.raises(DomainError, match=what) as info:
+                DensityMatrix(stack)
+            assert info.value.index == 3
+
+    def test_one_matrix_measures_refuse_stacks(self):
+        rho = werner_state(np.array([-1.0, 0.0]))
+        for fn in (entropies, tangle, concurrence, partial_trace, normalized_mutual_info):
+            with pytest.raises(DimensionError):
+                fn(rho)
+        with pytest.raises(DimensionError):
+            DensityMatrix(np.zeros((0, 0)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qcb import ed, spin_lde
 from qcb.exceptions import DomainError, FitError
 from qcb.qstate import PAULI_DOT, concurrence, concurrence_from_correlator
 from qcb.spin_lde import (
@@ -220,6 +221,66 @@ class TestCriticalTemperature:
         ct = critical_temperature(cp)
         assert probe_entanglement(cp, 1.0 / ct.kT_exact) < 1e-9
         assert probe_entanglement(cp, 1.2 / ct.kT_exact) > 1e-4
+
+
+def bisect_120(f, lo, hi):
+    """120 bisections of log beta and no early stop: the oracle of
+    :func:`separability_beta`."""
+    for _ in range(120):
+        mid = math.sqrt(lo * hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
+def recorded_bisections(monkeypatch, module):
+    """Route the ``separability_beta`` that ``module`` calls through a
+    recorder of (result, oracle result, evaluations of f) per call."""
+    records, bisect = [], spin_lde.separability_beta
+
+    def recorded(f, lo, hi):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        got = bisect(counted, lo, hi)
+        records.append((got, bisect_120(f, lo, hi), len(calls)))
+        return got
+
+    monkeypatch.setattr(module, "separability_beta", recorded)
+    return records
+
+
+# Every critical_temperature case of TestCriticalTemperature that bisects.
+BISECTED = [CanonicalParams(1.7, phi, 0.0) for phi in (0.0, 0.05, 0.2)] + [
+    CanonicalParams(j, 0.0, 0.0) for j in (1.0, 5.07e-4, 3e-7, 1e-200, 1e200)] + [
+    CHAIN_ROW, SQUARE_ROW]
+
+
+class TestSeparabilityBisection:
+    """The bisection stops once its midpoint rounds to an endpoint, with the
+    float that 120 steps give, in at most 64 evaluations."""
+
+    @pytest.mark.parametrize("cp", BISECTED)
+    def test_critical_temperature(self, monkeypatch, cp):
+        records = recorded_bisections(monkeypatch, spin_lde)
+        critical_temperature(cp)
+        [(got, want, calls)] = records
+        assert got == want and calls <= 64
+
+    @pytest.mark.parametrize("spec", [
+        ed.chain(8, 0.05, (1, 6)), ed.chain(10, 0.05, (1, 8)), ed.ladder(4, 0.05)],
+        ids=["chain8", "chain10", "ladder4"])
+    def test_ed_report(self, monkeypatch, spec):
+        records = recorded_bisections(monkeypatch, ed)
+        rep = ed.theory_consistency_report(spec)
+        [(got, want, calls)] = records
+        assert got == want and calls <= 64
+        assert rep["kT_star_exact"] == 1.0 / want
 
 
 class TestCanonicalFit:
