@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ed as ed_mod
 from . import gaussian, optomech_stationary, optomech_unitary, qstate, spin_lde
-from .exceptions import QcbError
+from .exceptions import QcbError, naming_point
 from .output import export_table, fmt_value, read_table, read_text, write_text
 
 
@@ -158,7 +158,9 @@ def _cmd_gaussian(args) -> str:
         _refuse_with(args, "--grid", "--r", "--theta", "--n-bar")
         rs = np.repeat(np.linspace(0.0, args.r_max, args.grid), args.grid).tolist()
         nbs = np.tile(np.linspace(0.0, args.nbar_max, args.grid), args.grid).tolist()
-        en = gaussian.logneg_gaussian(gaussian.two_mode_squeezed_thermal_cov(rs, 0.0, nbs).cov)
+        with naming_point(lambda i: f"r = {fmt_value(rs[i])}, n_bar = {fmt_value(nbs[i])}"):
+            en = gaussian.logneg_gaussian(
+                gaussian.two_mode_squeezed_thermal_cov(rs, 0.0, nbs).cov)
         table = {"r": rs, "n_bar": nbs, "EN": en,
                  "EN_closed": [max(0.0, 2.0 * r - math.log(2.0 * nb + 1.0))
                                for r, nb in zip(rs, nbs)]}

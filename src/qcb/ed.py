@@ -67,8 +67,7 @@ class LatticeSpec:
     label: str = "custom"
 
     def __post_init__(self):
-        if self.n_total > MAX_SPINS:
-            raise ResourceError(f"{self.n_total} spins exceed the cap of {MAX_SPINS}")
+        _check_size(self.n_bath)
         a, b = self.probe_sites
         if not (0 <= a < self.n_bath and 0 <= b < self.n_bath):
             raise DomainError("probe sites must be bath site indices")
@@ -97,10 +96,17 @@ class LatticeSpec:
         return self.bonds + extra
 
 
+def _check_size(n_bath: int) -> None:
+    """Refuse a lattice whose bath sites and two probes exceed MAX_SPINS."""
+    if n_bath + 2 > MAX_SPINS:
+        raise ResourceError(f"{n_bath + 2} spins exceed the cap of {MAX_SPINS}")
+
+
 def chain(length: int, alpha: float, probes: str | tuple[int, int] = "ends") -> LatticeSpec:
     """Open Heisenberg chain with probes at the ends (or given sites)."""
     if length < 2:
         raise DomainError("chain needs at least 2 sites")
+    _check_size(length)  # before any bond is built
     bonds = tuple((i, i + 1, 1.0) for i in range(length - 1))
     sites = (0, length - 1) if probes == "ends" else (int(probes[0]), int(probes[1]))
     return LatticeSpec(n_bath=length, bonds=bonds, probe_sites=sites,
@@ -111,6 +117,7 @@ def ladder(length: int, alpha: float, probes: str | tuple[int, int] = "ends") ->
     """2-leg ladder; probes attach to opposite ends of the first leg."""
     if length < 2:
         raise DomainError("ladder needs at least 2 rungs")
+    _check_size(2 * length)
     bonds = []
     for y in (0, 1):
         bonds += [(x + y * length, x + 1 + y * length, 1.0) for x in range(length - 1)]

@@ -5,6 +5,8 @@ All numeric-domain failures derive from :class:`QcbError` so callers (and the
 CLI, which maps them to exit code 3) can catch one base class.
 """
 
+from contextlib import contextmanager
+
 # Members of a stack that one stacked step takes at a time, which bounds its
 # temporaries (16 MB for complex 4 x 4 matrices).
 STACK_CHUNK = 2**16
@@ -19,6 +21,18 @@ def at_first(exc: QcbError, failed) -> QcbError:
     entry of ``failed``, a boolean array over a stack of systems."""
     exc.index = int(failed.argmax())
     return exc
+
+
+@contextmanager
+def naming_point(name):
+    """Re-raise a failure that carries ``index``, the position of a grid
+    point, with `` at <name(index)>`` appended to its message."""
+    try:
+        yield
+    except QcbError as exc:
+        if not hasattr(exc, "index"):
+            raise
+        raise type(exc)(f"{exc} at {name(exc.index)}") from exc
 
 
 def by_chunks(fn, stack) -> list:

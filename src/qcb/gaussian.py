@@ -194,15 +194,6 @@ def simon_invariant_check(v: np.ndarray) -> bool:
     return _result(det_a + det_b + 2.0 * np.abs(det_c) <= 0.25 + 4.0 * det_v + 1e-12)
 
 
-def thermal_cov(n_bars) -> GaussianState:
-    """Product thermal state: V = diag(n_k + 1/2) per quadrature pair."""
-    n_bars = np.atleast_1d(np.asarray(n_bars, dtype=float))
-    if np.any(n_bars < 0):
-        raise DomainError("thermal occupancies must be >= 0")
-    diag = np.repeat(n_bars + 0.5, 2)
-    return GaussianState(np.diag(diag))
-
-
 def _per_point(fn, x: np.ndarray) -> np.ndarray:
     """``fn`` of each entry of ``x``: the ``math`` function, which need not
     round as its NumPy counterpart does."""

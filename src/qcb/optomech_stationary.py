@@ -2,10 +2,10 @@
 diffusion, Routh-Hurwitz stability, Lyapunov covariance, and the stationary
 entanglement / effective-occupancy figures of merit.
 
-A detuning sweep is one array pass, a structured array of columns, with one
-stacked Lyapunov solve over the points that Routh-Hurwitz proves stable; the
-one-point functions share its drift-matrix, Routh-Hurwitz and covariance
-bodies, so a sweep record and :func:`stationary_point` agree bit for bit.
+A point at a prescribed detuning is a record of :func:`detuning_sweep`, a
+structured array of columns from one array pass with one stacked Lyapunov
+solve over the points that Routh-Hurwitz proves stable.  :func:`stationary_point`
+takes a branch of :func:`steady_state` through the same bodies, bit for bit.
 
 Fluctuation basis is (dq, dp, dX, dY): mirror position/momentum followed by
 the cavity quadratures, matching the quadrature conventions of
@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import (DegenerateSystemError, DomainError, QcbError, StabilityError,
-                         at_first)
+from .exceptions import (DegenerateSystemError, DomainError, StabilityError, at_first,
+                         naming_point)
 from .gaussian import logneg_gaussian
 
 # The exact SI values (c, k and h are defined constants since 2019); each
@@ -115,17 +115,13 @@ def derive_physical_params(length: float, mass: float, power: float,
                             n_bar=n_bar)
 
 
-def _working_point(p: StationaryParams, alpha_s: float, q_s: float,
-                   delta: float) -> SteadyState:
-    """Working point at |alpha_s| and Delta_eff = delta, with its stability."""
-    st = SteadyState(alpha_s=alpha_s, q_s=q_s, p_s=0.0, Delta_eff=delta,
+def _branch(p: StationaryParams, u: float) -> SteadyState:
+    """Working point of intra-cavity intensity u = |alpha_s|^2, with its stability."""
+    alpha_s = math.sqrt(u)
+    st = SteadyState(alpha_s=alpha_s, q_s=p.g * u / p.omega_m, p_s=0.0,
+                     Delta_eff=p.Delta0 - p.g**2 * u / p.omega_m,
                      G=p.g * alpha_s * math.sqrt(2.0), stable=False)
     return replace(st, stable=stability_check(p, st)[0])
-
-
-def _branch(p: StationaryParams, u: float) -> SteadyState:
-    return _working_point(p, math.sqrt(u), p.g * u / p.omega_m,
-                          p.Delta0 - p.g**2 * u / p.omega_m)
 
 
 def steady_state(p: StationaryParams) -> list[SteadyState]:
@@ -169,24 +165,15 @@ def steady_state(p: StationaryParams) -> list[SteadyState]:
     return [_branch(p, float(u)) for u in roots]
 
 
-def _amplitude(p: StationaryParams, delta):
-    return p.drive_E / np.sqrt(p.kappa**2 + np.square(delta))
+def drift_and_diffusion(p: StationaryParams, delta, big_g, unit: float = 1.0
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Linearized drift matrix A and Markovian diffusion matrix D at the
+    effective detuning ``delta`` and coupling ``big_g`` [rad/s], stacked over
+    their broadcast shape, with every rate in units of ``unit``.
 
-
-def steady_state_at_detuning(p: StationaryParams, delta: float) -> SteadyState:
-    """Working point at a prescribed effective detuning (figure sweeps).
-
-    With Delta given, the intra-cavity amplitude is simply
-    |alpha_s| = E / sqrt(kappa^2 + Delta^2); the cubic self-consistency is
-    bypassed because Delta already includes the static spring shift.
+    D = diag(0, gamma_m (2 n_bar + 1), kappa, kappa); the optical bath
+    occupancy is taken as zero (optical photons at lab temperature).
     """
-    alpha_s = float(_amplitude(p, delta))
-    return _working_point(p, alpha_s, p.g * alpha_s**2 / p.omega_m, delta)
-
-
-def _drift_diffusion(p: StationaryParams, delta, big_g, unit: float = 1.0):
-    """Drift and diffusion matrices A and D, stacked over the shape of
-    ``delta`` and ``big_g`` [rad/s], with every rate in units of ``unit``."""
     w, gm, k = p.omega_m / unit, p.gamma_m / unit, p.kappa / unit
     delta, big_g = np.broadcast_arrays(np.divide(delta, unit), np.divide(big_g, unit))
     a = np.zeros(delta.shape + (4, 4))
@@ -196,16 +183,6 @@ def _drift_diffusion(p: StationaryParams, delta, big_g, unit: float = 1.0):
     a[..., 2, 3], a[..., 3, 2] = delta, -delta
     diff = np.diag([0.0, gm * (2.0 * p.n_bar + 1.0), k, k])
     return a, np.broadcast_to(diff, a.shape).copy()
-
-
-def drift_and_diffusion(p: StationaryParams, s: SteadyState
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Linearized drift matrix A and Markovian diffusion matrix D.
-
-    D = diag(0, gamma_m (2 n_bar + 1), kappa, kappa); the optical bath
-    occupancy is taken as zero (optical photons at lab temperature).
-    """
-    return _drift_diffusion(p, s.Delta_eff, s.G)
 
 
 def _routh_hurwitz(p: StationaryParams, delta: np.ndarray, big_g: np.ndarray):
@@ -359,7 +336,7 @@ def _covariance(p: StationaryParams, delta, big_g):
     the steady covariance on omega_m-normalized rates, its log-negativity and
     the effective mirror occupancy (V11 + V22)/2 - 1/2, at Routh-Hurwitz
     stable points only."""
-    v = _solve_lyapunov(*_drift_diffusion(p, delta, big_g, p.omega_m))
+    v = _solve_lyapunov(*drift_and_diffusion(p, delta, big_g, p.omega_m))
     return v, logneg_gaussian(v), 0.5 * (v[..., 0, 0] + v[..., 1, 1]) - 0.5
 
 
@@ -371,15 +348,6 @@ def stationary_point(p: StationaryParams, s: SteadyState) -> StationaryResult:
         raise StabilityError("drift matrix is not strictly stable (Routh-Hurwitz)")
     v, en, n_eff = _covariance(p, s.Delta_eff, s.G)
     return StationaryResult(E_N=en, n_eff=float(n_eff), cov=v, steady=s, S1=s1, S2=s2)
-
-
-def steady_entanglement(p: StationaryParams) -> tuple[float, float, np.ndarray]:
-    """(E_N, n_eff, V) on the low-power-connected stable branch."""
-    branches = [b for b in steady_state(p) if b.stable]
-    if not branches:
-        raise StabilityError("no stable steady-state branch")
-    res = stationary_point(p, branches[0])
-    return res.E_N, res.n_eff, res.cov
 
 
 SWEEP_COLUMNS = ("Delta_over_wm", "alpha_s", "G", "S1", "S2", "stable", "EN",
@@ -397,7 +365,7 @@ def detuning_sweep(p: StationaryParams, deltas_over_wm) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(deltas_over_wm, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
         delta = xs * p.omega_m
-        alpha_s = _amplitude(p, delta)
+        alpha_s = p.drive_E / np.sqrt(p.kappa**2 + np.square(delta))
         big_g = p.g * alpha_s * math.sqrt(2.0)
         stable, s1, s2 = _routh_hurwitz(p, delta, big_g)
     overflow = ~np.isfinite([alpha_s, big_g, s1, s2]).all(axis=0)
@@ -408,13 +376,8 @@ def detuning_sweep(p: StationaryParams, deltas_over_wm) -> np.ndarray:
     en = np.full(xs.size, np.nan)
     n_eff = np.full(xs.size, np.nan)
     if stable.any():
-        try:
+        with naming_point(lambda i: f"Delta/omega_m = {xs[stable][i]:.12g}"):
             cov[stable], en[stable], n_eff[stable] = _covariance(
                 p, delta[stable], big_g[stable])
-        except QcbError as exc:
-            if not hasattr(exc, "index"):
-                raise
-            raise type(exc)(
-                f"{exc} at Delta/omega_m = {xs[stable][exc.index]:.12g}") from exc
     return np.rec.fromarrays((xs, alpha_s, big_g, s1, s2, stable.astype(int), en, n_eff,
                               *cov.reshape(-1, 16).T), names=SWEEP_COLUMNS)

@@ -35,14 +35,13 @@ The MI average over one mirror period sizes its own trapezoid grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import (
     DomainError,
     EmptySubspaceError,
-    PurityError,
     TruncationError,
     UndefinedMutualInfoError,
 )
@@ -94,12 +93,8 @@ def eta(t: float) -> complex:
     return 1.0 - np.exp(-1j * t)
 
 
-def kerr_phase_integral(t: float) -> float:
-    return t - math.sin(t)
-
-
 def _free_phase(p: OptoUnitaryParams, n: int) -> float:
-    return -p.k**2 * n**2 * kerr_phase_integral(p.t)
+    return -p.k**2 * n**2 * (p.t - math.sin(p.t))
 
 
 def _poisson_log_weight(alpha_abs2: float, n: int) -> float:
@@ -215,54 +210,18 @@ def projected_density(p: OptoUnitaryParams, sel: SubspaceSelector, normalize: bo
 def marker_upsilon(p: OptoUnitaryParams, sel: SubspaceSelector) -> float:
     """Entanglement marker -det[(PT_cavity) P rho P] on the raw projection.
 
-    Positive values witness entanglement of the full state (the partial
-    transpose has at most one negative eigenvalue in the studied subspaces).
-    Computed on the unnormalized projection so the subspace rescaling identity
-    is exact; the sign is unaffected by normalization.
+    A positive value (an odd count of negative eigenvalues of the partial
+    transpose) witnesses entanglement of the full state.  Zero or a negative
+    value gives no verdict: an m x n block can have up to (m-1)(n-1) negative
+    eigenvalues (Rana, PRA 87, 054301 (2013)), and 2 x 3 blocks already
+    show two.  Computed on the unnormalized projection so the subspace
+    rescaling identity is exact; the sign is unaffected by normalization.
     """
     raw = projected_density(p, sel, normalize=False)
     dc, dm = len(sel.cavity_levels), len(sel.mirror_levels)
     pt = np.transpose(raw.reshape(dc, dm, dc, dm), (2, 1, 0, 3)).reshape(dc * dm, dc * dm)
     det = np.linalg.det(pt)
     return float(-det.real)
-
-
-def renormalization_check(p: OptoUnitaryParams, s: int,
-                          mirror_levels: tuple[int, ...] = (0, 1)) -> tuple[float, float]:
-    """Both sides of the subspace rescaling identity; they agree exactly.
-
-    Photon-number conservation ties the marker of the cavity subspace [0, s]
-    at coupling k/s to the marker of [0, 1] at coupling k.  The scale factor
-    s! |alpha|^(-2s) (vs |alpha|^(-2)) applies once per retained mirror level,
-    i.e. the identity reads
-
-        (s! |alpha|^(-2s))^d  Upsilon_[0,s](k/s) = |alpha|^(-2d) Upsilon_[0,1](k)
-
-    with d = len(mirror_levels).  Returns (lhs, rhs).
-    """
-    if s < 1:
-        raise DomainError("s must be a positive integer")
-    d = len(mirror_levels)
-    a2 = abs(p.alpha) ** 2
-    ups_s = marker_upsilon(replace(p, k=p.k / s),
-                           SubspaceSelector((0, s), tuple(mirror_levels)))
-    ups_1 = marker_upsilon(p, SubspaceSelector((0, 1), tuple(mirror_levels)))
-    lhs = (math.factorial(s) * a2 ** (-s)) ** d * ups_s
-    rhs = a2 ** (-d) * ups_1
-    return lhs, rhs
-
-
-def subspace_tangle_t0(p: OptoUnitaryParams) -> float:
-    """Closed-form tangle of the [0,1;0,1] projection at t = pi, n_bar = 0.
-
-    tau = 16 k^2 |alpha|^2 e^(4k^2) / (e^(4k^2) + (1 + 4k^2)|alpha|^2)^2.
-    """
-    if p.n_bar > 1e-12:
-        raise PurityError("closed-form tangle is a pure-state (n_bar = 0) quantity")
-    k2 = p.k**2
-    a2 = abs(p.alpha) ** 2
-    e4 = math.exp(4.0 * k2)
-    return 16.0 * k2 * a2 * e4 / (e4 + (1.0 + 4.0 * k2) * a2) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Spin-bus long-distance entanglement: bus susceptibilities, the effective
-probe coupling, and the three-parameter canonical model of the probe pair at
-all temperatures.
+"""Spin-bus long-distance entanglement: bus susceptibilities and the
+three-parameter canonical model of the probe pair at all temperatures.
 
 Probe operators are Pauli matrices (correlator <tau_a . tau_b> in [-3, 1]);
 bath spins are spin-1/2.  Ring susceptibilities are quoted in units of the
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, FitError, QcbError
-from .qstate import DensityMatrix, PAULI_DOT, concurrence_from_correlator
 
 AKLT_GAP = 10.0 / 27.0           # single-mode-approximation gap at q = pi
 AKLT_XI = 1.0 / math.log(3.0)    # correlation length
@@ -130,29 +128,6 @@ def chi_aklt(r: int) -> float:
         raise DomainError("separation r must be >= 1")
     return (1.0 / AKLT_GAP) * (-1.0) ** (r + 1) * (1.0 + 4.0 * r / 3.0) \
         * math.exp(-r / AKLT_XI)
-
-
-def effective_coupling(j_probe: float, chi: float) -> float:
-    """Second-order probe-probe exchange J_eff = J_p^2 chi."""
-    return j_probe**2 * chi
-
-
-def probe_state_thermal(j_ab: float, beta: float) -> DensityMatrix:
-    """Two-qubit Gibbs state rho ~ exp(-beta J_ab tau_a . tau_b).
-
-    Singlet weight exp(3 beta J_ab) against three triplet weights
-    exp(-beta J_ab); concurrence vanishes exactly at beta J_ab = ln(3)/4.
-    """
-    x = beta * j_ab
-    # Boltzmann weights with the larger one factored out (no overflow)
-    w_t = math.exp(-4.0 * x) if x >= 0 else 1.0
-    w_s = 1.0 if x >= 0 else math.exp(4.0 * x)
-    z = w_s + 3.0 * w_t
-    # projectors from tau.tau eigenvalues: singlet -3, triplet +1
-    p_s = (np.eye(4) - PAULI_DOT.real) / 4.0
-    p_t = np.eye(4) - p_s
-    rho = (w_s / z) * p_s + (w_t / z) * p_t
-    return DensityMatrix(rho, split=(2, 2))
 
 
 def canonical_correlator(j_can: float, beta: float) -> float:
@@ -325,8 +300,3 @@ def fit_canonical_params(samples, kind: str = "correlator") -> FitResult:
         raise FitError(f"canonical fit did not converge: {res.message}")
     rms = float(np.sqrt(np.mean(res.fun**2)))
     return FitResult(unpack(res.x), rms, int(res.nfev))
-
-
-def probe_entanglement(cp: CanonicalParams, beta: float) -> float:
-    """Concurrence of the canonical probe pair at inverse temperature beta."""
-    return concurrence_from_correlator(correlator_of_beta(cp, beta))

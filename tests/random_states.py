@@ -1,15 +1,18 @@
-"""Random-state constructors, closed forms and reference integrals that
-only the tests use."""
+"""Random-state constructors, closed forms, reference integrals and identity
+checks that only the tests use."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from qcb.gaussian import GaussianState, thermal_cov
+from qcb.exceptions import DomainError, PurityError
+from qcb.gaussian import GaussianState
 from qcb.optomech_stationary import StationaryParams
-from qcb.qstate import DensityMatrix
+from qcb.optomech_unitary import OptoUnitaryParams, SubspaceSelector, marker_upsilon
+from qcb.qstate import PAULI_DOT, DensityMatrix
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None,
@@ -72,6 +75,11 @@ def random_symplectic(n_modes: int, rng: np.random.Generator,
     return perm @ s_xxpp @ perm.T
 
 
+def thermal_cov(n_bars) -> GaussianState:
+    """Product thermal state: V = diag(n_k + 1/2) per quadrature pair."""
+    return GaussianState(np.diag(np.repeat(np.asarray(n_bars, dtype=float) + 0.5, 2)))
+
+
 def random_physical_cov(n_modes: int, rng: np.random.Generator,
                         max_squeeze: float = 1.0, max_thermal: float = 2.0) -> GaussianState:
     s = random_symplectic(n_modes, rng, max_squeeze)
@@ -114,3 +122,59 @@ def chi_aklt_sma(r: int) -> float:
     # overall -2: the structure-factor convolution carries a factor 2 and
     # the sign convention is fixed so positive chi favors the singlet
     return -2.0 * val
+
+
+def renormalization_check(p: OptoUnitaryParams, s: int,
+                          mirror_levels: tuple[int, ...] = (0, 1)) -> tuple[float, float]:
+    """Both sides of the subspace rescaling identity; they agree exactly.
+
+    Photon-number conservation ties the marker of the cavity subspace [0, s]
+    at coupling k/s to the marker of [0, 1] at coupling k.  The scale factor
+    s! |alpha|^(-2s) (vs |alpha|^(-2)) applies once per retained mirror level,
+    i.e. the identity reads
+
+        (s! |alpha|^(-2s))^d  Upsilon_[0,s](k/s) = |alpha|^(-2d) Upsilon_[0,1](k)
+
+    with d = len(mirror_levels).  Returns (lhs, rhs).
+    """
+    if s < 1:
+        raise DomainError("s must be a positive integer")
+    d = len(mirror_levels)
+    a2 = abs(p.alpha) ** 2
+    ups_s = marker_upsilon(replace(p, k=p.k / s),
+                           SubspaceSelector((0, s), tuple(mirror_levels)))
+    ups_1 = marker_upsilon(p, SubspaceSelector((0, 1), tuple(mirror_levels)))
+    lhs = (math.factorial(s) * a2 ** (-s)) ** d * ups_s
+    rhs = a2 ** (-d) * ups_1
+    return lhs, rhs
+
+
+def subspace_tangle_t0(p: OptoUnitaryParams) -> float:
+    """Closed-form tangle of the [0,1;0,1] projection at t = pi, n_bar = 0.
+
+    tau = 16 k^2 |alpha|^2 e^(4k^2) / (e^(4k^2) + (1 + 4k^2)|alpha|^2)^2.
+    """
+    if p.n_bar > 1e-12:
+        raise PurityError("closed-form tangle is a pure-state (n_bar = 0) quantity")
+    k2 = p.k**2
+    a2 = abs(p.alpha) ** 2
+    e4 = math.exp(4.0 * k2)
+    return 16.0 * k2 * a2 * e4 / (e4 + (1.0 + 4.0 * k2) * a2) ** 2
+
+
+def probe_state_thermal(j_ab: float, beta: float) -> DensityMatrix:
+    """Two-qubit Gibbs state rho ~ exp(-beta J_ab tau_a . tau_b).
+
+    Singlet weight exp(3 beta J_ab) against three triplet weights
+    exp(-beta J_ab); concurrence vanishes exactly at beta J_ab = ln(3)/4.
+    """
+    x = beta * j_ab
+    # Boltzmann weights with the larger one factored out (no overflow)
+    w_t = math.exp(-4.0 * x) if x >= 0 else 1.0
+    w_s = 1.0 if x >= 0 else math.exp(4.0 * x)
+    z = w_s + 3.0 * w_t
+    # projectors from tau.tau eigenvalues: singlet -3, triplet +1
+    p_s = (np.eye(4) - PAULI_DOT.real) / 4.0
+    p_t = np.eye(4) - p_s
+    rho = (w_s / z) * p_s + (w_t / z) * p_t
+    return DensityMatrix(rho, split=(2, 2))

@@ -18,10 +18,13 @@ from qcb import gaussian, optomech_stationary, optomech_unitary, qstate, spin_ld
 from random_states import (
     chi_aklt_sma,
     mirror_variances_zero_detuning,
+    probe_state_thermal,
     random_density_matrix,
     random_physical_cov,
     random_separable_mixture,
     random_symplectic,
+    renormalization_check,
+    subspace_tangle_t0,
 )
 
 
@@ -94,7 +97,7 @@ def test_criterion_03_projection_and_tangle():
             dm = optomech_unitary.projected_density(p, sel)
             assert np.max(np.abs(dm.matrix - _closed_form_projection(k, alpha))) <= 1e-12
             assert abs(qstate.tangle(dm)
-                       - optomech_unitary.subspace_tangle_t0(p)) <= 1e-10
+                       - subspace_tangle_t0(p)) <= 1e-10
 
 
 def test_criterion_04_subspace_renormalization():
@@ -109,7 +112,7 @@ def test_criterion_04_subspace_renormalization():
                 n_bar=rng.uniform(0.0, 4.0), t=rng.uniform(0.2, 6.0))
             mirror = mirrors[rng.integers(0, len(mirrors))]
             for s in (1, 2, 3, 4):
-                lhs, rhs = optomech_unitary.renormalization_check(p, s, mirror)
+                lhs, rhs = renormalization_check(p, s, mirror)
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-30)
 
 
@@ -156,12 +159,11 @@ def test_criterion_06_lyapunov_solver():
         p = optomech_stationary.derive_physical_params(
             length=1e-3, mass=5e-12, power=50e-3, quality=1e5, temperature=0.4,
             wavelength=810e-9, finesse=1.07e4)
-        st = optomech_stationary.steady_state_at_detuning(p, 0.0)
-        res = optomech_stationary.stationary_point(p, st)
-        v11, v22 = mirror_variances_zero_detuning(p, st.G)
-        assert abs(res.cov[0, 0] - v11) <= 1e-8 * v11
-        assert abs(res.cov[1, 1] - v22) <= 1e-8 * v22
-        assert abs(res.cov[0, 1]) <= 1e-10
+        (row,) = optomech_stationary.detuning_sweep(p, [0.0])
+        v11, v22 = mirror_variances_zero_detuning(p, row["G"])
+        assert abs(row["V11"] - v11) <= 1e-8 * v11
+        assert abs(row["V22"] - v22) <= 1e-8 * v22
+        assert abs(row["V12"]) <= 1e-10
 
 
 def test_criterion_07_stationary_entanglement_sweep():
@@ -171,9 +173,7 @@ def test_criterion_07_stationary_entanglement_sweep():
         p = optomech_stationary.derive_physical_params(
             length=1e-3, mass=5e-12, power=50e-3, quality=1e5, temperature=0.4,
             wavelength=810e-9, finesse=1.07e4)
-        res0 = optomech_stationary.stationary_point(
-            p, optomech_stationary.steady_state_at_detuning(p, 0.0))
-        assert res0.E_N == 0.0
+        assert optomech_stationary.detuning_sweep(p, [0.0])[0]["EN"] == 0.0
         xs = np.linspace(0.2, 3.0, 141)
         rows = optomech_stationary.detuning_sweep(p, xs)
         ens = np.array([r["EN"] for r in rows])
@@ -200,11 +200,9 @@ def test_criterion_09_thermal_threshold():
                       "beta J_ab = ln(3)/4 = 0.2747", 1.0):
         beta_star = math.log(3.0) / 4.0
         assert abs(beta_star - 0.27) < 0.005  # matches the quoted 0.27
-        assert qstate.concurrence(spin_lde.probe_state_thermal(1.0, beta_star)) <= 1e-12
-        assert qstate.concurrence(
-            spin_lde.probe_state_thermal(1.0, beta_star * 1.02)) > 0.0
-        assert qstate.concurrence(
-            spin_lde.probe_state_thermal(1.0, beta_star * 0.98)) == 0.0
+        assert qstate.concurrence(probe_state_thermal(1.0, beta_star)) <= 1e-12
+        assert qstate.concurrence(probe_state_thermal(1.0, beta_star * 1.02)) > 0.0
+        assert qstate.concurrence(probe_state_thermal(1.0, beta_star * 0.98)) == 0.0
 
 
 def test_criterion_10_canonical_table_row():
@@ -265,6 +263,6 @@ def test_criterion_12_property_suites():
         for _ in range(400):
             st = optomech_stationary.SteadyState(
                 0.0, 0.0, 0.0, rng.uniform(-2.0, 3.0), rng.uniform(0.0, 2.5), False)
-            a, _ = optomech_stationary.drift_and_diffusion(p, st)
+            a, _ = optomech_stationary.drift_and_diffusion(p, st.Delta_eff, st.G)
             rh = optomech_stationary.stability_check(p, st)[0]
             assert rh == bool(np.max(np.linalg.eigvals(a).real) < 0.0)

@@ -121,15 +121,26 @@ class TestExitCodes:
         ["ed", "report", "--L", "4", "--alpha", "8.98846567431158e+307"],
         ["gaussian", "--r", "400"],
         ["gaussian", "--grid", "3", "--r-max", "400"],
+        ["ed", "run", "--L", "1000000000"],
+        ["ed", "report", "--lattice", "ladder", "--L", "1000000000"],
     ])
     def test_overflowing_inputs_are_domain_errors(self, capsys, argv):
         # finite flags whose derived quantities overflow (or, at r = 20,
         # lose det V to rounding): an error, not nan/inf rows or an
         # entangled state printed as separable=1, and no numpy warning.
-        # From r = 356 on, cosh(r)^2 overflows the covariance itself.
+        # From r = 356 on, cosh(r)^2 overflows the covariance itself; a
+        # lattice of 10^9 sites is refused before its bonds are built.
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
-        assert err.startswith("qcb: error:") and "Traceback" not in err
+        assert err.startswith("qcb: error:") and err.count("\n") == 1
+
+    def test_grid_failure_names_the_point(self, capsys):
+        # det V is lost to rounding at r = 9, the 16th point of the 5 x 5 grid
+        code, out, err = run(capsys, "gaussian", "--grid", "5", "--r-max", "12",
+                             "--nbar-max", "0.5")
+        assert code == 3 and out == ""
+        assert err == ("qcb: error: V + i sigma/2 has eigenvalue < -1e-10"
+                       " at r = 9, n_bar = 0\n")
 
 
 def test_allocation_failure_is_a_domain_error():
@@ -575,7 +586,10 @@ MALFORMED_TABLES = {
     "zero_beta.csv": "beta,correlator\n1000,-1.5\n500,-1\n250,-0.5\n0,0\n",
     "no_correlator.csv": "beta,J_ab\n1000,1e-3\n500,1e-3\n250,9e-4\n125,8e-4\n",
 }
+# An ed lattice of 10^9 sites, to be refused before its bonds are built.
+HUGE_L = st.just("1000000000")
 # command: (flags always given, optional flags); sizes stay tiny.
+
 FUZZ_COMMANDS = {
     "werner": ({}, {"--f": NUMBER, "--grid": COUNT,
                     "--format": st.sampled_from(["csv", "json"])}),
@@ -592,12 +606,12 @@ FUZZ_COMMANDS = {
         "finesse", "fm", "kappa", "dmin", "dmax")}, "--steps": COUNT}),
     "lde thermal": ({"--jcan": NUMBER, "--tmin": NUMBER, "--tmax": NUMBER},
                     {"--phi": NUMBER, "--eta": NUMBER, "--steps": COUNT}),
-    "ed run": ({"--L": st.integers(4, 8).map(str)},
+    "ed run": ({"--L": st.one_of(st.integers(4, 8).map(str), HUGE_L)},
                {"--lattice": st.sampled_from(["chain", "ladder"]),
                 "--alpha": NUMBER,
                 "--probes": st.sampled_from(["ends", "1,2", "0,9", "a,b", "1"]),
                 "--temps": st.one_of(NUMBER, st.sampled_from(["auto", "0.1,0.2"]))}),
-    "ed report": ({"--L": st.integers(4, 6).map(str)},  # chains of 6-8 spins
+    "ed report": ({"--L": st.one_of(st.integers(4, 6).map(str), HUGE_L)},  # 6-8 spins or HUGE_L
                   {"--alpha": NUMBER,
                    "--probes": st.sampled_from(["ends", "1,2", "0,9", "a,b"])}),
     "lde chi": ({"--model": st.sampled_from(["ring", "aklt", "x"])},

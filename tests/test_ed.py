@@ -127,8 +127,10 @@ class TestHamiltonian:
         assert np.array_equal(e1, e2)
 
     def test_size_cap(self):
-        with pytest.raises(ResourceError):
-            chain(15, alpha=0.05)
+        # 10^12 bonds would not fit in memory: the cap comes before any bond
+        for make, length in ((chain, 15), (chain, 10**12), (ladder, 10**12)):
+            with pytest.raises(ResourceError):
+                make(length, alpha=0.05)
 
     def test_ladder_geometry(self):
         spec = ladder(3, alpha=0.05)

@@ -17,13 +17,12 @@ from qcb.gaussian import (
     simon_invariant_check,
     symplectic_eigenvalues_two_mode,
     symplectic_form,
-    thermal_cov,
     two_mode_blocks,
     two_mode_squeezed_thermal_cov,
     wigner_gaussian,
 )
 
-from random_states import random_physical_cov, random_symplectic
+from random_states import random_physical_cov, random_symplectic, thermal_cov
 
 VAC = 0.5 * np.eye(4)
 

@@ -17,9 +17,7 @@ from qcb.optomech_stationary import (
     lyapunov_solve,
     stability_check,
     stationary_point,
-    steady_entanglement,
     steady_state,
-    steady_state_at_detuning,
     thermal_occupancy,
 )
 
@@ -49,6 +47,19 @@ def integral_oracle(a, d, n_steps=4000, decay_times=20.0):
     # composite Simpson on the uniform grid
     return h / 3.0 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum(axis=0)
                       + 2 * vals[2:-1:2].sum(axis=0))
+
+
+def record_state(p, row):
+    """The working point of a :func:`detuning_sweep` record."""
+    alpha_s = float(row["alpha_s"])
+    return SteadyState(alpha_s=alpha_s, q_s=p.g * alpha_s**2 / p.omega_m, p_s=0.0,
+                       Delta_eff=float(row["Delta_over_wm"]) * p.omega_m,
+                       G=float(row["G"]), stable=bool(row["stable"]))
+
+
+def record_cov(row):
+    """The 4 x 4 covariance of a :func:`detuning_sweep` record."""
+    return np.array([[row[f"V{i}{j}"] for j in range(1, 5)] for i in range(1, 5)])
 
 
 def random_stable_system(rng):
@@ -124,8 +135,8 @@ class TestSteadyState:
 
     def test_detuning_branch(self):
         p = fig_params()
-        st = steady_state_at_detuning(p, p.omega_m)
-        assert st.alpha_s == pytest.approx(p.drive_E / math.hypot(p.kappa, p.omega_m))
+        (row,) = detuning_sweep(p, [1.0])
+        assert row["alpha_s"] == pytest.approx(p.drive_E / math.hypot(p.kappa, p.omega_m))
 
 
 class TestDriftMatrix:
@@ -138,7 +149,7 @@ class TestDriftMatrix:
 
     def test_hand_transcription(self):
         p, s = self._params()
-        a, d = drift_and_diffusion(p, s)
+        a, d = drift_and_diffusion(p, s.Delta_eff, s.G)
         want = np.array([
             [0.0, 1.0, 0.0, 0.0],
             [-1.0, -0.01, 1.1, 0.0],
@@ -150,12 +161,12 @@ class TestDriftMatrix:
 
     def test_trace(self):
         p, s = self._params()
-        a, _ = drift_and_diffusion(p, s)
+        a, _ = drift_and_diffusion(p, s.Delta_eff, s.G)
         assert abs(np.trace(a) + p.gamma_m + 2 * p.kappa) < 1e-14
 
     def test_block_diagonal_at_zero_coupling(self):
         p, s = self._params()
-        a, _ = drift_and_diffusion(p, SteadyState(0.0, 0.0, 0.0, 0.8, 0.0, False))
+        a, _ = drift_and_diffusion(p, s.Delta_eff, 0.0)
         assert np.max(np.abs(a[:2, 2:])) == 0.0 and np.max(np.abs(a[2:, :2])) == 0.0
 
 
@@ -180,7 +191,7 @@ class TestStability:
         for delta in np.linspace(-2.0, 3.0, 20):
             for big_g in np.linspace(0.0, 2.5, 20):
                 st = SteadyState(0.0, 0.0, 0.0, delta, big_g, False)
-                a, _ = drift_and_diffusion(p, st)
+                a, _ = drift_and_diffusion(p, delta, big_g)
                 rh = stability_check(p, st)[0]
                 eig = bool(np.max(np.linalg.eigvals(a).real) < 0.0)
                 assert rh == eig
@@ -229,32 +240,29 @@ class TestLyapunov:
 
     def test_zero_detuning_closed_forms(self):
         p = fig_params()
-        st = steady_state_at_detuning(p, 0.0)
-        res = stationary_point(p, st)
-        v11, v22 = mirror_variances_zero_detuning(p, st.G)
-        assert abs(res.cov[0, 0] - v11) < 1e-8 * v11
-        assert abs(res.cov[1, 1] - v22) < 1e-8 * v22
-        assert abs(res.cov[0, 1]) < 1e-10
-        want_neff = p.n_bar + (st.G / p.omega_m) ** 2 * (
+        (row,) = detuning_sweep(p, [0.0])
+        v11, v22 = mirror_variances_zero_detuning(p, row["G"])
+        assert abs(row["V11"] - v11) < 1e-8 * v11
+        assert abs(row["V22"] - v22) < 1e-8 * v22
+        assert abs(row["V12"]) < 1e-10
+        want_neff = p.n_bar + (row["G"] / p.omega_m) ** 2 * (
             2 * p.kappa / p.omega_m + p.gamma_m / p.omega_m) / (
             4 * p.gamma_m / p.omega_m * ((p.kappa / p.omega_m) ** 2
                                          + p.kappa * p.gamma_m / p.omega_m**2 + 1))
-        assert abs(res.n_eff - want_neff) < 1e-8 * want_neff
+        assert abs(row["n_eff"] - want_neff) < 1e-8 * want_neff
 
 
 class TestStationaryEntanglement:
     def test_zero_detuning_no_entanglement(self):
         p = fig_params()
-        res = stationary_point(p, steady_state_at_detuning(p, 0.0))
-        assert res.E_N == 0.0
+        assert detuning_sweep(p, [0.0])[0]["EN"] == 0.0
 
     def test_detuned_point_entangled_and_cooled(self):
         p = fig_params()
-        res = stationary_point(p, steady_state_at_detuning(p, p.omega_m))
-        assert res.E_N > 0.25
-        r2 = stationary_point(p, steady_state_at_detuning(p, 2 * p.omega_m))
-        assert 0.35 < r2.n_eff < 1.5       # reference value ~0.75
-        assert abs(r2.n_eff - 0.754) < 0.01  # frozen from this pipeline
+        r1, r2 = detuning_sweep(p, [1.0, 2.0])
+        assert r1["EN"] > 0.25
+        assert 0.35 < r2["n_eff"] < 1.5       # reference value ~0.75
+        assert abs(r2["n_eff"] - 0.754) < 0.01  # frozen from this pipeline
 
     def test_sweep_shape(self):
         p = fig_params()
@@ -280,39 +288,38 @@ class TestStationaryEntanglement:
     def test_sweep_rows_equal_stationary_point(self):
         p = fig_params()
         xs = np.linspace(0.2, 3.0, 141)
-        for x, row in zip(xs, detuning_sweep(p, xs)):
-            st = steady_state_at_detuning(p, x * p.omega_m)
-            ref = stationary_point(p, st)
-            assert (row["alpha_s"], row["G"]) == (st.alpha_s, st.G)
+        for row in detuning_sweep(p, xs):
+            ref = stationary_point(p, record_state(p, row))
             assert (row["EN"], row["n_eff"]) == (ref.E_N, ref.n_eff)
             assert (row["S1"], row["S2"]) == (ref.S1, ref.S2)
-            cov = [[row[f"V{i}{j}"] for j in range(1, 5)] for i in range(1, 5)]
-            assert np.array_equal(cov, ref.cov)
+            assert np.array_equal(record_cov(row), ref.cov)
 
     def test_covariances_physical(self):
         p = fig_params()
         sigma = symplectic_form(2)
-        for x in (0.3, 0.83, 1.5, 2.7):
-            res = stationary_point(p, steady_state_at_detuning(p, x * p.omega_m))
-            w = np.linalg.eigvalsh(res.cov + 0.5j * sigma).min()
+        for row in detuning_sweep(p, [0.3, 0.83, 1.5, 2.7]):
+            w = np.linalg.eigvalsh(record_cov(row) + 0.5j * sigma).min()
             assert w > -1e-8
 
-    def test_steady_entanglement_wrapper(self):
+    def test_first_stable_branch_point(self):
         p = StationaryParams(omega_m=1.0, gamma_m=1e-3, kappa=0.5, Delta0=1.2,
                              g=0.02, drive_E=5.0, n_bar=1.0)
-        en, n_eff, cov = steady_entanglement(p)
-        assert cov.shape == (4, 4)
-        assert en >= 0.0 and n_eff > 0.0
+        res = stationary_point(p, next(b for b in steady_state(p) if b.stable))
+        assert res.cov.shape == (4, 4)
+        assert res.E_N >= 0.0 and res.n_eff > 0.0
 
     def test_steady_entanglement_requires_stable_branch(self):
         # the reference drive at zero bare detuning self-shifts onto the
         # anti-damping side and has no stable branch
+        p = fig_params()
+        branches = steady_state(p)
+        assert not any(b.stable for b in branches)
         with pytest.raises(StabilityError):
-            steady_entanglement(fig_params())
+            stationary_point(p, branches[0])
 
     def test_stationary_point_refuses_unstable_branch(self):
         p = fig_params(power=0.15)
-        st = steady_state_at_detuning(p, 1.0 * p.omega_m)
+        st = record_state(p, detuning_sweep(p, [1.0])[0])
         assert not st.stable
         with pytest.raises(StabilityError):
             stationary_point(p, st)
@@ -344,7 +351,7 @@ def test_routh_hurwitz_stable_points_need_no_eigenvalue_check(power, steps):
     stable = sweep["stable"] == 1
     assert stable.any()
     delta = sweep["Delta_over_wm"][stable] * p.omega_m
-    a, d = optomech_stationary._drift_diffusion(p, delta, sweep["G"][stable], p.omega_m)
+    a, d = drift_and_diffusion(p, delta, sweep["G"][stable], p.omega_m)
     assert np.max(np.linalg.eigvals(a).real, axis=-1).max() < 0.0
     cov = np.stack([sweep[f"V{i}{j}"][stable] for i in range(1, 5) for j in range(1, 5)],
                    axis=-1).reshape(-1, 4, 4)
@@ -396,8 +403,9 @@ def test_marginal_systems_refined_to_the_last_bit(power, x):
     p = fig_params(power=power)
     xs = np.linspace(0.2, 3.0, 2810)
     delta = xs[np.abs(xs - x).argmin()] * p.omega_m
-    big_g = p.g * optomech_stationary._amplitude(p, delta) * math.sqrt(2.0)
-    a, d = optomech_stationary._drift_diffusion(p, delta, big_g, p.omega_m)
+    alpha_s = p.drive_E / np.sqrt(p.kappa**2 + np.square(delta))  # as detuning_sweep
+    big_g = p.g * alpha_s * math.sqrt(2.0)
+    a, d = drift_and_diffusion(p, delta, big_g, p.omega_m)
     v, residual, failed = optomech_stationary._refined_solution(a, d)
     exact = exact_lyapunov(a, d)
     # V_qp = <dq dp + dp dq>/2 vanishes; the 50-digit solve leaves it ~1e-48

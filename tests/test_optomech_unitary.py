@@ -26,11 +26,11 @@ from qcb.optomech_unitary import (
     marker_upsilon,
     normalized_mi_time,
     projected_density,
-    renormalization_check,
     rho_element,
-    subspace_tangle_t0,
 )
 from qcb.qstate import tangle
+
+from random_states import renormalization_check, subspace_tangle_t0
 
 LOWEST = SubspaceSelector((0, 1), (0, 1))
 

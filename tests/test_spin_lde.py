@@ -16,14 +16,11 @@ from qcb.spin_lde import (
     correlator_from_jab,
     correlator_of_beta,
     critical_temperature,
-    effective_coupling,
     fit_canonical_params,
     jab_of_beta,
-    probe_entanglement,
-    probe_state_thermal,
 )
 
-from random_states import chi_aklt_sma
+from random_states import chi_aklt_sma, probe_state_thermal
 
 CHAIN_ROW = CanonicalParams(5.07e-4, 1.03e-2, 6.23e-4)       # table: spin chain
 SQUARE_ROW = CanonicalParams(3.04e-3, 1.46e-1, -1.34e-2)     # table: square lattice
@@ -97,15 +94,14 @@ class TestAkltSusceptibility:
 
 
 class TestEffectiveCoupling:
-    def test_zero_probe_coupling(self):
-        assert effective_coupling(0.0, 2.1) == 0.0
+    """The second-order probe-probe exchange J_eff = J_p^2 chi."""
 
     def test_aklt_nearest(self):
-        assert abs(effective_coupling(0.1, chi_aklt(1)) - 0.021) < 1e-12
+        assert abs(0.1**2 * chi_aklt(1) - 0.021) < 1e-12
 
     def test_af_sign_for_odd_separation(self):
         for r in (1, 3, 5):
-            assert effective_coupling(0.1, chi_aklt(r)) > 0.0
+            assert 0.1**2 * chi_aklt(r) > 0.0
 
 
 class TestProbeThermalState:
@@ -219,8 +215,12 @@ class TestCriticalTemperature:
     def test_concurrence_vanishes_at_tstar(self):
         cp = SQUARE_ROW
         ct = critical_temperature(cp)
-        assert probe_entanglement(cp, 1.0 / ct.kT_exact) < 1e-9
-        assert probe_entanglement(cp, 1.2 / ct.kT_exact) > 1e-4
+
+        def probe_concurrence(beta):
+            return concurrence_from_correlator(correlator_of_beta(cp, beta))
+
+        assert probe_concurrence(1.0 / ct.kT_exact) < 1e-9
+        assert probe_concurrence(1.2 / ct.kT_exact) > 1e-4
 
 
 def bisect_120(f, lo, hi):
