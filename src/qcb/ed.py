@@ -10,13 +10,17 @@ Engine (after Sandvik, arXiv:1101.3281, sec. 4): basis states are bit
 strings, blocks are sorted arrays of equal popcount, and each block matrix
 is assembled with array bit operations and ``searchsorted`` lookups (dense
 ``eigh`` up to ``DENSE_BLOCK_CAP``, Lanczos from a fixed start vector above
-it).  Importing this module loads no scipy: block assembly imports
-``scipy.sparse``, and only the Lanczos branch imports ``scipy.sparse.linalg``,
-so dense-only runs never load the sparse eigensolver.  The T = 0 quantities
-read the S_z = -1, 0, +1 blocks only, of a given spectrum or of their own
-diagonalization, and total spin is verified through
-<S^2> = S_z^2 + S_z + ||S^+ v||^2.  One Boltzmann average serves every
-thermal correlator; it bounds what a truncated spectrum left out.
+it).  Lanczos blocks are reduced by the global spin flip F = prod sigma^x:
+the S_z = 0 block splits into two half-size F sectors, and a block below
+S_z = 0 whose mirror is also requested is read off that mirror, unbuilt.
+Dense blocks are not reduced, because the printed goldens pin the bits of
+their direct ``eigh``.  Importing this module loads no scipy: block assembly
+imports ``scipy.sparse``, and only the Lanczos branch imports
+``scipy.sparse.linalg``, so dense-only runs never load the sparse
+eigensolver.  The T = 0 quantities read the S_z = -1, 0, +1 blocks only, of
+a given spectrum or of their own diagonalization, and total spin is verified
+through <S^2> = S_z^2 + S_z + ||S^+ v||^2.  One Boltzmann average serves
+every thermal correlator; it bounds what a truncated spectrum left out.
 
 Units and normalization: energies are in units of the bath exchange J = 1;
 bath spins are S = sigma/2; probe operators tau are full Pauli matrices
@@ -193,8 +197,11 @@ class SpectrumResult:
     """Eigen-decomposition of some S_z blocks, keyed by the number of up spins.
 
     A block at or below ``DENSE_BLOCK_CAP`` holds every level; a larger one
-    holds its lowest ``k_each`` (truncated).  The ground energy and the probe
-    correlator diagonals are computed on first use and kept.
+    holds its lowest ``k_each`` (truncated), merged from its two spin-flip
+    sectors at S_z = 0, or read off its mirror block n - m below S_z = 0
+    (its vectors then are reversed views of the mirror's).  The ground
+    energy and the probe correlator diagonals are computed on first use and
+    kept.
     """
 
     spec: LatticeSpec
@@ -232,28 +239,86 @@ def full_spectrum(spec: LatticeSpec) -> SpectrumResult:
 def _low_levels(spec: LatticeSpec, k_each: int = 8,
                 blocks: tuple[int, ...] | None = None) -> SpectrumResult:
     """Lowest levels per block (all blocks, or the n_up values in ``blocks``):
-    every level by dense ``eigh`` at or below the cap, ``k_each`` by Lanczos
-    above it.
+    every level by dense ``eigh`` at or below the cap, the lowest ``k_each``
+    by Lanczos above it.
+
+    Lanczos blocks use the global spin flip F = prod sigma^x, which commutes
+    with H and maps block m onto block n - m.  The S_z = 0 block splits into
+    its two half-size F sectors (:func:`_flip_sector_levels`).  A block below
+    S_z = 0 whose mirror n - m is also requested is neither built nor
+    diagonalized: it has the levels of block n - m, and F complements its
+    states, which reverses their sorted order, so its states are
+    ``(states ^ mask)[::-1]`` and its vectors ``v[::-1]``.  Dense blocks keep
+    their direct ``eigh``: mirrored ``eigh`` levels differ by a few ulp,
+    which the printed goldens would show.
+    """
+    n = spec.n_total
+    wanted = tuple(range(n + 1)) if blocks is None else tuple(blocks)
+    mirrored = [m for m in wanted if 2 * m < n and n - m in wanted
+                and math.comb(n, m) > DENSE_BLOCK_CAP]
+    levels = {}
+    for m, (sts, h) in build_hamiltonian(
+            spec, tuple(m for m in wanted if m not in mirrored)).items():
+        dim = h.shape[0]
+        if dim <= DENSE_BLOCK_CAP:
+            w, v = np.linalg.eigh(h.toarray())
+        elif 2 * m == n:
+            w, v = _flip_sector_levels(h, k_each)
+        else:
+            w, v = _lanczos(h, min(k_each, dim - 1))
+        levels[m] = w, v, sts
+    mask = (1 << n) - 1
+    for m in mirrored:
+        w, v, sts = levels[n - m]
+        levels[m] = w, v[::-1], (sts ^ mask)[::-1]
+    return SpectrumResult(spec, {m: levels[m][0] for m in wanted},
+                          {m: levels[m][1] for m in wanted},
+                          {m: levels[m][2] for m in wanted})
+
+
+def _lanczos(h: csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``k`` levels of a sparse block, sorted, by ``eigsh``.
 
     Lanczos starts from a fixed-seed vector, so repeated calls return the
     same floats.  (A constant start vector would not do: in every block it is
     the fully polarized S = n/2 eigenstate.)
     """
-    energies, vectors, states = {}, {}, {}
-    for m, (sts, h) in build_hamiltonian(spec, blocks).items():
-        dim = h.shape[0]
-        if dim <= DENSE_BLOCK_CAP:
-            w, v = np.linalg.eigh(h.toarray())
-        else:
-            from scipy.sparse.linalg import eigsh
+    from scipy.sparse.linalg import eigsh
 
-            k = min(k_each, dim - 1)
-            v0 = np.random.default_rng(0).standard_normal(dim)
-            w, v = eigsh(h, k=k, which="SA", tol=1e-12, v0=v0)
-            order = np.argsort(w)
-            w, v = w[order], v[:, order]
-        energies[m], vectors[m], states[m] = w, v, sts
-    return SpectrumResult(spec, energies, vectors, states)
+    v0 = np.random.default_rng(0).standard_normal(h.shape[0])
+    w, v = eigsh(h, k=k, which="SA", tol=1e-12, v0=v0)
+    order = np.argsort(w)
+    return w[order], v[:, order]
+
+
+def _flip_sector_levels(h: csr_matrix, k_each: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``k_each`` levels of an S_z = 0 block from its two F sectors.
+
+    F reverses the sorted basis of the block, so with A = H[:half, :half] and
+    B = H[:half, half:][:, ::-1] the F = +1 and F = -1 sectors are A + B and
+    A - B, each diagonalized by :func:`_lanczos`; their vectors expand back as
+    [v; +-v[::-1]]/sqrt(2).  The lowest ``k_each`` of the merged levels are
+    kept, so every level left out lies above the top kept one.  The probe
+    singlet and triplet member fall in different sectors, so neither Krylov
+    space has to resolve their splitting.
+    """
+    from scipy.sparse import csr_matrix
+
+    half = h.shape[0] // 2
+    top = h[:half].tocoo()
+    right = top.col >= half
+    cols = np.where(right, h.shape[0] - 1 - top.col, top.col)
+    ws, vs = [], []
+    for sign in (1.0, -1.0):
+        # (row, col) pairs that A and B share are summed by the CSR build
+        sector = csr_matrix((np.where(right, sign * top.data, top.data), (top.row, cols)),
+                            shape=(half, half))
+        w, v = _lanczos(sector, min(k_each, half - 1))
+        ws.append(w)
+        vs.append(np.vstack([v, sign * v[::-1]]) / math.sqrt(2.0))
+    w = np.concatenate(ws)
+    order = np.argsort(w, kind="stable")[:k_each]
+    return w[order], np.hstack(vs)[:, order]
 
 
 def total_spin_expectation(result: SpectrumResult, m: int, level: int) -> float:
@@ -272,12 +337,15 @@ def _spin_squared(result: SpectrumResult, m: int, level: int) -> float:
     """<S_tot^2> = S_z^2 + S_z + ||S^+ v||^2 of one eigenvector.
 
     S^+ = sum_i S_i^+ maps block m into block m + 1 with unit amplitudes:
-    n vectorized bit flips instead of the n(n-1)/2 pair bonds.
+    n vectorized bit flips instead of the n(n-1)/2 pair bonds.  Block
+    m + 1's states come from ``result`` when it holds them.
     """
     n = result.spec.n_total
     sts = result.states[m]
     vec = result.vectors[m][:, level]
-    up = _blocks_by_magnetization(n, (m + 1,))[m + 1]
+    up = result.states.get(m + 1)
+    if up is None:
+        up = _blocks_by_magnetization(n, (m + 1,))[m + 1]
     raised = np.zeros(len(up))
     for i in range(n):
         down = np.flatnonzero(((sts >> i) & 1) == 0)
@@ -290,14 +358,18 @@ def _spin_squared(result: SpectrumResult, m: int, level: int) -> float:
 def _central_levels(spec: LatticeSpec, spectrum: SpectrumResult | None):
     """``spectrum`` (diagonalized now if None) and the sorted levels of its
     S_z = -1, 0, +1 blocks, where every total-spin multiplet has a member
-    (SU(2)): the other blocks add nothing to the ground or probe sector."""
+    (SU(2)): the other blocks add nothing to the ground or probe sector.
+
+    The checks read the five lowest of these levels (singlet, triplet, next
+    level), and each lies among the five lowest of its own block, so a new
+    diagonalization keeps five per Lanczos block."""
     if spec.n_total % 2:
         raise SectorAmbiguityError(
             f"{spec.n_total} spins have half-integer total spin: no probe singlet")
     mid = spec.n_total // 2
     blocks = (mid - 1, mid, mid + 1)
     if spectrum is None:
-        spectrum = _low_levels(spec, blocks=blocks)
+        spectrum = _low_levels(spec, k_each=5, blocks=blocks)
     return spectrum, spectrum.all_levels(blocks)
 
 

@@ -216,11 +216,16 @@ def marker_upsilon(p: OptoUnitaryParams, sel: SubspaceSelector) -> float:
     eigenvalues (Rana, PRA 87, 054301 (2013)), and 2 x 3 blocks already
     show two.  Computed on the unnormalized projection so the subspace
     rescaling identity is exact; the sign is unaffected by normalization.
+    A determinant that is not finite (the LU of a singular block with
+    subnormal entries divides by zero) is a DomainError.
     """
     raw = projected_density(p, sel, normalize=False)
     dc, dm = len(sel.cavity_levels), len(sel.mirror_levels)
     pt = np.transpose(raw.reshape(dc, dm, dc, dm), (2, 1, 0, 3)).reshape(dc * dm, dc * dm)
-    det = np.linalg.det(pt)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = np.linalg.det(pt)
+    if not np.isfinite(det):
+        raise DomainError(f"marker determinant is not finite ({det.real}) at t = {p.t}")
     return float(-det.real)
 
 

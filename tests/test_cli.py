@@ -123,13 +123,16 @@ class TestExitCodes:
         ["gaussian", "--grid", "3", "--r-max", "400"],
         ["ed", "run", "--L", "1000000000"],
         ["ed", "report", "--lattice", "ladder", "--L", "1000000000"],
+        ["optomech-unitary", "--quantity", "marker", "--n-bar", "1.3753913865555556",
+         "--t", "1e-300"],
     ])
     def test_overflowing_inputs_are_domain_errors(self, capsys, argv):
         # finite flags whose derived quantities overflow (or, at r = 20,
         # lose det V to rounding): an error, not nan/inf rows or an
         # entangled state printed as separable=1, and no numpy warning.
         # From r = 356 on, cosh(r)^2 overflows the covariance itself; a
-        # lattice of 10^9 sites is refused before its bonds are built.
+        # lattice of 10^9 sites is refused before its bonds are built; at
+        # t = 1e-300 the marker block is singular and its det is not finite.
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("qcb: error:") and err.count("\n") == 1

@@ -52,6 +52,16 @@ def dense_hamiltonian(spec):
     return h
 
 
+def plain_lanczos(h, k=8):
+    """Lowest k levels of a whole S_z block by eigsh, with no spin-flip
+    sectors or mirrors: the oracle for the reduced Lanczos route."""
+    from scipy.sparse.linalg import eigsh
+
+    v0 = np.random.default_rng(1).standard_normal(h.shape[0])
+    return np.sort(eigsh(h, k=k, which="SA", tol=1e-12, v0=v0,
+                         return_eigenvectors=False))
+
+
 def chi_resolvent(spec):
     """chi via a linear solve, (E_0 - H) x = Q S_B^z |0>: an eigenbasis-free
     oracle for :func:`chi_lehman_and_phi`."""
@@ -177,6 +187,47 @@ class TestLowSpectrum:
         oracle = [total_spin_expectation(result, m, k) for _, m, k in levels]
         assert np.max(np.abs(np.subtract(s2, oracle))) < 1e-9
         assert np.max(np.abs(np.subtract(s2, [0.0, 2.0, 2.0, 2.0]))) < 1e-6
+
+    def test_flip_sectors_and_mirror_match_plain_lanczos(self):
+        # 16 spins: S_z = 0 through its two F sectors, S_z = -1 as the mirror
+        # of S_z = +1; both against eigsh of the whole block
+        spec = chain(14, alpha=0.05, probes=(1, 12))
+        result = _low_levels(spec, blocks=(7, 8, 9))
+        built = build_hamiltonian(spec, (7, 8, 9))
+        for m, (sts, h) in built.items():
+            assert np.array_equal(result.states[m], sts)
+            assert np.max(np.abs(result.energies[m] - plain_lanczos(h))) < 1e-10
+            vecs = result.vectors[m]
+            assert np.max(np.abs(h @ vecs - vecs * result.energies[m])) < 1e-10
+        # H_{n-m} = J H_m J entry for entry, J the order reversal
+        rev = np.arange(len(built[9][0]))[::-1]
+        assert (built[7][1] - built[9][1][rev][:, rev]).count_nonzero() == 0
+        # the triplet member of the mirrored block is a triplet
+        member = next(k for _, m, k in result.all_levels()[1:4] if m == 7)
+        assert abs(total_spin_expectation(result, 7, member) - 2.0) < 1e-8
+
+    def test_reduced_lanczos_route_matches_dense(self, monkeypatch):
+        # a cap of 100 sends the central blocks of 10 spins through the
+        # sectors and the mirror; 9 spins have no S_z = 0 block, mirror only
+        even, odd = chain(8, alpha=0.05, probes=(1, 6)), chain(7, alpha=0.05, probes=(1, 5))
+        want = (low_spectrum_jcan(even), ground_state_correlator(even))
+        dense = {spec: full_spectrum(spec) for spec in (even, odd)}
+        monkeypatch.setattr(ed, "DENSE_BLOCK_CAP", 100)
+        j_can, gap = low_spectrum_jcan(even)
+        assert abs(j_can - want[0][0]) < 1e-10 and abs(gap - want[0][1]) < 1e-10
+        assert abs(ground_state_correlator(even) - want[1]) < 1e-10
+        for spec, full in dense.items():
+            reduced = _low_levels(spec)
+            n = spec.n_total
+            lanczos = [m for m in reduced.energies if math.comb(n, m) > 100]
+            assert lanczos == ([3, 4, 5, 6, 7] if n == 10 else [4, 5])
+            for m, es in reduced.energies.items():
+                assert np.array_equal(reduced.states[m], full.states[m])
+                assert len(es) == (8 if m in lanczos else len(full.energies[m]))
+                assert np.max(np.abs(es - full.energies[m][:len(es)])) < 1e-10
+        for quantity in (low_spectrum_jcan, ground_state_correlator):
+            with pytest.raises(SectorAmbiguityError):
+                quantity(odd)
 
     def test_repeated_lanczos_probe_gap_is_bit_identical(self):
         spec = chain(14, alpha=0.05, probes=(1, 12))
