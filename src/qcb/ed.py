@@ -8,19 +8,22 @@ parameters.
 
 Engine (after Sandvik, arXiv:1101.3281, sec. 4): basis states are bit
 strings, blocks are sorted arrays of equal popcount, and each block matrix
-is assembled with array bit operations and ``searchsorted`` lookups (dense
-``eigh`` up to ``DENSE_BLOCK_CAP``, Lanczos from a fixed start vector above
-it).  Lanczos blocks are reduced by the global spin flip F = prod sigma^x:
-the S_z = 0 block splits into two half-size F sectors, and a block below
-S_z = 0 whose mirror is also requested is read off that mirror, unbuilt.
-Dense blocks are not reduced, because the printed goldens pin the bits of
-their direct ``eigh``.  Importing this module loads no scipy: block assembly
-imports ``scipy.sparse``, and only the Lanczos branch imports
-``scipy.sparse.linalg``, so dense-only runs never load the sparse
-eigensolver.  The T = 0 quantities read the S_z = -1, 0, +1 blocks only, of
-a given spectrum or of their own diagonalization, and total spin is verified
-through <S^2> = S_z^2 + S_z + ||S^+ v||^2.  One Boltzmann average serves
-every thermal correlator; it bounds what a truncated spectrum left out.
+is assembled from array bit operations and ``searchsorted`` lookups: straight
+into a numpy array at or below ``DENSE_BLOCK_CAP`` (dense ``eigh``), as CSR
+above it (Lanczos from a fixed start vector).  Lanczos blocks are reduced by
+the global spin flip F = prod sigma^x: the S_z = 0 block splits into two
+half-size F sectors, and a block below S_z = 0 whose mirror is also
+requested is read off that mirror, unbuilt.  Dense blocks are not reduced,
+because the printed goldens pin the bits of their direct ``eigh``.
+Importing this module loads no scipy, and neither does a dense block: only
+the Lanczos branch imports ``scipy.sparse`` and ``scipy.sparse.linalg``.
+The T = 0 quantities read the S_z = 0 block alone, where every
+integer-spin multiplet has one member (SU(2)), of a given spectrum or of
+its own diagonalization, and total spin is verified through
+<S^2> = S_z^2 + S_z + ||S^+ v||^2.  The probe correlator is applied as a
+two-term gather, exact to the bit.  One Boltzmann average serves every
+thermal correlator; its terms are worked out once per spectrum, and it
+bounds what a truncated spectrum left out.
 
 Units and normalization: energies are in units of the bath exchange J = 1;
 bath spins are S = sigma/2; probe operators tau are full Pauli matrices
@@ -149,33 +152,58 @@ def _blocks_by_magnetization(n: int, n_ups: tuple[int, ...] | None = None
     return {n_up: states[pop == n_up] for n_up in n_ups}
 
 
-def _block_hamiltonian(bonds, states: np.ndarray) -> csr_matrix:
-    """Sparse Heisenberg Hamiltonian restricted to one S_z block.
-
-    The diagonal is summed bond by bond in bond order; its floats, and so the
-    printed eigenvalues, depend on that order.
-    """
-    from scipy.sparse import csr_matrix
-
-    dim = len(states)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(dim)
+def _bond_terms(bonds, states: np.ndarray):
+    """Heisenberg terms of one S_z block: the diagonal, summed bond by bond
+    in bond order (its floats, and so the printed eigenvalues, depend on that
+    order), and per bond the (rows, columns, value) of its flip-flop
+    entries, no (row, column) twice within a bond."""
+    diag = np.zeros(len(states))
+    flips = []
     for i, j, w in bonds:
         differ = ((states >> i) ^ (states >> j)) & 1
         diag += np.where(differ, -0.25 * w, 0.25 * w)
         k = np.flatnonzero(differ)
-        rows.append(k)
-        cols.append(np.searchsorted(states, states[k] ^ (1 << i) ^ (1 << j)))
-        vals.append(np.full(len(k), 0.5 * w))
-    h = csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(dim, dim))
+        flips.append((k, np.searchsorted(states, states[k] ^ (1 << i) ^ (1 << j)), 0.5 * w))
+    return diag, flips
+
+
+def _dense_block(bonds, states: np.ndarray) -> np.ndarray:
+    """Block matrix as a numpy array: the flip-flop entries added in bond
+    order, then the diagonal, which no flip-flop entry touches."""
+    dim = len(states)
+    diag, flips = _bond_terms(bonds, states)
+    h = np.zeros((dim, dim))
+    flat = h.reshape(-1)
+    for rows, cols, val in flips:
+        flat[rows * dim + cols] += val
+    flat[::dim + 1] = diag
+    return h
+
+
+def _sparse_block(bonds, states: np.ndarray) -> csr_matrix:
+    """Block matrix as CSR, from the same terms as :func:`_dense_block`."""
+    from scipy.sparse import csr_matrix
+
+    dim = len(states)
+    diag, flips = _bond_terms(bonds, states)
+    rows = np.concatenate([r for r, _, _ in flips])
+    cols = np.concatenate([c for _, c, _ in flips])
+    vals = np.concatenate([np.full(len(r), v) for r, _, v in flips])
+    h = csr_matrix((vals, (rows, cols)), shape=(dim, dim))
     h += csr_matrix((diag, (np.arange(dim), np.arange(dim))), shape=(dim, dim))
     return h
 
 
+def _block_hamiltonian(bonds, states: np.ndarray) -> np.ndarray | csr_matrix:
+    """Heisenberg Hamiltonian restricted to one S_z block: a numpy array at
+    or below ``DENSE_BLOCK_CAP`` states, CSR above it."""
+    build = _dense_block if len(states) <= DENSE_BLOCK_CAP else _sparse_block
+    return build(bonds, states)
+
+
 def build_hamiltonian(spec: LatticeSpec, blocks: tuple[int, ...] | None = None
-                      ) -> dict[int, tuple[np.ndarray, csr_matrix]]:
-    """Per-S_z-block sparse Hamiltonian of bath + probes.
+                      ) -> dict[int, tuple[np.ndarray, np.ndarray | csr_matrix]]:
+    """Per-S_z-block Hamiltonian of bath + probes (:func:`_block_hamiltonian`).
 
     Returns {n_up: (basis states, H_block)} for every block, or only for the
     n_up values in ``blocks``; H commutes with total S_z by construction
@@ -186,10 +214,20 @@ def build_hamiltonian(spec: LatticeSpec, blocks: tuple[int, ...] | None = None
             for m, sts in _blocks_by_magnetization(spec.n_total, blocks).items()}
 
 
-def _correlator_operator(spec: LatticeSpec, states: np.ndarray) -> csr_matrix:
-    """tau_a . tau_b = 4 S_a . S_b on one block."""
+def _apply_probe_correlator(spec: LatticeSpec, states: np.ndarray,
+                            v: np.ndarray) -> np.ndarray:
+    """tau_a . tau_b = 4 S_a . S_b applied to the rows of ``v`` (one block).
+
+    Each row is +-1 times itself, plus twice the row of the probe-swapped
+    state where the probes differ.  Both products are exact and the sum has
+    two terms, so the floats equal those of the sparse operator's product.
+    """
     pa, pb = spec.probe_indices
-    return _block_hamiltonian(((pa, pb, 4.0),), states)
+    k = np.flatnonzero(((states >> pa) ^ (states >> pb)) & 1)
+    out = v.copy()
+    out[k] = -v[k]
+    out[k] += 2.0 * v[np.searchsorted(states, states[k] ^ (1 << pa) ^ (1 << pb))]
+    return out
 
 
 @dataclass(frozen=True)
@@ -199,9 +237,9 @@ class SpectrumResult:
     A block at or below ``DENSE_BLOCK_CAP`` holds every level; a larger one
     holds its lowest ``k_each`` (truncated), merged from its two spin-flip
     sectors at S_z = 0, or read off its mirror block n - m below S_z = 0
-    (its vectors then are reversed views of the mirror's).  The ground
-    energy and the probe correlator diagonals are computed on first use and
-    kept.
+    (its vectors then are reversed views of the mirror's).  The probe
+    correlator diagonals and the Boltzmann terms are computed on first use
+    and kept.
     """
 
     spec: LatticeSpec
@@ -210,20 +248,23 @@ class SpectrumResult:
     states: dict[int, np.ndarray]
 
     @cached_property
-    def ground_energy(self) -> float:
-        return min(float(e[0]) for e in self.energies.values())
-
-    def all_levels(self, blocks=None) -> list[tuple[float, int, int]]:
-        """Sorted (energy, n_up, index) of the stored levels of every block,
-        or of the n_up values in ``blocks``."""
-        return sorted((float(e), m, k) for m in (self.energies if blocks is None else blocks)
-                      for k, e in enumerate(self.energies[m]))
-
-    @cached_property
     def probe_diagonals(self) -> dict[int, np.ndarray]:
         """<k|tau_a . tau_b|k> for every stored eigenvector, per block."""
-        return {m: np.einsum("ik,ik->k", v, _correlator_operator(self.spec, self.states[m]) @ v)
+        return {m: np.einsum("ik,ik->k", v, _apply_probe_correlator(self.spec, self.states[m], v))
                 for m, v in self.vectors.items()}
+
+    @cached_property
+    def boltzmann_terms(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], int, float | None]:
+        """What :func:`_boltzmann_average` reads at every beta: per block, in
+        stored order, (levels - ground energy, probe diagonals); the number
+        of states the truncated blocks left out; and the lowest top stored
+        level of a truncated block less the ground energy (None when no
+        block is truncated)."""
+        e0 = min(float(e[0]) for e in self.energies.values())
+        terms = [(es - e0, self.probe_diagonals[m]) for m, es in self.energies.items()]
+        left = {m: len(self.states[m]) - len(es) for m, es in self.energies.items()}
+        cut = min((float(self.energies[m][-1]) for m in left if left[m]), default=None)
+        return terms, sum(left.values()), None if cut is None else cut - e0
 
 
 def full_spectrum(spec: LatticeSpec) -> SpectrumResult:
@@ -260,8 +301,8 @@ def _low_levels(spec: LatticeSpec, k_each: int = 8,
     for m, (sts, h) in build_hamiltonian(
             spec, tuple(m for m in wanted if m not in mirrored)).items():
         dim = h.shape[0]
-        if dim <= DENSE_BLOCK_CAP:
-            w, v = np.linalg.eigh(h.toarray())
+        if isinstance(h, np.ndarray):
+            w, v = np.linalg.eigh(h)
         elif 2 * m == n:
             w, v = _flip_sector_levels(h, k_each)
         else:
@@ -355,22 +396,24 @@ def _spin_squared(result: SpectrumResult, m: int, level: int) -> float:
     return sz * sz + sz + float(raised @ raised)
 
 
-def _central_levels(spec: LatticeSpec, spectrum: SpectrumResult | None):
-    """``spectrum`` (diagonalized now if None) and the sorted levels of its
-    S_z = -1, 0, +1 blocks, where every total-spin multiplet has a member
-    (SU(2)): the other blocks add nothing to the ground or probe sector.
+def _probe_block(spec: LatticeSpec, spectrum: SpectrumResult | None):
+    """``spectrum`` (diagonalized now if None) and the n_up of its S_z = 0
+    block.
 
-    The checks read the five lowest of these levels (singlet, triplet, next
-    level), and each lies among the five lowest of its own block, so a new
-    diagonalization keeps five per Lanczos block."""
+    Every integer-spin multiplet has exactly one member at S_z = 0 (SU(2)),
+    so the levels of that block alone are the distinct levels of the
+    lattice: the ground singlet, the probe triplet and the next level are
+    its three lowest.  A new diagonalization builds only this block and
+    keeps three levels; on the Lanczos route each spin-flip sector converges
+    three, and the three lowest of the six merged are the block's three
+    lowest."""
     if spec.n_total % 2:
         raise SectorAmbiguityError(
             f"{spec.n_total} spins have half-integer total spin: no probe singlet")
     mid = spec.n_total // 2
-    blocks = (mid - 1, mid, mid + 1)
     if spectrum is None:
-        spectrum = _low_levels(spec, k_each=5, blocks=blocks)
-    return spectrum, spectrum.all_levels(blocks)
+        spectrum = _low_levels(spec, k_each=3, blocks=(mid,))
+    return spectrum, mid
 
 
 def low_spectrum_jcan(spec: LatticeSpec,
@@ -378,29 +421,23 @@ def low_spectrum_jcan(spec: LatticeSpec,
     """(J_can_exact, robust gap): singlet-triplet splitting and the gap from
     the triplet to the first level outside the 4-dimensional probe sector.
 
-    Levels come from the central blocks of ``spectrum`` when given, else of
-    a new diagonalization of those three blocks alone (:func:`_central_levels`).
-    The sector is identified by S_z-block membership and degeneracy counting,
-    and cross-checked with <S_tot^2> = 0 and 2 on the candidate eigenvectors.
+    Levels come from the S_z = 0 block of ``spectrum`` when given, else of
+    a new diagonalization of that block alone (:func:`_probe_block`).  Its
+    lowest level must be a singlet (<S_tot^2> = 0) and its next a triplet
+    (<S_tot^2> = 2), each apart from its neighbours by more than
+    ``DEGENERACY_TOL``; the third gives the robust gap.
     """
     if spec.alpha <= 0:
         raise DomainError("probe coupling alpha must be > 0 for the probe gap")
-    spectrum, levels = _central_levels(spec, spectrum)
-    e0, m0, k0 = levels[0]
-    if abs(_spin_squared(spectrum, m0, k0)) > 1e-6:
+    spectrum, m0 = _probe_block(spec, spectrum)
+    e0, e_t, e_rest = map(float, spectrum.energies[m0][:3])
+    if abs(_spin_squared(spectrum, m0, 0)) > 1e-6:
         raise SectorAmbiguityError("ground state is not a total-spin singlet")
-    if levels[1][0] - e0 < DEGENERACY_TOL:
+    if e_t - e0 < DEGENERACY_TOL:
         raise SectorAmbiguityError("degenerate ground state")
-    # next distinct level: must be a triplet (3 states across m0-1, m0, m0+1)
-    e_t = levels[1][0]
-    members = [lv for lv in levels[1:] if lv[0] - e_t < DEGENERACY_TOL]
-    if len(members) != 3 or {mm for _, mm, _ in members} != {m0 - 1, m0, m0 + 1}:
-        raise SectorAmbiguityError(
-            f"first excited multiplet is not a clean triplet: {members[:5]}")
-    s2 = _spin_squared(spectrum, members[0][1], members[0][2])
+    s2 = _spin_squared(spectrum, m0, 1)
     if abs(s2 - 2.0) > 1e-6:
-        raise SectorAmbiguityError(f"<S^2> of candidate triplet is {s2}")
-    e_rest = levels[4][0]
+        raise SectorAmbiguityError(f"first excited level is not a triplet: <S^2> = {s2}")
     if e_rest - e_t < DEGENERACY_TOL:
         raise SectorAmbiguityError("low sector larger than singlet + triplet")
     return e_t - e0, e_rest - e_t
@@ -408,13 +445,11 @@ def low_spectrum_jcan(spec: LatticeSpec,
 
 def ground_state_correlator(spec: LatticeSpec,
                             spectrum: SpectrumResult | None = None) -> float:
-    """<tau_a . tau_b> in the lowest level of the central blocks (of
+    """<tau_a . tau_b> in the lowest level of the S_z = 0 block (of
     ``spectrum`` if given), as in :func:`low_spectrum_jcan`."""
-    spectrum, levels = _central_levels(spec, spectrum)
-    _, m0, k0 = levels[0]
-    vec = spectrum.vectors[m0][:, k0]
-    op = _correlator_operator(spec, spectrum.states[m0])
-    return float(vec @ (op @ vec))
+    spectrum, m0 = _probe_block(spec, spectrum)
+    vec = spectrum.vectors[m0][:, 0]
+    return float(vec @ _apply_probe_correlator(spec, spectrum.states[m0], vec))
 
 
 def _boltzmann_average(spectrum: SpectrumResult, betas) -> np.ndarray:
@@ -427,22 +462,20 @@ def _boltzmann_average(spectrum: SpectrumResult, betas) -> np.ndarray:
     above 1e-10, or a missing S_z block, raises TruncationError.
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    energies, e0 = spectrum.energies, spectrum.ground_energy
-    if len(energies) <= spectrum.spec.n_total:
+    if len(spectrum.energies) <= spectrum.spec.n_total:
         raise TruncationError(
-            f"thermal average needs every S_z block; got n_up in {sorted(energies)}")
-    left = {m: len(spectrum.states[m]) - len(es) for m, es in energies.items()}
-    if any(left.values()):
-        cut = min(float(energies[m][-1]) for m in energies if left[m])
-        tail = sum(left.values()) * np.exp(-betas * (cut - e0))
+            f"thermal average needs every S_z block; got n_up in {sorted(spectrum.energies)}")
+    terms, left, cut = spectrum.boltzmann_terms
+    if left:
+        tail = left * np.exp(-betas * cut)
         if np.any(tail > 1e-10):
             raise TruncationError(
                 f"truncated Boltzmann tail up to {tail.max():.2e} > 1e-10; "
                 "lower the temperature or raise k_each")
     num, den = np.zeros_like(betas), np.zeros_like(betas)
-    for m, es in energies.items():
-        w = np.exp(-np.outer(betas, es - e0))
-        num += w @ spectrum.probe_diagonals[m]
+    for shifted, diagonals in terms:
+        w = np.exp(-np.outer(betas, shifted))
+        num += w @ diagonals
         den += w.sum(axis=1)
     return num / den
 
@@ -450,7 +483,7 @@ def _boltzmann_average(spectrum: SpectrumResult, betas) -> np.ndarray:
 def thermal_correlator_exact(spec: LatticeSpec, betas,
                              spectrum: SpectrumResult | None = None) -> np.ndarray:
     """<tau_a . tau_b>(beta) from the full blockwise spectrum (``spectrum``,
-    whose correlator diagonals are kept across calls, or a new one).  Energies
+    whose Boltzmann terms are kept across calls, or a new one).  Energies
     are shifted by the ground energy, so any beta >= 0 is safe."""
     return _boltzmann_average(full_spectrum(spec) if spectrum is None else spectrum, betas)
 
@@ -481,7 +514,7 @@ def chi_lehman_and_phi(spec: LatticeSpec) -> tuple[float, float]:
                                     "for a singlet ground state")
     m0 = spec.n_bath // 2
     states = _blocks_by_magnetization(spec.n_bath, (m0,))[m0]
-    w, v = np.linalg.eigh(_block_hamiltonian(spec.bonds, states).toarray())
+    w, v = np.linalg.eigh(_dense_block(spec.bonds, states))
     if w[1] - w[0] < DEGENERACY_TOL:
         raise DegenerateSystemError("degenerate bath ground state")
     a, b = spec.probe_sites

@@ -29,18 +29,21 @@ def fmt_value(v) -> str:
     return _spec(type(v)) % (v,)
 
 
-def _row_formats(table, columns):
-    """Yield (conversions, cells) per row, the cells in column order (Python
-    scalars: ``tolist`` of an array column).  The conversions are worked out
-    once per sequence of cell types, so a table of homogeneous columns has one."""
-    formats: dict = {}
-    cols = (table[c] for c in columns)
-    for cells in zip(*(c.tolist() if hasattr(c, "tolist") else c for c in cols)):
-        kinds = tuple(map(type, cells))
-        if kinds not in formats:
-            specs = tuple(map(_spec, kinds))
-            formats[kinds] = specs, ",".join(specs)
-        yield formats[kinds], cells
+def _typed_columns(table, columns):
+    """(conversion, cells) per column, the cells Python scalars (``tolist``
+    of an array column).  A column whose cells share one conversion keeps
+    it; a column of mixed conversions is rendered cell by cell and gets
+    ``%s``."""
+    typed = []
+    for c in columns:
+        col = table[c]
+        cells = col.tolist() if hasattr(col, "tolist") else list(col)
+        specs = {_spec(kind) for kind in set(map(type, cells))}
+        if len(specs) > 1:
+            typed.append(("%s", [fmt_value(v) for v in cells]))
+        else:
+            typed.append((specs.pop() if specs else "%s", cells))
+    return typed
 
 
 def export_table(table, columns, config=None, fmt="csv") -> str:
@@ -48,24 +51,27 @@ def export_table(table, columns, config=None, fmt="csv") -> str:
     ``config`` items as sorted ``# key=value`` header lines (CSV) or a
     ``config`` object (JSON).
 
-    Every cell reads as :func:`fmt_value` writes it.  A CSV row is rendered
-    with one %-template (its conversions joined by commas) and a JSON row
-    with the same conversions cell by cell.  Writing the text is the
-    caller's step (:func:`write_text`).
+    Every cell reads as :func:`fmt_value` writes it.  The table has one
+    %-template, its columns' conversions joined by commas: a CSV row is that
+    template applied to the row's cells, and a JSON row is its conversions
+    applied cell by cell.  Writing the text is the caller's step
+    (:func:`write_text`).
     """
     config = dict(config or {})
-    typed_rows = _row_formats(table, columns)
+    typed = _typed_columns(table, columns)
+    specs = [spec for spec, _ in typed]
+    rows = zip(*(cells for _, cells in typed))
     if fmt == "csv":
         lines = [f"# {k}={fmt_value(v)}" for k, v in sorted(config.items())]
         lines.append(",".join(columns))
-        lines.extend(template % cells for (_, template), cells in typed_rows)
+        template = ",".join(specs)
+        lines.extend(template % cells for cells in rows)
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         payload = {
             "config": {k: fmt_value(v) for k, v in sorted(config.items())},
             "columns": columns,
-            "rows": [[spec % (v,) for spec, v in zip(specs, cells)]
-                     for (specs, _), cells in typed_rows],
+            "rows": [[spec % (v,) for spec, v in zip(specs, cells)] for cells in rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:

@@ -13,9 +13,12 @@ from qcb.exceptions import (
 )
 from qcb.ed import (
     LatticeSpec,
+    _apply_probe_correlator,
     _block_hamiltonian,
     _blocks_by_magnetization,
+    _dense_block,
     _low_levels,
+    _sparse_block,
     _spin_squared,
     build_hamiltonian,
     chain,
@@ -62,12 +65,18 @@ def plain_lanczos(h, k=8):
                          return_eigenvectors=False))
 
 
+def all_levels(result):
+    """Sorted (energy, n_up, index) of the stored levels of every block."""
+    return sorted((float(e), m, k) for m, es in result.energies.items()
+                  for k, e in enumerate(es))
+
+
 def chi_resolvent(spec):
     """chi via a linear solve, (E_0 - H) x = Q S_B^z |0>: an eigenbasis-free
     oracle for :func:`chi_lehman_and_phi`."""
     m0 = spec.n_bath // 2
     states = _blocks_by_magnetization(spec.n_bath, (m0,))[m0]
-    h = _block_hamiltonian(spec.bonds, states).toarray()
+    h = _block_hamiltonian(spec.bonds, states)
     w, v = np.linalg.eigh(h)
     a, b = spec.probe_sites
     za = np.where((states >> a) & 1, 0.5, -0.5)
@@ -87,7 +96,7 @@ class TestHamiltonian:
         blocks = build_hamiltonian(LatticeSpec(n_bath=2, bonds=((0, 1, 1.0),),
                                                probe_sites=(0, 1), alpha=0.0))
         eigs = np.sort(np.concatenate(
-            [np.linalg.eigvalsh(h.toarray()) for _, h in blocks.values()]))
+            [np.linalg.eigvalsh(h) for _, h in blocks.values()]))
         assert np.allclose(eigs[:4], -0.75, atol=1e-12)
         assert np.allclose(eigs[4:], 0.25, atol=1e-12)
 
@@ -115,13 +124,38 @@ class TestHamiltonian:
             blocks = build_hamiltonian(spec)
             assert len(blocks) == spec.n_total + 1
             for sts, h in blocks.values():
-                assert np.array_equal(h.toarray(), dense[np.ix_(sts, sts)])
+                assert isinstance(h, np.ndarray)
+                assert np.array_equal(h, dense[np.ix_(sts, sts)])
             mid = spec.n_total // 2
             subset = build_hamiltonian(spec, blocks=(mid, mid + 1))
             assert list(subset) == [mid, mid + 1]
             for m, (sts, h) in subset.items():
                 assert np.array_equal(sts, blocks[m][0])
-                assert np.array_equal(h.toarray(), blocks[m][1].toarray())
+                assert np.array_equal(h, blocks[m][1])
+
+    def test_dense_block_equals_sparse_builder(self):
+        # the same terms summed in the same order: equal to the bit, also
+        # where a bond is listed twice and its flip-flop entries add up
+        doubled = LatticeSpec(n_bath=4, bonds=((0, 1, 1.0), (1, 2, 0.7), (1, 2, 0.3),
+                                               (2, 3, 1.0)), probe_sites=(0, 3), alpha=0.05)
+        for spec in (chain(10, alpha=0.05), chain(8, alpha=0.05, probes=(1, 6)),
+                     chain(6, alpha=0.1), ladder(4, alpha=0.05), doubled):
+            bonds = spec.coupled_bonds()
+            for sts in _blocks_by_magnetization(spec.n_total).values():
+                assert np.array_equal(_dense_block(bonds, sts),
+                                      _sparse_block(bonds, sts).toarray())
+
+    def test_probe_correlator_gather_equals_sparse_product(self):
+        for spec in (chain(10, alpha=0.05, probes=(1, 8)), chain(8, alpha=0.05, probes=(1, 6)),
+                     chain(6, alpha=0.1), ladder(4, alpha=0.05)):
+            result = full_spectrum(spec)
+            pa, pb = spec.probe_indices
+            for m, vecs in result.vectors.items():
+                sts = result.states[m]
+                op = _sparse_block(((pa, pb, 4.0),), sts)
+                assert np.array_equal(_apply_probe_correlator(spec, sts, vecs), op @ vecs)
+                assert np.array_equal(_apply_probe_correlator(spec, sts, vecs[:, 0]),
+                                      op @ vecs[:, 0])
 
     def test_sign_flip_rebuild(self):
         spec = chain(4, alpha=0.07)
@@ -152,7 +186,7 @@ class TestLowSpectrum:
     def test_fourfold_degeneracy_at_zero_coupling(self):
         spec = LatticeSpec(n_bath=6, bonds=tuple((i, i + 1, 1.0) for i in range(5)),
                            probe_sites=(0, 5), alpha=0.0)
-        levels = full_spectrum(spec).all_levels()
+        levels = all_levels(full_spectrum(spec))
         e0 = levels[0][0]
         degenerate = [lv for lv in levels if lv[0] - e0 < 1e-9]
         assert len(degenerate) == 4
@@ -163,7 +197,7 @@ class TestLowSpectrum:
         assert j_can > 0.0
         assert gap > 5.0 * j_can  # robust-gap property
         result = full_spectrum(spec)
-        levels = result.all_levels()
+        levels = all_levels(result)
         assert abs(total_spin_expectation(result, levels[0][1], levels[0][2])) < 1e-8
         assert abs(total_spin_expectation(result, levels[1][1], levels[1][2]) - 2.0) < 1e-8
 
@@ -181,7 +215,7 @@ class TestLowSpectrum:
         # three triplet members
         spec = chain(14, alpha=0.05, probes=(1, 12))
         result = _low_levels(spec, blocks=(7, 8, 9))
-        levels = result.all_levels()[:4]
+        levels = all_levels(result)[:4]
         assert sorted(m for _, m, _ in levels[1:]) == [7, 8, 9]
         s2 = [_spin_squared(result, m, k) for _, m, k in levels]
         oracle = [total_spin_expectation(result, m, k) for _, m, k in levels]
@@ -203,7 +237,7 @@ class TestLowSpectrum:
         rev = np.arange(len(built[9][0]))[::-1]
         assert (built[7][1] - built[9][1][rev][:, rev]).count_nonzero() == 0
         # the triplet member of the mirrored block is a triplet
-        member = next(k for _, m, k in result.all_levels()[1:4] if m == 7)
+        member = next(k for _, m, k in all_levels(result)[1:4] if m == 7)
         assert abs(total_spin_expectation(result, 7, member) - 2.0) < 1e-8
 
     def test_reduced_lanczos_route_matches_dense(self, monkeypatch):
@@ -266,8 +300,35 @@ class TestLowSpectrum:
                 with pytest.raises(SectorAmbiguityError):
                     quantity(spec, spectrum)
 
+    @pytest.mark.parametrize("cap", [ed.DENSE_BLOCK_CAP, 50], ids=["dense", "lanczos"])
+    def test_probe_sector_refusals(self, monkeypatch, cap):
+        # a bath chain 0-3 carries the probes (J_can = 0.00466); sites 4.. add
+        # levels of their own: a ferromagnetic chain has a ground multiplet
+        # with S > 0, a frustrated plaquette puts a singlet below the probe
+        # triplet, and a dimer with gap J_can a second triplet beside it
+        probe_bonds = ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0))
+        j_can = low_spectrum_jcan(LatticeSpec(4, probe_bonds, (0, 3), 0.05))[0]
+        j1 = 1.0 - j_can / 4.0
+        plaquette = ((4, 5, j1), (5, 6, j1), (6, 7, j1), (7, 4, j1), (4, 6, 1.0), (5, 7, 1.0))
+        cases = [
+            (LatticeSpec(6, tuple((i, i + 1, -1.0) for i in range(5)), (0, 5), 0.05),
+             "ground state is not a total-spin singlet"),
+            (LatticeSpec(8, probe_bonds + plaquette, (0, 3), 0.05),
+             "first excited level is not a triplet"),
+            (LatticeSpec(6, probe_bonds + ((4, 5, j_can),), (0, 3), 0.05),
+             "low sector larger than singlet"),
+        ]
+        monkeypatch.setattr(ed, "DENSE_BLOCK_CAP", cap)
+        for spec, reason in cases:
+            mid = spec.n_total // 2
+            stored = _low_levels(spec, k_each=3, blocks=(mid,)).energies[mid]
+            assert len(stored) == (3 if math.comb(spec.n_total, mid) > cap else
+                                   math.comb(spec.n_total, mid))
+            with pytest.raises(SectorAmbiguityError, match=reason):
+                low_spectrum_jcan(spec)
+
     def test_desk_scale_cap_uses_lanczos_blocks(self):
-        # 16 spins: the central S_z blocks exceed the dense cap and go through
+        # 16 spins: the S_z = 0 block exceeds the dense cap and goes through
         # the iterative path; the probe sector must still come out clean
         spec = chain(14, alpha=0.05, probes=(1, 12))
         j_can, gap = low_spectrum_jcan(spec)

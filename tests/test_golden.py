@@ -71,8 +71,9 @@ def test_readme_lists_the_guarded_commands():
 
 def test_scipy_free_readme_commands_load_no_scipy(tmp_path):
     """The README commands that call no scipy function run in a fresh
-    process without loading any scipy module."""
-    argvs = [shlex.split(README_COMMANDS[i - 1]) for i in (1, 2, 3, 4, 5, 6, 8, 9, 11)]
+    process without loading any scipy module; ``ed run`` among them, whose
+    blocks are all dense."""
+    argvs = [shlex.split(README_COMMANDS[i - 1]) for i in (1, 2, 3, 4, 5, 6, 8, 9, 11, 12)]
     code = ("import contextlib, io, sys; from qcb.cli import main\n"
             f"for argv in {argvs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
