@@ -374,26 +374,27 @@ def total_spin_expectation(result: SpectrumResult, m: int, level: int) -> float:
     return float(vec @ (op @ vec)) + 0.75 * n
 
 
-def _spin_squared(result: SpectrumResult, m: int, level: int) -> float:
-    """<S_tot^2> = S_z^2 + S_z + ||S^+ v||^2 of one eigenvector.
+def _spin_squared(result: SpectrumResult, m: int, levels: tuple[int, ...]) -> list[float]:
+    """<S_tot^2> = S_z^2 + S_z + ||S^+ v||^2 of the eigenvectors ``levels``
+    of block m.
 
     S^+ = sum_i S_i^+ maps block m into block m + 1 with unit amplitudes:
-    n vectorized bit flips instead of the n(n-1)/2 pair bonds.  Block
-    m + 1's states come from ``result`` when it holds them.
+    n vectorized bit flips instead of the n(n-1)/2 pair bonds.  S^+ v is
+    indexed by the raised state itself (at most 2^n entries), so block
+    m + 1 is neither enumerated nor searched.  The flips are worked out once
+    for all ``levels``; each level is then one scatter.
     """
     n = result.spec.n_total
     sts = result.states[m]
-    vec = result.vectors[m][:, level]
-    up = result.states.get(m + 1)
-    if up is None:
-        up = _blocks_by_magnetization(n, (m + 1,))[m + 1]
-    raised = np.zeros(len(up))
-    for i in range(n):
-        down = np.flatnonzero(((sts >> i) & 1) == 0)
-        # s -> s | 2^i is one-to-one on these states, so no index repeats
-        raised[np.searchsorted(up, sts[down] | (1 << i))] += vec[down]
+    source = [np.flatnonzero(((sts >> i) & 1) == 0) for i in range(n)]
+    target = np.concatenate([sts[down] | (1 << i) for i, down in enumerate(source)])
+    source = np.concatenate(source)
     sz = m - 0.5 * n
-    return sz * sz + sz + float(raised @ raised)
+    out = []
+    for level in levels:
+        raised = np.bincount(target, weights=result.vectors[m][:, level][source])
+        out.append(sz * sz + sz + float(raised @ raised))
+    return out
 
 
 def _probe_block(spec: LatticeSpec, spectrum: SpectrumResult | None):
@@ -431,11 +432,11 @@ def low_spectrum_jcan(spec: LatticeSpec,
         raise DomainError("probe coupling alpha must be > 0 for the probe gap")
     spectrum, m0 = _probe_block(spec, spectrum)
     e0, e_t, e_rest = map(float, spectrum.energies[m0][:3])
-    if abs(_spin_squared(spectrum, m0, 0)) > 1e-6:
+    s2_ground, s2 = _spin_squared(spectrum, m0, (0, 1))
+    if abs(s2_ground) > 1e-6:
         raise SectorAmbiguityError("ground state is not a total-spin singlet")
     if e_t - e0 < DEGENERACY_TOL:
         raise SectorAmbiguityError("degenerate ground state")
-    s2 = _spin_squared(spectrum, m0, 1)
     if abs(s2 - 2.0) > 1e-6:
         raise SectorAmbiguityError(f"first excited level is not a triplet: <S^2> = {s2}")
     if e_rest - e_t < DEGENERACY_TOL:

@@ -28,8 +28,14 @@ block's largest element.
 
 The partial purities of the linear entropies are double Poisson sums whose
 dephasing factor depends only on p - q; they are evaluated through the
-autocorrelation of the Poisson weights, O(T N) for T times and cutoff N.
-The MI average over one mirror period sizes its own trapezoid grid.
+autocorrelation of the Poisson weights, O(T W) for T times and W weights.
+The weights come from the kernel's log-weight body on the window
+[max(0, floor(|alpha|^2 - 12 |alpha|)), cutoff], W <= 22 |alpha| + 11 for
+|alpha| >= 1; the Poisson tail on either side of it is checked below 1e-12
+by a direct tail sum.  The times are taken in chunks of at most 2^20
+exponential-matrix elements, so memory is bounded by the window, not by
+the time grid.  The MI average over one mirror period sizes its own
+trapezoid grid.  No scipy module is loaded.
 """
 
 from __future__ import annotations
@@ -234,8 +240,19 @@ def marker_upsilon(p: OptoUnitaryParams, sel: SubspaceSelector) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Finest grid of averaged_mi; it bounds its (intervals + 1, cutoff + 1) arrays.
+# Finest grid of averaged_mi.  Its times are evaluated in chunks of at most
+# _CHUNK_ELEMENTS (times x lags) elements, so the grid size bounds the time of
+# an average, not its memory.
 MI_MAX_INTERVALS = 4096
+
+# Largest Poisson tail left out on either side of the weight window.
+_TAIL_BOUND = 1e-12
+# The window starts this many standard deviations |alpha| below the mean.
+_WINDOW_SIGMAS = 12.0
+# Lags with r[d] <= _LAG_FLOOR r[0] (and every later lag) are dropped.
+_LAG_FLOOR = 1e-300
+# Elements of one (times, lags) exponential matrix in _linear_entropies.
+_CHUNK_ELEMENTS = 1 << 20
 
 
 def default_fock_cutoff(alpha: complex) -> int:
@@ -243,21 +260,40 @@ def default_fock_cutoff(alpha: complex) -> int:
     return math.ceil(a2 + 10.0 * math.sqrt(a2 + 1.0))
 
 
-def _poisson_weights(alpha: complex, cutoff: int) -> np.ndarray:
-    from scipy.special import gammaln, xlogy
+def _poisson_tails(alpha_abs2: float, c: int) -> tuple[float, float]:
+    """(P(N <= c), P(N > c)) for N ~ Poisson(alpha_abs2).
 
+    The side of c away from the mean is summed term by term from c outwards,
+    over 10 sqrt(alpha_abs2) + 40 terms (what lies beyond is about 1e-20 of
+    the first term or less); the other side is 1 minus it.
+    """
+    if c < 0:
+        return 0.0, 1.0
+    span = math.ceil(10.0 * math.sqrt(alpha_abs2) + 40.0)
+    upper = c + 1 >= alpha_abs2
+    terms = range(c + 1, c + 1 + span) if upper else range(max(0, c - span), c + 1)
+    side = math.fsum(math.exp(_poisson_log_weight(alpha_abs2, n)) for n in terms)
+    return (1.0 - side, side) if upper else (side, 1.0 - side)
+
+
+def _check_tails(alpha_abs2: float, lo: int, cutoff: int) -> None:
+    """TruncationError unless P(N < lo) and P(N > cutoff) are both below
+    1e-12, N ~ Poisson(alpha_abs2)."""
+    below, above = _poisson_tails(alpha_abs2, lo - 1)[0], _poisson_tails(alpha_abs2, cutoff)[1]
+    for tail, where in ((below, f"below {lo}"), (above, f"beyond cutoff {cutoff}")):
+        if tail >= _TAIL_BOUND:
+            raise TruncationError(f"Poisson tail {where} is {tail:.2e} >= {_TAIL_BOUND:g}")
+
+
+def _poisson_window(alpha: complex) -> np.ndarray:
+    """The Poisson weights w_lo..w_cutoff of the linear entropies,
+    lo = max(0, floor(|alpha|^2 - 12 |alpha|)) and the cutoff of
+    :func:`default_fock_cutoff`, after :func:`_check_tails` on both edges."""
     a2 = abs(alpha) ** 2
-    n = np.arange(cutoff + 1)
-    return np.exp(xlogy(n, a2) - a2 - gammaln(n + 1))  # xlogy(0, 0) = 0
-
-
-def _check_cutoff(alpha: complex, cutoff: int) -> None:
-    from scipy.special import pdtrc
-
-    tail = float(pdtrc(cutoff, abs(alpha) ** 2))  # Poisson P(N > cutoff)
-    if tail >= 1e-12:
-        raise TruncationError(
-            f"Poisson tail beyond cutoff {cutoff} is {tail:.2e} >= 1e-12")
+    lo = max(0, math.floor(a2 - _WINDOW_SIGMAS * math.sqrt(a2)))
+    cutoff = default_fock_cutoff(alpha)
+    _check_tails(a2, lo, cutoff)
+    return np.exp([_poisson_log_weight(a2, n) for n in range(lo, cutoff + 1)])
 
 
 def linear_entropies_closed(p: OptoUnitaryParams) -> tuple[float, float, float]:
@@ -267,11 +303,13 @@ def linear_entropies_closed(p: OptoUnitaryParams) -> tuple[float, float, float]:
 
 
 def _lag_weights(alpha: complex) -> np.ndarray:
-    """r[0], 2 r[1], ..., 2 r[cutoff]: the lag weights of :func:`_linear_entropies`."""
-    cutoff = default_fock_cutoff(alpha)
-    _check_cutoff(alpha, cutoff)
-    w = _poisson_weights(alpha, cutoff)
-    r = np.correlate(w, w, mode="full")[cutoff:]
+    """r[0], 2 r[1], ..., 2 r[D]: the lag weights of :func:`_linear_entropies`,
+    from the autocorrelation r of the window's weights, up to the first lag
+    with r[d] <= 1e-300 r[0]."""
+    w = _poisson_window(alpha)
+    r = np.correlate(w, w, mode="full")[w.size - 1:]
+    small = np.flatnonzero(r <= _LAG_FLOOR * r[0])
+    r = r[:small[0]] if small.size else r
     return np.concatenate((r[:1], 2.0 * r[1:]))
 
 
@@ -280,8 +318,8 @@ def _linear_entropies(p: OptoUnitaryParams, t: np.ndarray, lag_weight: np.ndarra
     """(S_total, S_cavity, S_mirror) at the times ``t``.
 
     S_total = 1 - 1/(2 n_bar + 1) is time independent (unitary evolution).
-    The partial purities are double Poisson sums, over w_0..w_cutoff with the
-    cutoff of :func:`default_fock_cutoff`, with the Gaussian dephasing factor
+    The partial purities are double Poisson sums, over the weights of
+    :func:`_poisson_window`, with the Gaussian dephasing factor
     exp(-c y^2 (p-q)^2), y^2 = |k eta(t)|^2, c = 1 + 2 n_bar for the cavity
     and c = 1/(1 + 2 n_bar) for the mirror (which also carries the thermal
     purity prefactor 1/(1 + 2 n_bar)).  The factor depends on p - q only, so
@@ -290,14 +328,20 @@ def _linear_entropies(p: OptoUnitaryParams, t: np.ndarray, lag_weight: np.ndarra
 
         sum_pq w_p w_q e^(-c y^2 (p-q)^2) = r[0] + 2 sum_(d>0) r[d] e^(-c y^2 d^2).
 
-    One (T, cutoff + 1) exponential matrix per factor c, times a vector.
+    One (times, lags) exponential matrix per factor c, times a vector, over
+    chunks of times of at most _CHUNK_ELEMENTS matrix elements.
     """
     d2 = np.arange(lag_weight.size) ** 2
     y2 = (p.k**2) * np.abs(eta(t)) ** 2  # |k eta(t)|^2, shape of t
     c_cav = 1.0 + 2.0 * p.n_bar
     c_mir = 1.0 / (1.0 + 2.0 * p.n_bar)
-    s_cav = 1.0 - np.exp(-np.multiply.outer(y2 * c_cav, d2)) @ lag_weight
-    s_mir = 1.0 - c_mir * (np.exp(-np.multiply.outer(y2 * c_mir, d2)) @ lag_weight)
+    s_cav, s_mir = np.empty_like(y2), np.empty_like(y2)
+    rows = max(1, _CHUNK_ELEMENTS // lag_weight.size)
+    for i in range(0, y2.size, rows):
+        y = y2[i:i + rows]
+        s_cav[i:i + rows] = 1.0 - np.exp(-np.multiply.outer(y * c_cav, d2)) @ lag_weight
+        s_mir[i:i + rows] = 1.0 - c_mir * (np.exp(-np.multiply.outer(y * c_mir, d2))
+                                           @ lag_weight)
     return 1.0 - 1.0 / (2.0 * p.n_bar + 1.0), s_cav, s_mir
 
 

@@ -165,6 +165,23 @@ def test_allocation_failure_is_a_domain_error():
     assert result.stderr.startswith("qcb: error:") and "Traceback" not in result.stderr
 
 
+def test_mi_at_alpha_1000_ends_in_bounded_time_and_memory():
+    """``mi`` at |alpha| = 1000 correlates only its Poisson window (about
+    22 |alpha| weights around |alpha|^2 = 1e6), so a fresh process ends
+    within 10 s and 300 MB."""
+    code = ("import resource, sys; from qcb.cli import main; rc = main(sys.argv[1:]); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+            "sys.exit(rc)")
+    argv = ["optomech-unitary", "--quantity", "mi", "--k", "1", "--alpha", "1000",
+            "--n-bar", "10", "--t", "1"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-c", code, *argv], timeout=10,
+                            env=os.environ | {"PYTHONPATH": src},
+                            capture_output=True, text=True)
+    assert result.returncode == 0 and result.stdout.startswith("MI="), result.stderr
+    assert int(result.stderr.split()[-1]) < 300 * 1024  # ru_maxrss in KiB
+
+
 def test_cli_import_leaves_out_scipy_stats():
     """Importing the CLI (and with it every module) loads no scipy module:
     each scipy name is imported by the function that calls it, so a command

@@ -217,10 +217,22 @@ class TestLowSpectrum:
         result = _low_levels(spec, blocks=(7, 8, 9))
         levels = all_levels(result)[:4]
         assert sorted(m for _, m, _ in levels[1:]) == [7, 8, 9]
-        s2 = [_spin_squared(result, m, k) for _, m, k in levels]
+        s2 = [_spin_squared(result, m, (k,))[0] for _, m, k in levels]
         oracle = [total_spin_expectation(result, m, k) for _, m, k in levels]
         assert np.max(np.abs(np.subtract(s2, oracle))) < 1e-9
         assert np.max(np.abs(np.subtract(s2, [0.0, 2.0, 2.0, 2.0]))) < 1e-6
+
+    def test_spin_check_of_several_levels_matches_pair_operator(self):
+        # one call per block for all its stored levels: a 10-spin lattice
+        # (dense, every block) and the 16-spin S_z = 0 block (Lanczos)
+        for spec, blocks in ((chain(8, alpha=0.05, probes=(1, 6)), None),
+                             (chain(14, alpha=0.05, probes=(1, 12)), (8,))):
+            result = _low_levels(spec, k_each=4, blocks=blocks)
+            for m, energies in result.energies.items():
+                levels = tuple(range(min(len(energies), 6)))
+                s2 = _spin_squared(result, m, levels)
+                oracle = [total_spin_expectation(result, m, k) for k in levels]
+                assert np.max(np.abs(np.subtract(s2, oracle))) < 1e-9, (spec.label, m)
 
     def test_flip_sectors_and_mirror_match_plain_lanczos(self):
         # 16 spins: S_z = 0 through its two F sectors, S_z = -1 as the mirror

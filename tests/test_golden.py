@@ -73,9 +73,33 @@ def test_scipy_free_readme_commands_load_no_scipy(tmp_path):
     """The README commands that call no scipy function run in a fresh
     process without loading any scipy module; ``ed run`` among them, whose
     blocks are all dense."""
-    argvs = [shlex.split(README_COMMANDS[i - 1]) for i in (1, 2, 3, 4, 5, 6, 8, 9, 11, 12)]
+    argvs = [shlex.split(README_COMMANDS[i - 1]) for i in (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12)]
     code = ("import contextlib, io, sys; from qcb.cli import main\n"
             f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)")
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                            env=os.environ | {"PYTHONPATH": str(ROOT / "src")},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_optomech_workload_loads_no_scipy(tmp_path):
+    """The cavity-mirror calls of the benchmark run in a fresh process
+    without loading any scipy module: the 6x20 projected block, the MI
+    average at alpha = 10 and a 2810-step detuning sweep."""
+    code = ("import contextlib, io, sys\n"
+            "from qcb.cli import main\n"
+            "from qcb.optomech_unitary import OptoUnitaryParams, SubspaceSelector,"
+            " projected_density\n"
+            "p = OptoUnitaryParams(k=0.4, alpha=1.0, n_bar=2.0, t=2.5)\n"
+            "projected_density(p, SubspaceSelector(tuple(range(6)), tuple(range(40, 60))),"
+            " normalize=False)\n"
+            "for argv in (['optomech-unitary', '--quantity', 'mi-average', '--k', '1',"
+            " '--alpha', '10', '--n-bar', '10'],\n"
+            "             ['optomech-steady', '--dmin', '0.2', '--dmax', '3.0',"
+            " '--steps', '2810']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0, argv\n"
             "sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)")

@@ -15,10 +15,12 @@ from qcb.exceptions import (
 from qcb.optomech_unitary import (
     OptoUnitaryParams,
     SubspaceSelector,
-    _check_cutoff,
+    _check_tails,
     _lag_weights,
     _linear_entropies,
-    _poisson_weights,
+    _poisson_log_weight,
+    _poisson_tails,
+    _poisson_window,
     averaged_mi,
     default_fock_cutoff,
     eta,
@@ -393,15 +395,54 @@ class TestEntropies:
         p = OptoUnitaryParams(k=0.5, alpha=3.0, n_bar=1.0, t=1.0)
         assert default_fock_cutoff(p.alpha) >= abs(p.alpha) ** 2 + 10 * math.sqrt(
             abs(p.alpha) ** 2 + 1) - 1
-        _check_cutoff(p.alpha, default_fock_cutoff(p.alpha))
-        with pytest.raises(TruncationError):
-            _check_cutoff(p.alpha, 10)
+        _check_tails(abs(p.alpha) ** 2, 0, default_fock_cutoff(p.alpha))
+        with pytest.raises(TruncationError, match="beyond cutoff 10"):
+            _check_tails(abs(p.alpha) ** 2, 0, 10)
+
+    def test_window_lower_edge_has_its_own_tail_check(self):
+        # alpha = 100: the window starts 12 alpha below the mean; 1 alpha is
+        # not enough
+        a2, cutoff = 1e4, default_fock_cutoff(100.0)
+        _check_tails(a2, 8800, cutoff)
+        with pytest.raises(TruncationError, match="below 9900"):
+            _check_tails(a2, 9900, cutoff)
+
+    def test_tails_match_scipy_pdtr(self):
+        from scipy.special import pdtr, pdtrc
+
+        for a2 in (0.0, 0.01, 1.0, 9.0, 100.0, 1e4):
+            sigma = math.sqrt(a2)
+            edges = {0, 1, 10, default_fock_cutoff(sigma)} | {
+                max(0, math.floor(a2 + z * sigma)) for z in (-14, -12, -5, -1, 0, 1, 5, 12)}
+            for c in sorted(edges):
+                got = _poisson_tails(a2, c)
+                for g, want in zip(got, (pdtr(c, a2), pdtrc(c, a2))):
+                    assert abs(g - want) <= 1e-10 * want, (a2, c)
+        assert _poisson_tails(9.0, 10)[1] > 1e-12  # the cutoff-10 refusal above
+
+    def test_window_weights_against_50_digits(self):
+        # the lgamma weights are no worse than the gammaln ones were
+        import mpmath
+        from scipy.special import gammaln
+
+        for alpha in (10.0, 100.0):
+            a2 = alpha**2
+            w = _poisson_window(alpha)
+            n = np.arange(max(0, math.floor(a2 - 12 * alpha)), default_fock_cutoff(alpha) + 1)
+            assert w.size == n.size
+            old = np.exp(n * math.log(a2) - a2 - gammaln(n + 1))
+            with mpmath.workdps(50):
+                exact = [mpmath.exp(k * mpmath.log(a2) - a2 - mpmath.loggamma(k + 1))
+                         for k in n.tolist()]
+                errors = [max(abs(float((mpmath.mpf(float(x)) - e) / e))
+                              for x, e in zip(weights, exact)) for weights in (w, old)]
+            assert errors[0] <= errors[1]
 
 
 def double_sum_partial_entropies(p, t, cutoff):
     """The O(T N^2) double Poisson sums of the partial purities (oracle)."""
-    w = _poisson_weights(p.alpha, cutoff)
-    idx = np.arange(cutoff + 1)
+    w = _poisson_window(p.alpha)
+    idx = np.arange(cutoff + 1 - w.size, cutoff + 1)
     d2 = (idx[:, None] - idx[None, :]) ** 2
     ww = w[:, None] * w[None, :]
     y2 = p.k**2 * np.abs(eta(t)) ** 2
@@ -461,10 +502,54 @@ class TestMutualInformation:
         assert abs(averaged_mi(p) - 0.52) <= 0.02
 
     def test_averaged_value_frozen_at_large_alpha(self):
-        # frozen before the lag weights were hoisted out of the grid loop:
-        # the weights, and so every float, must not change
+        # frozen on the windowed lgamma weights; the same pipeline fed with
+        # 50-digit weights gives 0.5218170409600509 (4.6e-14 away)
         p = OptoUnitaryParams(k=1.0, alpha=100.0, n_bar=10.0, t=0.0)
-        assert averaged_mi(p) == 0.5218170409599779
+        assert averaged_mi(p) == 0.521817040960005
+
+    def test_window_trim_and_chunks_leave_the_average(self, monkeypatch):
+        # against all weights 0..cutoff (exact zeros left out), one chunk
+        for alpha in (10.0, 100.0):
+            p = OptoUnitaryParams(k=1.0, alpha=alpha, n_bar=10.0, t=0.0)
+            got = averaged_mi(p)
+            a2, cutoff = alpha**2, default_fock_cutoff(alpha)
+            w = np.exp([_poisson_log_weight(a2, n) for n in range(cutoff + 1)])
+            v = w[np.flatnonzero(w)[0]:]
+            r = np.concatenate((np.correlate(v, v, mode="full")[v.size - 1:],
+                                np.zeros(w.size - v.size)))
+            full = np.concatenate((r[:1], 2.0 * r[1:]))
+            with monkeypatch.context() as m:
+                m.setattr("qcb.optomech_unitary._lag_weights", lambda _: full)
+                m.setattr("qcb.optomech_unitary._CHUNK_ELEMENTS", 1 << 62)
+                assert abs(averaged_mi(p) - got) <= 1e-13 * got
+
+    def test_chunked_entropies_match_one_chunk(self, monkeypatch):
+        p = OptoUnitaryParams(k=0.7, alpha=3.0, n_bar=2.0, t=0.0)
+        t = np.linspace(0.0, 2.0 * math.pi, 1001)
+        lag_weight = _lag_weights(p.alpha)
+        whole = _linear_entropies(p, t, lag_weight)
+        monkeypatch.setattr("qcb.optomech_unitary._CHUNK_ELEMENTS", 7 * lag_weight.size + 3)
+        chunked = _linear_entropies(p, t, lag_weight)
+        for a, b in zip(whole[1:], chunked[1:]):
+            assert np.max(np.abs(a - b)) <= 1e-15
+
+    def test_lags_end_at_the_floor(self):
+        # |alpha|^2 = 1e-60: r[d] ~ 1e-60 d / d!^2, below 1e-300 r[0] from d = 5
+        w = _poisson_window(1e-30)
+        r = np.correlate(w, w, mode="full")[w.size - 1:]
+        lag_weight = _lag_weights(1e-30)
+        assert lag_weight.size == 5 < r.size
+        assert np.all(r[5:] <= 1e-300 * r[0]) and r[4] > 1e-300 * r[0]
+
+    def test_lag_sums_reach_the_gaussian_limit(self):
+        # |alpha| = 1000: sum_pq w_p w_q e^(-c y^2 (p-q)^2) -> 1/sqrt(1 + 4 c alpha^2 y^2)
+        # (Bose, Jacobs and Knight, PRA 56, 4175 (1997)) while c y^2 << 1
+        alpha = 1000.0
+        lag_weight = _lag_weights(alpha)
+        d2 = np.arange(lag_weight.size) ** 2
+        cy2 = np.logspace(-12, -2, 11)
+        sums = np.exp(-np.multiply.outer(cy2, d2)) @ lag_weight
+        assert np.max(np.abs(sums * np.sqrt(1.0 + 4.0 * alpha**2 * cy2) - 1.0)) < 1e-6
 
     def test_averaged_grid_sizes_itself(self):
         # 256 and 512 intervals disagree here; the grid keeps doubling
