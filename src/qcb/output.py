@@ -4,13 +4,27 @@ A table is named columns, ``table[name]``: a dict of lists or arrays, or a
 structured array.  CSV files carry the resolved run configuration as
 ``# key=value`` comment lines before the header row; floats are printed with
 12 significant digits so that parse -> re-emit round-trips byte-identically.
+
+Rows are rendered :data:`CHUNK_ROWS` at a time.  Within a chunk each
+distinct column is converted once: an array column with the dtype and bytes
+of an earlier one (the mirrored V_ji of a covariance) reads that column's
+cell texts, and a float array's NaN cells are ``nan`` without a conversion.
 """
 
 from __future__ import annotations
 
 import json
+import math
+
+import numpy as np
 
 from .exceptions import QcbError
+
+# Rows rendered at a time: bounds the cells and texts held at once.
+CHUNK_ROWS = 1024
+
+# The conversion of a one-dimensional array column, by dtype kind.
+_ARRAY_SPECS = {"f": "%.12g", "i": "%s", "u": "%s", "b": "%d"}
 
 
 def _spec(kind: type) -> str:
@@ -29,21 +43,81 @@ def fmt_value(v) -> str:
     return _spec(type(v)) % (v,)
 
 
-def _typed_columns(table, columns):
-    """(conversion, cells) per column, the cells Python scalars (``tolist``
-    of an array column).  A column whose cells share one conversion keeps
-    it; a column of mixed conversions is rendered cell by cell and gets
-    ``%s``."""
-    typed = []
+def _convert(spec: str, cells: list) -> list[str]:
+    """The texts of ``cells`` under the one conversion ``spec``: one ``%``
+    call over all of them, split at the newlines.  ``%s`` is ``str`` of each
+    cell, since a string cell may hold a newline."""
+    if spec == "%s":
+        return list(map(str, cells))
+    if not cells:
+        return []
+    return ("\n".join([spec] * len(cells)) % tuple(cells)).split("\n")
+
+
+def _list_column(cells: list) -> tuple[str, list]:
+    """(conversion, cells) of list cells: their one conversion when their
+    types share one, else ``%s`` over their :func:`fmt_value` texts."""
+    specs = {_spec(kind) for kind in set(map(type, cells))}
+    if len(specs) == 1:
+        return specs.pop(), cells
+    return "%s", list(map(fmt_value, cells))
+
+
+def _array_column(part: np.ndarray) -> tuple[str, list, bool]:
+    """(conversion, cells, converted) of a slice of an array column.  A
+    float slice with NaN cells comes converted, ``%s`` over texts whose NaN
+    cells are ``nan`` without a conversion; any other keeps its cells."""
+    spec = _ARRAY_SPECS[part.dtype.kind]
+    cells = part.tolist()
+    # A NaN cell makes the sum NaN (inf - inf does too, and costs only the mask).
+    if spec != "%.12g" or not math.isnan(sum(cells)):
+        return spec, cells, False
+    nan = np.isnan(part)
+    texts = iter(_convert(spec, part[~nan].tolist()))
+    return "%s", ["nan" if m else next(texts) for m in nan.tolist()], True
+
+
+def _chunks(table, columns):
+    """(conversion, cells) of each of ``columns`` of ``table``, for each run
+    of :data:`CHUNK_ROWS` rows.  Within a run, an array column whose dtype
+    and bytes repeat an earlier one's shares that column's texts, converted
+    once.  Columns of unequal length raise QcbError."""
+    cols = []
     for c in columns:
         col = table[c]
-        cells = col.tolist() if hasattr(col, "tolist") else list(col)
-        specs = {_spec(kind) for kind in set(map(type, cells))}
-        if len(specs) > 1:
-            typed.append(("%s", [fmt_value(v) for v in cells]))
-        else:
-            typed.append((specs.pop() if specs else "%s", cells))
-    return typed
+        # a longdouble array's cells are not Python floats: a list column
+        if (isinstance(col, np.ndarray) and col.ndim == 1
+                and col.dtype.kind in _ARRAY_SPECS and col.dtype.itemsize <= 8):
+            pass
+        elif hasattr(col, "tolist"):
+            col = col.tolist()
+        elif not isinstance(col, list):
+            col = list(col)
+        cols.append(col)
+    lengths = [len(col) for col in cols]
+    if len(set(lengths)) > 1:
+        raise QcbError("table columns differ in length: " + ", ".join(
+            f"{c}={n}" for c, n in zip(columns, lengths)))
+    n = lengths[0] if lengths else 0
+    for start in range(0, n, CHUNK_ROWS):
+        parts = cols if n <= CHUNK_ROWS else [col[start:start + CHUNK_ROWS] for col in cols]
+        typed, first = [], {}
+        for part in parts:
+            if not isinstance(part, np.ndarray):
+                typed.append(_list_column(part))
+                continue
+            key = (part.dtype, part.tobytes())
+            if key in first:
+                i, converted = first[key]
+                if not converted:
+                    typed[i] = ("%s", _convert(*typed[i]))
+                    first[key] = (i, True)
+                typed.append(typed[i])
+                continue
+            spec, cells, converted = _array_column(part)
+            first[key] = (len(typed), converted)
+            typed.append((spec, cells))
+        yield typed
 
 
 def export_table(table, columns, config=None, fmt="csv") -> str:
@@ -51,32 +125,32 @@ def export_table(table, columns, config=None, fmt="csv") -> str:
     ``config`` items as sorted ``# key=value`` header lines (CSV) or a
     ``config`` object (JSON).
 
-    Every cell reads as :func:`fmt_value` writes it.  The table has one
-    %-template, its columns' conversions joined by commas: a CSV row is that
-    template applied to the row's cells, and a JSON row is its conversions
-    applied cell by cell.  Writing the text is the caller's step
-    (:func:`write_text`).
+    Every cell reads as :func:`fmt_value` writes it.  A CSV row is the
+    chunk's %-template, its columns' conversions joined by commas, applied to
+    the row's cells; a JSON row lists the texts of each column converted in
+    one call.  Columns of unequal length raise QcbError.  Writing the text
+    is the caller's step (:func:`write_text`).
     """
-    config = dict(config or {})
-    typed = _typed_columns(table, columns)
-    specs = [spec for spec, _ in typed]
-    rows = zip(*(cells for _, cells in typed))
-    if fmt == "csv":
-        lines = [f"# {k}={fmt_value(v)}" for k, v in sorted(config.items())]
-        lines.append(",".join(columns))
-        template = ",".join(specs)
-        lines.extend(template % cells for cells in rows)
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        payload = {
-            "config": {k: fmt_value(v) for k, v in sorted(config.items())},
-            "columns": columns,
-            "rows": [[spec % (v,) for spec, v in zip(specs, cells)] for cells in rows],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
+    if fmt not in ("csv", "json"):
         raise QcbError(f"unknown output format {fmt!r}")
-    return text
+    items = sorted(dict(config or {}).items())
+    chunks = _chunks(table, columns)
+    if fmt == "csv":
+        lines = [f"# {k}={fmt_value(v)}" for k, v in items]
+        lines.append(",".join(columns))
+        for typed in chunks:
+            template = ",".join([spec for spec, _ in typed])
+            lines.extend(template % cells for cells in zip(*[cells for _, cells in typed]))
+        return "\n".join(lines) + "\n"
+    rows = []
+    for typed in chunks:
+        rows.extend(map(list, zip(*[_convert(spec, cells) for spec, cells in typed])))
+    payload = {
+        "config": {k: fmt_value(v) for k, v in items},
+        "columns": columns,
+        "rows": rows,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_text(path, text: str) -> None:

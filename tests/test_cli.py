@@ -6,13 +6,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import row_template_writer
+from qcb import cli, output
 from qcb.cli import MAX_TABLE_CELLS, _parser, main
+from qcb.exceptions import QcbError
 from qcb.output import export_table, fmt_value, read_table, write_text
 
 
@@ -557,6 +561,54 @@ CELL = st.one_of(
     st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
                      -2.2250738585072014e-308, 1e300, -1e300, 0.1, 1e16, 123456789012.5]),
     st.floats().map(np.float64), st.booleans(), st.integers(), st.text("a,%s ", max_size=3))
+FLOAT64 = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                     -2.2250738585072014e-308, 1e300, -1e300]))
+
+
+@st.composite
+def array_tables(draw):
+    """Array columns of one drawn length: float64 (with its copy, its
+    negation, a 0.0 and a -0.0 column and an all-NaN one), float32, int64
+    and bool."""
+    n = draw(st.integers(0, 7))
+
+    def cells(strategy):
+        return draw(st.lists(strategy, min_size=n, max_size=n))
+
+    f64 = np.array(cells(FLOAT64), dtype=np.float64)
+    return {"f64": f64, "f64_copy": f64.copy(), "neg": -f64, "zero": np.zeros(n),
+            "negzero": -np.zeros(n), "nan": np.full(n, np.nan),
+            "f32": np.array(cells(st.floats(width=32)), dtype=np.float32),
+            "i64": np.array(cells(st.integers(-2**63, 2**63 - 1)), dtype=np.int64),
+            "b": np.array(cells(st.booleans()), dtype=bool)}
+
+
+# The array columns in an order that puts repeats apart; f64 and i64 twice.
+ARRAY_COLUMNS = ["f64", "b", "zero", "negzero", "nan", "f64_copy", "i64", "neg", "f32",
+                 "f64", "i64"]
+
+
+def cli_table(monkeypatch, argv):
+    """The (table, columns, config) that the command ``argv`` hands to
+    export_table."""
+    seen = []
+
+    def record(table, columns, config=None, fmt="csv"):
+        seen.append((table, columns, config))
+        return export_table(table, columns, config, fmt)
+
+    monkeypatch.setattr(cli, "export_table", record)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    [call] = seen
+    return call
+
+
+ORACLE_TABLES = [["optomech-steady", "--dmin", "0.2", "--dmax", "3.0", "--steps", "2810",
+                  "--power", power] for power in ("0.005", "0.025", "0.075", "0.15")]
+ORACLE_TABLES += [["gaussian", "--grid", "20"], ["werner", "--grid", "100"]]
 
 
 class TestFormatting:
@@ -571,13 +623,91 @@ class TestFormatting:
     def test_rows_render_as_fmt_value_cells(self, table):
         """The row templates give each cell the text of fmt_value, in CSV and
         JSON, over floats (nan, +-inf, +-0.0, subnormals, +-1e300), numpy
-        float64, bools, ints and strings, homogeneous rows or not."""
+        float64, bools, ints and strings, homogeneous rows or not, in one
+        chunk of rows or several."""
         columns = {c: [cells[i] for cells in table] for i, c in enumerate("abc")}
-        csv_rows = export_table(columns, ["a", "b", "c"]).splitlines()[1:]
-        assert csv_rows == [",".join(map(reference_cell, cells)) for cells in table]
-        payload = json.loads(export_table(columns, ["a", "b", "c"], fmt="json"))
-        assert payload["rows"] == [list(map(reference_cell, cells)) for cells in table]
+        for chunk_rows in (output.CHUNK_ROWS, 2):
+            with mock.patch.object(output, "CHUNK_ROWS", chunk_rows):
+                csv_rows = export_table(columns, ["a", "b", "c"]).splitlines()[1:]
+                payload = json.loads(export_table(columns, ["a", "b", "c"], fmt="json"))
+            assert csv_rows == [",".join(map(reference_cell, cells)) for cells in table]
+            assert payload["rows"] == [list(map(reference_cell, cells)) for cells in table]
         assert all(fmt_value(v) == reference_cell(v) for cells in table for v in cells)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(array_tables())
+    def test_array_columns_render_as_fmt_value_cells(self, table):
+        """Array columns give each cell the text of fmt_value of its ``tolist``
+        value, as the row-template writer does: repeated columns, a 0.0
+        column beside a -0.0 one, an all-NaN column, zero rows, and more rows
+        than a chunk holds."""
+        rows = list(zip(*(table[c].tolist() for c in ARRAY_COLUMNS)))
+        for chunk_rows in (output.CHUNK_ROWS, 2):
+            with mock.patch.object(output, "CHUNK_ROWS", chunk_rows):
+                texts = {fmt: export_table(table, ARRAY_COLUMNS, {"n": len(rows)}, fmt)
+                         for fmt in ("csv", "json")}
+            assert texts["csv"].splitlines()[2:] == [",".join(map(reference_cell, r))
+                                                     for r in rows]
+            assert json.loads(texts["json"])["rows"] == [list(map(reference_cell, r))
+                                                         for r in rows]
+            for fmt, text in texts.items():
+                assert text == row_template_writer.export_table(table, ARRAY_COLUMNS,
+                                                                {"n": len(rows)}, fmt)
+
+    def test_equal_bytes_of_another_dtype_share_no_text(self):
+        """0.0 beside -0.0, and int64 1 beside the float64 of the same bytes
+        (5e-324), keep their own texts; an all-NaN column reads nan."""
+        ints = np.array([1, 0, 1])
+        table = {"zero": np.zeros(3), "negzero": -np.zeros(3), "nan": np.full(3, np.nan),
+                 "int": ints, "bits": ints.view(np.float64)}
+        text = export_table(table, ["zero", "negzero", "nan", "int", "bits", "zero"])
+        assert text.splitlines()[1:] == ["0,-0,nan,1,4.94065645841e-324,0",
+                                         "0,-0,nan,0,0,0",
+                                         "0,-0,nan,1,4.94065645841e-324,0"]
+        assert export_table({k: v[:0] for k, v in table.items()}, ["zero", "nan"]) == (
+            "zero,nan\n")
+
+    @pytest.mark.parametrize("dtype", [np.longdouble, np.complex128, object, "U3",
+                                       "datetime64[D]"])
+    def test_other_dtypes_read_as_their_cells(self, dtype):
+        """Arrays whose cells are not Python floats, ints or bools (longdouble,
+        complex, object, str, datetime) read as the row-template writer reads
+        them: cell by cell, as list columns."""
+        table = {"x": np.array([1, 2, 1], dtype=dtype), "y": np.array([1, 2, 1], dtype=dtype)}
+        for fmt in ("csv", "json"):
+            assert (export_table(table, ["x", "y"], fmt=fmt)
+                    == row_template_writer.export_table(table, ["x", "y"], fmt=fmt))
+
+    def test_repeats_are_found_chunk_by_chunk(self):
+        """A column equal to another in some chunks of rows only, and NaN
+        cells in one chunk only, read as the row-template writer reads them."""
+        n = 2 * output.CHUNK_ROWS + 3
+        a = np.random.default_rng(0).standard_normal(n)
+        b = a.copy()
+        b[output.CHUNK_ROWS + 5] = 1.0  # equal to a outside the second chunk
+        c = a.copy()
+        c[-2:] = np.nan
+        table = {"a": a, "b": b, "c": c, "k": np.arange(n), "list": a.tolist()}
+        for fmt in ("csv", "json"):
+            assert (export_table(table, list(table), {"n": n}, fmt)
+                    == row_template_writer.export_table(table, list(table), {"n": n}, fmt))
+
+    @pytest.mark.parametrize("argv", ORACLE_TABLES, ids=lambda argv: " ".join(argv[-4:]))
+    def test_cli_tables_equal_the_row_template_writer(self, monkeypatch, argv):
+        """The detuning maps of the benchmark (2810 points at 5, 25, 75 and
+        150 mW) and the README grids are byte-identical to the row-template
+        writer's, in CSV and JSON."""
+        table, columns, config = cli_table(monkeypatch, argv)
+        for fmt in ("csv", "json"):
+            assert (export_table(table, columns, config, fmt)
+                    == row_template_writer.export_table(table, columns, config, fmt))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("table", [{"a": [1, 2, 3], "b": [1.5]},
+                                       {"a": np.arange(3), "b": np.ones(1)}])
+    def test_columns_of_unequal_length_are_refused(self, table, fmt):
+        with pytest.raises(QcbError, match="table columns differ in length: a=3, b=1"):
+            export_table(table, ["a", "b"], fmt=fmt)
 
     def test_unwritable_path(self):
         from qcb.exceptions import QcbError

@@ -9,6 +9,13 @@ print ``stable=0`` and NaN cells.  Every printed digit (qubit and
 Gaussian measures, the exact cavity-mirror model, the steady-state sweep,
 the spin-bus quadratures and the ED engine) must stay the same through any
 rewrite of the numerics or of the table writer.
+
+The ED goldens (``ed.csv``, ``13.stdout``, ``14.stdout``) hold with OpenBLAS
+on 2 or more threads.  With ``OPENBLAS_NUM_THREADS=1``,
+``test_readme_ed_commands_byte_identical`` fails: ``ed.csv`` moves in the
+12th digit at kT = 9.4e-4 and 1.43e-2, and so do ``fit_eta``,
+``fit_rms_residual``, ``corr_T0_abs_error`` and ``tstar_rel_error`` of
+``14.stdout``.  With 2, 3 and 4 threads it passes.
 """
 
 import contextlib
