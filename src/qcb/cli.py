@@ -49,11 +49,15 @@ def _rows(columns: int, power: int = 1):
 _finite = _checked(float, math.isfinite, "a finite number")
 _positive = _checked(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
 _nonnegative = _checked(float, lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
+# A temperature below about 5.6e-309 has an inverse that overflows: no beta.
+_temperature = _checked(float, lambda t: 0.0 < t < math.inf and math.isfinite(1.0 / t),
+                        "a temperature > 0 with a finite 1/T")
 # Kept as text, which the output header records.
 _temperatures = _checked(str, lambda t: t == "auto" or all(
-    _positive(x) for x in t.split(",")), "'auto' or temperatures > 0")
-_probes = _checked(str, lambda t: t == "ends" or (t.count(",") == 1 and all(
-    x.isdecimal() for x in t.split(","))), "'ends' or two sites 'i,j'")
+    _temperature(x) for x in t.split(",")), "'auto' or temperatures > 0")
+_probes = _checked(str, lambda t: t == "ends" or (
+    t.count(",") == 1 and all(x.isdecimal() for x in t.split(","))
+    and len({int(x) for x in t.split(",")}) == 2), "'ends' or two different sites 'i,j'")
 _levels = _checked(str, lambda t: all(x.isdecimal() for x in t.split(",")),
                    "levels 'i,j,...'")
 
@@ -370,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--jcan", type=_finite, help=needed)
     q.add_argument("--phi", type=_finite, default=0.0)
     q.add_argument("--eta", type=_finite, default=0.0)
-    q.add_argument("--tmin", type=_positive, help=needed)
-    q.add_argument("--tmax", type=_positive, help=needed)
+    q.add_argument("--tmin", type=_temperature, help=needed)
+    q.add_argument("--tmax", type=_temperature, help=needed)
     q.add_argument("--steps", type=_rows(5), default=12)
     common(q, _cmd_lde_thermal, "--jcan", "--tmin", "--tmax")
     q = lde_sub.add_parser("fit", help="fit canonical parameters to data (JSON)")

@@ -10,20 +10,22 @@ Engine (after Sandvik, arXiv:1101.3281, sec. 4): basis states are bit
 strings, blocks are sorted arrays of equal popcount, and each block matrix
 is assembled from array bit operations and ``searchsorted`` lookups: straight
 into a numpy array at or below ``DENSE_BLOCK_CAP`` (dense ``eigh``), as CSR
-above it (Lanczos from a fixed start vector).  Lanczos blocks are reduced by
-the global spin flip F = prod sigma^x: the S_z = 0 block splits into two
-half-size F sectors, and a block below S_z = 0 whose mirror is also
-requested is read off that mirror, unbuilt.  Dense blocks are not reduced,
-because the printed goldens pin the bits of their direct ``eigh``.
-Importing this module loads no scipy, and neither does a dense block: only
-the Lanczos branch imports ``scipy.sparse`` and ``scipy.sparse.linalg``.
+above it.  Two routes diagonalize: :func:`full_spectrum` takes every block of
+a lattice of at most 12 spins by dense ``eigh``, and the probe route
+(:func:`_probe_block`) takes the S_z = 0 block alone, by dense ``eigh`` at
+or below the cap and above it by Lanczos from a fixed start vector on the
+two half-size sectors of the global spin flip F = prod sigma^x.  Dense
+blocks are not reduced, because the printed goldens pin the bits of their
+direct ``eigh``.  Importing this module loads no scipy, and neither does a
+dense block: only the Lanczos branch imports ``scipy.sparse`` and
+``scipy.sparse.linalg``.
 The T = 0 quantities read the S_z = 0 block alone, where every
 integer-spin multiplet has one member (SU(2)), of a given spectrum or of
 its own diagonalization, and total spin is verified through
 <S^2> = S_z^2 + S_z + ||S^+ v||^2.  The probe correlator is applied as a
 two-term gather, exact to the bit.  One Boltzmann average serves every
 thermal correlator; its terms are worked out once per spectrum, and it
-bounds what a truncated spectrum left out.
+refuses a spectrum that does not store every level.
 
 Units and normalization: energies are in units of the bath exchange J = 1;
 bath spins are S = sigma/2; probe operators tau are full Pauli matrices
@@ -78,6 +80,8 @@ class LatticeSpec:
         a, b = self.probe_sites
         if not (0 <= a < self.n_bath and 0 <= b < self.n_bath):
             raise DomainError("probe sites must be bath site indices")
+        if a == b:
+            raise DomainError(f"both probes sit on bath site {a}: they need two sites")
         seen = set()
         for i, j, _ in self.bonds:
             seen.update((i, j))
@@ -234,12 +238,10 @@ def _apply_probe_correlator(spec: LatticeSpec, states: np.ndarray,
 class SpectrumResult:
     """Eigen-decomposition of some S_z blocks, keyed by the number of up spins.
 
-    A block at or below ``DENSE_BLOCK_CAP`` holds every level; a larger one
-    holds its lowest ``k_each`` (truncated), merged from its two spin-flip
-    sectors at S_z = 0, or read off its mirror block n - m below S_z = 0
-    (its vectors then are reversed views of the mirror's).  The probe
-    correlator diagonals and the Boltzmann terms are computed on first use
-    and kept.
+    A block at or below ``DENSE_BLOCK_CAP`` holds every level; a larger one,
+    the S_z = 0 block of the probe route, holds its lowest three, merged from
+    its two spin-flip sectors.  The probe correlator diagonals and the
+    Boltzmann terms are computed on first use and kept.
     """
 
     spec: LatticeSpec
@@ -254,67 +256,25 @@ class SpectrumResult:
                 for m, v in self.vectors.items()}
 
     @cached_property
-    def boltzmann_terms(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], int, float | None]:
+    def boltzmann_terms(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """What :func:`_boltzmann_average` reads at every beta: per block, in
-        stored order, (levels - ground energy, probe diagonals); the number
-        of states the truncated blocks left out; and the lowest top stored
-        level of a truncated block less the ground energy (None when no
-        block is truncated)."""
+        stored order, (levels - ground energy, probe diagonals)."""
         e0 = min(float(e[0]) for e in self.energies.values())
-        terms = [(es - e0, self.probe_diagonals[m]) for m, es in self.energies.items()]
-        left = {m: len(self.states[m]) - len(es) for m, es in self.energies.items()}
-        cut = min((float(self.energies[m][-1]) for m in left if left[m]), default=None)
-        return terms, sum(left.values()), None if cut is None else cut - e0
+        return [(es - e0, self.probe_diagonals[m]) for m, es in self.energies.items()]
 
 
 def full_spectrum(spec: LatticeSpec) -> SpectrumResult:
-    """Every level of every S_z block (total dim <= 4096, so each block
-    goes through the dense branch of :func:`_low_levels`)."""
+    """Every level of every S_z block by dense ``eigh`` (total dim <= 4096,
+    so no block exceeds ``DENSE_BLOCK_CAP``)."""
     if (1 << spec.n_total) > DENSE_BLOCK_CAP:
         raise ResourceError(
             f"full spectrum needs total dim <= {DENSE_BLOCK_CAP}; "
             f"got {1 << spec.n_total}")
-    return _low_levels(spec)
-
-
-def _low_levels(spec: LatticeSpec, k_each: int = 8,
-                blocks: tuple[int, ...] | None = None) -> SpectrumResult:
-    """Lowest levels per block (all blocks, or the n_up values in ``blocks``):
-    every level by dense ``eigh`` at or below the cap, the lowest ``k_each``
-    by Lanczos above it.
-
-    Lanczos blocks use the global spin flip F = prod sigma^x, which commutes
-    with H and maps block m onto block n - m.  The S_z = 0 block splits into
-    its two half-size F sectors (:func:`_flip_sector_levels`).  A block below
-    S_z = 0 whose mirror n - m is also requested is neither built nor
-    diagonalized: it has the levels of block n - m, and F complements its
-    states, which reverses their sorted order, so its states are
-    ``(states ^ mask)[::-1]`` and its vectors ``v[::-1]``.  Dense blocks keep
-    their direct ``eigh``: mirrored ``eigh`` levels differ by a few ulp,
-    which the printed goldens would show.
-    """
-    n = spec.n_total
-    wanted = tuple(range(n + 1)) if blocks is None else tuple(blocks)
-    mirrored = [m for m in wanted if 2 * m < n and n - m in wanted
-                and math.comb(n, m) > DENSE_BLOCK_CAP]
-    levels = {}
-    for m, (sts, h) in build_hamiltonian(
-            spec, tuple(m for m in wanted if m not in mirrored)).items():
-        dim = h.shape[0]
-        if isinstance(h, np.ndarray):
-            w, v = np.linalg.eigh(h)
-        elif 2 * m == n:
-            w, v = _flip_sector_levels(h, k_each)
-        else:
-            w, v = _lanczos(h, min(k_each, dim - 1))
-        levels[m] = w, v, sts
-    mask = (1 << n) - 1
-    for m in mirrored:
-        w, v, sts = levels[n - m]
-        levels[m] = w, v[::-1], (sts ^ mask)[::-1]
-    return SpectrumResult(spec, {m: levels[m][0] for m in wanted},
-                          {m: levels[m][1] for m in wanted},
-                          {m: levels[m][2] for m in wanted})
+    energies, vectors, states = {}, {}, {}
+    for m, (sts, h) in build_hamiltonian(spec).items():
+        energies[m], vectors[m] = np.linalg.eigh(h)
+        states[m] = sts
+    return SpectrumResult(spec, energies, vectors, states)
 
 
 def _lanczos(h: csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,16 +292,17 @@ def _lanczos(h: csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
-def _flip_sector_levels(h: csr_matrix, k_each: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest ``k_each`` levels of an S_z = 0 block from its two F sectors.
+def _flip_sector_levels(h: csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``k`` levels of an S_z = 0 block from its two F sectors.
 
-    F reverses the sorted basis of the block, so with A = H[:half, :half] and
-    B = H[:half, half:][:, ::-1] the F = +1 and F = -1 sectors are A + B and
-    A - B, each diagonalized by :func:`_lanczos`; their vectors expand back as
-    [v; +-v[::-1]]/sqrt(2).  The lowest ``k_each`` of the merged levels are
-    kept, so every level left out lies above the top kept one.  The probe
-    singlet and triplet member fall in different sectors, so neither Krylov
-    space has to resolve their splitting.
+    F = prod sigma^x commutes with H and reverses the sorted basis of the
+    block, so with A = H[:half, :half] and B = H[:half, half:][:, ::-1] the
+    F = +1 and F = -1 sectors are A + B and A - B, each diagonalized by
+    :func:`_lanczos`; their vectors expand back as [v; +-v[::-1]]/sqrt(2).
+    Each sector converges ``k`` levels, so the lowest ``k`` of the merged
+    levels are the block's lowest ``k``.  The probe singlet and triplet
+    member fall in different sectors, so neither Krylov space has to resolve
+    their splitting.
     """
     from scipy.sparse import csr_matrix
 
@@ -354,11 +315,11 @@ def _flip_sector_levels(h: csr_matrix, k_each: int) -> tuple[np.ndarray, np.ndar
         # (row, col) pairs that A and B share are summed by the CSR build
         sector = csr_matrix((np.where(right, sign * top.data, top.data), (top.row, cols)),
                             shape=(half, half))
-        w, v = _lanczos(sector, min(k_each, half - 1))
+        w, v = _lanczos(sector, min(k, half - 1))
         ws.append(w)
         vs.append(np.vstack([v, sign * v[::-1]]) / math.sqrt(2.0))
     w = np.concatenate(ws)
-    order = np.argsort(w, kind="stable")[:k_each]
+    order = np.argsort(w, kind="stable")[:k]
     return w[order], np.hstack(vs)[:, order]
 
 
@@ -404,16 +365,18 @@ def _probe_block(spec: LatticeSpec, spectrum: SpectrumResult | None):
     Every integer-spin multiplet has exactly one member at S_z = 0 (SU(2)),
     so the levels of that block alone are the distinct levels of the
     lattice: the ground singlet, the probe triplet and the next level are
-    its three lowest.  A new diagonalization builds only this block and
-    keeps three levels; on the Lanczos route each spin-flip sector converges
-    three, and the three lowest of the six merged are the block's three
-    lowest."""
+    its three lowest.  A new diagonalization builds only this block: at or
+    below ``DENSE_BLOCK_CAP`` it keeps every level of a dense ``eigh``, above
+    it the three lowest of its spin-flip sectors (:func:`_flip_sector_levels`).
+    """
     if spec.n_total % 2:
         raise SectorAmbiguityError(
             f"{spec.n_total} spins have half-integer total spin: no probe singlet")
     mid = spec.n_total // 2
     if spectrum is None:
-        spectrum = _low_levels(spec, k_each=3, blocks=(mid,))
+        ((sts, h),) = build_hamiltonian(spec, (mid,)).values()
+        w, v = np.linalg.eigh(h) if isinstance(h, np.ndarray) else _flip_sector_levels(h, 3)
+        spectrum = SpectrumResult(spec, {mid: w}, {mid: v}, {mid: sts})
     return spectrum, mid
 
 
@@ -454,27 +417,23 @@ def ground_state_correlator(spec: LatticeSpec,
 
 
 def _boltzmann_average(spectrum: SpectrumResult, betas) -> np.ndarray:
-    """Probe correlator averaged over the stored levels of every block,
-    summed block by block in stored order.
+    """Probe correlator averaged over every level of every block, summed
+    block by block in stored order.
 
-    The levels a truncated block left out lie above its top stored level, so
-    their weight against the ground level is at most (states not stored) x
-    exp(-beta (lowest top stored level of a truncated block - E0)).  A bound
-    above 1e-10, or a missing S_z block, raises TruncationError.
+    A beta that is NaN, infinite or negative raises DomainError; a spectrum
+    that does not store all 2^n levels (the probe route's, or one missing a
+    block) raises TruncationError.
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    if len(spectrum.energies) <= spectrum.spec.n_total:
-        raise TruncationError(
-            f"thermal average needs every S_z block; got n_up in {sorted(spectrum.energies)}")
-    terms, left, cut = spectrum.boltzmann_terms
-    if left:
-        tail = left * np.exp(-betas * cut)
-        if np.any(tail > 1e-10):
-            raise TruncationError(
-                f"truncated Boltzmann tail up to {tail.max():.2e} > 1e-10; "
-                "lower the temperature or raise k_each")
+    bad = betas[~(np.isfinite(betas) & (betas >= 0.0))]
+    if bad.size:
+        raise DomainError(f"beta must be finite and >= 0; got {bad[0]}")
+    stored = sum(len(es) for es in spectrum.energies.values())
+    if stored < 1 << spectrum.spec.n_total:
+        raise TruncationError(f"thermal average needs all {1 << spectrum.spec.n_total} "
+                              f"levels; the spectrum stores {stored}")
     num, den = np.zeros_like(betas), np.zeros_like(betas)
-    for shifted, diagonals in terms:
+    for shifted, diagonals in spectrum.boltzmann_terms:
         w = np.exp(-np.outer(betas, shifted))
         num += w @ diagonals
         den += w.sum(axis=1)
@@ -485,15 +444,8 @@ def thermal_correlator_exact(spec: LatticeSpec, betas,
                              spectrum: SpectrumResult | None = None) -> np.ndarray:
     """<tau_a . tau_b>(beta) from the full blockwise spectrum (``spectrum``,
     whose Boltzmann terms are kept across calls, or a new one).  Energies
-    are shifted by the ground energy, so any beta >= 0 is safe."""
+    are shifted by the ground energy, so any finite beta >= 0 is safe."""
     return _boltzmann_average(full_spectrum(spec) if spectrum is None else spectrum, betas)
-
-
-def thermal_correlator_truncated(spec: LatticeSpec, betas, k_each: int = 8) -> np.ndarray:
-    """Low-temperature correlator from the lowest ``k_each`` levels of each
-    block above ``DENSE_BLOCK_CAP`` (every level of the others), refused
-    where the levels left out could shift it at the 1e-10 level."""
-    return _boltzmann_average(_low_levels(spec, k_each=k_each), betas)
 
 
 # ---------------------------------------------------------------------------

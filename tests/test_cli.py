@@ -60,6 +60,13 @@ class TestExitCodes:
         ["optomech-steady", "--kappa", "-5"],
         ["optomech-steady", "--kappa", "0"],
         ["optomech-steady", "--temperature", "-1"],
+        # 1/T overflows: no beta
+        ["ed", "run", "--L", "8", "--temps", "1e-310"],
+        ["lde", "thermal", "--jcan", "1", "--tmin", "1e-320", "--tmax", "1e-319", "--steps", "2"],
+        # both probes on one site
+        ["ed", "run", "--L", "8", "--probes", "3,3"],
+        ["ed", "run", "--lattice", "ladder", "--L", "4", "--probes", "2,2"],
+        ["ed", "report", "--L", "6", "--probes", "0,0"],
     ])
     def test_out_of_range_rejected_at_parse_time(self, capsys, argv):
         code, out, err = run(capsys, *argv)

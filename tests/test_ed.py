@@ -17,20 +17,18 @@ from qcb.ed import (
     _block_hamiltonian,
     _blocks_by_magnetization,
     _dense_block,
-    _low_levels,
+    _probe_block,
     _sparse_block,
     _spin_squared,
     build_hamiltonian,
     chain,
     chi_lehman_and_phi,
-    default_temperature_grid,
     full_spectrum,
     ground_state_correlator,
     ladder,
     low_spectrum_jcan,
     theory_consistency_report,
     thermal_correlator_exact,
-    thermal_correlator_truncated,
     total_spin_expectation,
 )
 
@@ -57,7 +55,7 @@ def dense_hamiltonian(spec):
 
 def plain_lanczos(h, k=8):
     """Lowest k levels of a whole S_z block by eigsh, with no spin-flip
-    sectors or mirrors: the oracle for the reduced Lanczos route."""
+    sectors: the oracle for the probe route's Lanczos branch."""
     from scipy.sparse.linalg import eigsh
 
     v0 = np.random.default_rng(1).standard_normal(h.shape[0])
@@ -176,6 +174,13 @@ class TestHamiltonian:
             with pytest.raises(ResourceError):
                 make(length, alpha=0.05)
 
+    def test_coincident_probe_sites_refused(self):
+        for make in (lambda: chain(8, alpha=0.01, probes=(3, 3)),
+                     lambda: ladder(4, alpha=0.05, probes=(2, 2)),
+                     lambda: LatticeSpec(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)), (0, 0), 0.05)):
+            with pytest.raises(DomainError, match="both probes"):
+                make()
+
     def test_ladder_geometry(self):
         spec = ladder(3, alpha=0.05)
         assert spec.n_bath == 6
@@ -211,23 +216,21 @@ class TestLowSpectrum:
             assert ground_state_correlator(spec) == ground_state_correlator(spec, spectrum)
 
     def test_raising_operator_spin_check_matches_pair_operator(self):
-        # 16 spins, central blocks through Lanczos: ground singlet and the
-        # three triplet members
+        # 16 spins, the S_z = 0 block through Lanczos: the ground singlet,
+        # the probe triplet member and the next level, one call each
         spec = chain(14, alpha=0.05, probes=(1, 12))
-        result = _low_levels(spec, blocks=(7, 8, 9))
-        levels = all_levels(result)[:4]
-        assert sorted(m for _, m, _ in levels[1:]) == [7, 8, 9]
-        s2 = [_spin_squared(result, m, (k,))[0] for _, m, k in levels]
-        oracle = [total_spin_expectation(result, m, k) for _, m, k in levels]
+        result, mid = _probe_block(spec, None)
+        s2 = [_spin_squared(result, mid, (k,))[0] for k in range(3)]
+        oracle = [total_spin_expectation(result, mid, k) for k in range(3)]
         assert np.max(np.abs(np.subtract(s2, oracle))) < 1e-9
-        assert np.max(np.abs(np.subtract(s2, [0.0, 2.0, 2.0, 2.0]))) < 1e-6
+        assert np.max(np.abs(np.subtract(s2[:2], [0.0, 2.0]))) < 1e-6
 
     def test_spin_check_of_several_levels_matches_pair_operator(self):
         # one call per block for all its stored levels: a 10-spin lattice
         # (dense, every block) and the 16-spin S_z = 0 block (Lanczos)
-        for spec, blocks in ((chain(8, alpha=0.05, probes=(1, 6)), None),
-                             (chain(14, alpha=0.05, probes=(1, 12)), (8,))):
-            result = _low_levels(spec, k_each=4, blocks=blocks)
+        for result in (full_spectrum(chain(8, alpha=0.05, probes=(1, 6))),
+                       _probe_block(chain(14, alpha=0.05, probes=(1, 12)), None)[0]):
+            spec = result.spec
             for m, energies in result.energies.items():
                 levels = tuple(range(min(len(energies), 6)))
                 s2 = _spin_squared(result, m, levels)
@@ -235,42 +238,36 @@ class TestLowSpectrum:
                 assert np.max(np.abs(np.subtract(s2, oracle))) < 1e-9, (spec.label, m)
 
     def test_flip_sectors_and_mirror_match_plain_lanczos(self):
-        # 16 spins: S_z = 0 through its two F sectors, S_z = -1 as the mirror
-        # of S_z = +1; both against eigsh of the whole block
+        # 16 spins: the S_z = 0 block through its two F sectors against eigsh
+        # of the whole block
         spec = chain(14, alpha=0.05, probes=(1, 12))
-        result = _low_levels(spec, blocks=(7, 8, 9))
-        built = build_hamiltonian(spec, (7, 8, 9))
-        for m, (sts, h) in built.items():
-            assert np.array_equal(result.states[m], sts)
-            assert np.max(np.abs(result.energies[m] - plain_lanczos(h))) < 1e-10
-            vecs = result.vectors[m]
-            assert np.max(np.abs(h @ vecs - vecs * result.energies[m])) < 1e-10
-        # H_{n-m} = J H_m J entry for entry, J the order reversal
-        rev = np.arange(len(built[9][0]))[::-1]
-        assert (built[7][1] - built[9][1][rev][:, rev]).count_nonzero() == 0
-        # the triplet member of the mirrored block is a triplet
-        member = next(k for _, m, k in all_levels(result)[1:4] if m == 7)
-        assert abs(total_spin_expectation(result, 7, member) - 2.0) < 1e-8
+        result, mid = _probe_block(spec, None)
+        ((sts, h),) = build_hamiltonian(spec, (mid,)).values()
+        assert np.array_equal(result.states[mid], sts)
+        assert len(result.energies[mid]) == 3
+        assert np.max(np.abs(result.energies[mid] - plain_lanczos(h)[:3])) < 1e-10
+        vecs = result.vectors[mid]
+        assert np.max(np.abs(h @ vecs - vecs * result.energies[mid])) < 1e-10
+        # F mirrors the block onto itself: H = J H J entry for entry, J the
+        # order reversal, which the sector split A +- B relies on
+        rev = np.arange(len(sts))[::-1]
+        assert (h - h[rev][:, rev]).count_nonzero() == 0
 
     def test_reduced_lanczos_route_matches_dense(self, monkeypatch):
-        # a cap of 100 sends the central blocks of 10 spins through the
-        # sectors and the mirror; 9 spins have no S_z = 0 block, mirror only
+        # a cap of 100 sends the 252-state S_z = 0 block of 10 spins through
+        # the sectors; 9 spins have no S_z = 0 block
         even, odd = chain(8, alpha=0.05, probes=(1, 6)), chain(7, alpha=0.05, probes=(1, 5))
         want = (low_spectrum_jcan(even), ground_state_correlator(even))
-        dense = {spec: full_spectrum(spec) for spec in (even, odd)}
+        full = full_spectrum(even)
         monkeypatch.setattr(ed, "DENSE_BLOCK_CAP", 100)
         j_can, gap = low_spectrum_jcan(even)
         assert abs(j_can - want[0][0]) < 1e-10 and abs(gap - want[0][1]) < 1e-10
         assert abs(ground_state_correlator(even) - want[1]) < 1e-10
-        for spec, full in dense.items():
-            reduced = _low_levels(spec)
-            n = spec.n_total
-            lanczos = [m for m in reduced.energies if math.comb(n, m) > 100]
-            assert lanczos == ([3, 4, 5, 6, 7] if n == 10 else [4, 5])
-            for m, es in reduced.energies.items():
-                assert np.array_equal(reduced.states[m], full.states[m])
-                assert len(es) == (8 if m in lanczos else len(full.energies[m]))
-                assert np.max(np.abs(es - full.energies[m][:len(es)])) < 1e-10
+        reduced, mid = _probe_block(even, None)
+        assert list(reduced.energies) == [mid]
+        assert np.array_equal(reduced.states[mid], full.states[mid])
+        assert len(reduced.energies[mid]) == 3
+        assert np.max(np.abs(reduced.energies[mid] - full.energies[mid][:3])) < 1e-10
         for quantity in (low_spectrum_jcan, ground_state_correlator):
             with pytest.raises(SectorAmbiguityError):
                 quantity(odd)
@@ -333,7 +330,7 @@ class TestLowSpectrum:
         monkeypatch.setattr(ed, "DENSE_BLOCK_CAP", cap)
         for spec, reason in cases:
             mid = spec.n_total // 2
-            stored = _low_levels(spec, k_each=3, blocks=(mid,)).energies[mid]
+            stored = _probe_block(spec, None)[0].energies[mid]
             assert len(stored) == (3 if math.comb(spec.n_total, mid) > cap else
                                    math.comb(spec.n_total, mid))
             with pytest.raises(SectorAmbiguityError, match=reason):
@@ -388,27 +385,21 @@ class TestThermalCorrelator:
         vals = thermal_correlator_exact(spec, betas)
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_truncated_path(self, monkeypatch):
-        spec = chain(**ACCEPT, alpha=0.05)
-        j_can, _ = low_spectrum_jcan(spec)
-        betas = 1.0 / default_temperature_grid(j_can)[:4]
-        exact = thermal_correlator_exact(spec, betas)
-        # at or below the dense cap every level is kept, and nothing is refused
-        assert np.array_equal(thermal_correlator_truncated(spec, [0.1], k_each=4),
-                              thermal_correlator_exact(spec, [0.1]))
-        # a cap of 100 sends the five central blocks of 10 spins through Lanczos
-        monkeypatch.setattr(ed, "DENSE_BLOCK_CAP", 100)
-        trunc = thermal_correlator_truncated(spec, betas, k_each=12)
-        assert np.max(np.abs(exact - trunc)) < 1e-10
-        with pytest.raises(TruncationError):
-            thermal_correlator_truncated(spec, [0.1], k_each=4)
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -1e3])
+    def test_beta_outside_domain_is_refused(self, beta):
+        # refused before any exponential, so no overflow warning either
+        spec = chain(4, alpha=0.1)
+        for betas in ([beta], [1.0, beta]):
+            with pytest.raises(DomainError, match="beta must be finite and >= 0"):
+                thermal_correlator_exact(spec, betas)
 
     def test_spectrum_missing_a_block_is_refused(self):
+        # the probe route stores the S_z = 0 block alone
         spec = chain(**ACCEPT, alpha=0.05)
-        central = _low_levels(spec, blocks=(4, 5, 6))
-        assert low_spectrum_jcan(spec, spectrum=central) == low_spectrum_jcan(spec)
+        probe, _ = _probe_block(spec, None)
+        assert low_spectrum_jcan(spec, spectrum=probe) == low_spectrum_jcan(spec)
         with pytest.raises(TruncationError):
-            thermal_correlator_exact(spec, [1e3], spectrum=central)
+            thermal_correlator_exact(spec, [1e3], spectrum=probe)
 
 
 class TestLehmann:
@@ -422,10 +413,6 @@ class TestLehmann:
         for sep in range(1, 6):
             chi, _ = chi_lehman_and_phi(chain(8, alpha=0.01, probes=(0, sep)))
             assert math.copysign(1.0, chi) == (-1.0) ** (sep + 1)
-
-    def test_same_site_phi_vanishes(self):
-        _, phi_coeff = chi_lehman_and_phi(chain(8, alpha=0.01, probes=(3, 3)))
-        assert phi_coeff == 0.0
 
     def test_odd_bath_rejected(self):
         with pytest.raises(DegenerateSystemError):
