@@ -7,25 +7,26 @@ and the Lehmann-representation inputs of the perturbative canonical
 parameters.
 
 Engine (after Sandvik, arXiv:1101.3281, sec. 4): basis states are bit
-strings, blocks are sorted arrays of equal popcount, and each block matrix
-is assembled from array bit operations and ``searchsorted`` lookups: straight
-into a numpy array at or below ``DENSE_BLOCK_CAP`` (dense ``eigh``), as CSR
-above it.  Two routes diagonalize: :func:`full_spectrum` takes every block of
-a lattice of at most 12 spins by dense ``eigh``, and the probe route
-(:func:`_probe_block`) takes the S_z = 0 block alone, by dense ``eigh`` at
-or below the cap and above it by Lanczos from a fixed start vector on the
-two half-size sectors of the global spin flip F = prod sigma^x.  Dense
-blocks are not reduced, because the printed goldens pin the bits of their
-direct ``eigh``.  Importing this module loads no scipy, and neither does a
-dense block: only the Lanczos branch imports ``scipy.sparse`` and
-``scipy.sparse.linalg``.
+strings and blocks are sorted arrays of equal popcount.  The requested blocks
+are assembled in one pass of array bit operations over all their states, one
+scatter per bond: at or below ``DENSE_BLOCK_CAP`` (dense ``eigh``) as views
+of one flat buffer, above it as CSR from the same pass.  Two routes
+diagonalize: :func:`full_spectrum` takes every block of a lattice of at most
+12 spins by dense ``eigh``, and the probe route (:func:`_probe_block`) takes
+the S_z = 0 block alone, by dense ``eigh`` at or below the cap and above it
+by Lanczos from a fixed start vector on the two half-size sectors of the
+global spin flip F = prod sigma^x.  Dense blocks are not reduced, because the
+printed goldens pin the bits of their direct ``eigh``.  Importing this module
+loads no scipy, and neither does a dense block: only the Lanczos branch
+imports ``scipy.sparse`` and ``scipy.sparse.linalg``.
 The T = 0 quantities read the S_z = 0 block alone, where every
 integer-spin multiplet has one member (SU(2)), of a given spectrum or of
 its own diagonalization, and total spin is verified through
 <S^2> = S_z^2 + S_z + ||S^+ v||^2.  The probe correlator is applied as a
 two-term gather, exact to the bit.  One Boltzmann average serves every
-thermal correlator; its terms are worked out once per spectrum, and it
-refuses a spectrum that does not store every level.
+thermal correlator: one exponential over the levels of every block,
+concatenated once per spectrum, summed block by block.  It refuses a
+spectrum that does not store every level.
 
 Units and normalization: energies are in units of the bath exchange J = 1;
 bath spins are S = sigma/2; probe operators tau are full Pauli matrices
@@ -143,79 +144,68 @@ def ladder(length: int, alpha: float, probes: str | tuple[int, int] = "ends") ->
 # ---------------------------------------------------------------------------
 
 
-def _blocks_by_magnetization(n: int, n_ups: tuple[int, ...] | None = None
-                             ) -> dict[int, np.ndarray]:
-    """Sorted basis states of each S_z block, keyed by the number of up spins
-    (all n + 1 blocks, or only those in ``n_ups``)."""
-    states = np.arange(1 << n, dtype=np.int64)
-    pop = np.zeros_like(states)
-    for i in range(n):
-        pop += (states >> i) & 1
-    if n_ups is None:
-        n_ups = range(n + 1)
-    return {n_up: states[pop == n_up] for n_up in n_ups}
+def _assemble(n: int, bonds, n_ups: tuple[int, ...] | None = None
+              ) -> dict[int, tuple[np.ndarray, np.ndarray | csr_matrix]]:
+    """{n_up: (sorted states with n_up bits set, H)} of ``n`` spins and
+    ``bonds``, for every block or those in ``n_ups``, in one pass.
 
-
-def _bond_terms(bonds, states: np.ndarray):
-    """Heisenberg terms of one S_z block: the diagonal, summed bond by bond
-    in bond order (its floats, and so the printed eigenvalues, depend on that
-    order), and per bond the (rows, columns, value) of its flip-flop
-    entries, no (row, column) twice within a bond."""
+    Entries are numbered block by block, row by row, blocks at or below
+    ``DENSE_BLOCK_CAP`` first: those numbers index one flat buffer, the rest
+    are the CSR triplets of the larger blocks, in bond order.  Partners are
+    read from a table of each state's rank in its block, so a bond is one
+    scatter (no entry twice).  The diagonal is summed bond by bond in bond
+    order: its floats, and so the printed eigenvalues, depend on that order.
+    """
+    every = np.arange(1 << n, dtype=np.int64)
+    pop = np.bitwise_count(every)
+    blocks = {m: every[pop == m] for m in (range(n + 1) if n_ups is None else n_ups)}
+    layout = sorted(blocks, key=lambda m: len(blocks[m]) > DENSE_BLOCK_CAP)
+    states = np.concatenate([blocks[m] for m in layout])
+    dims = np.array([len(blocks[m]) for m in layout])
+    local = np.arange(len(states)) - np.repeat(np.cumsum(dims) - dims, dims)
+    rank = np.zeros(1 << n, dtype=np.int64)
+    rank[states] = local
+    offset = np.cumsum(dims * dims) - dims * dims
+    row_start = np.repeat(offset, dims) + np.repeat(dims, dims) * local
+    flat = np.zeros(int(np.sum(dims[dims <= DENSE_BLOCK_CAP] ** 2)))
     diag = np.zeros(len(states))
-    flips = []
+    far = []
     for i, j, w in bonds:
         differ = ((states >> i) ^ (states >> j)) & 1
         diag += np.where(differ, -0.25 * w, 0.25 * w)
         k = np.flatnonzero(differ)
-        flips.append((k, np.searchsorted(states, states[k] ^ (1 << i) ^ (1 << j)), 0.5 * w))
-    return diag, flips
+        at = row_start[k] + rank[states[k] ^ (1 << i) ^ (1 << j)]  # ascending
+        cut = np.searchsorted(at, flat.size)
+        flat[at[:cut]] += 0.5 * w
+        far.append(at[cut:])
+    far_vals = np.repeat([0.5 * w for *_, w in bonds], [len(at) for at in far])
+    far = np.concatenate(far)
+    out = {}
+    for m, dim, off, d in zip(layout, dims.tolist(), offset.tolist(),
+                              np.split(diag, np.cumsum(dims)[:-1])):
+        if dim <= DENSE_BLOCK_CAP:
+            h = flat[off:off + dim * dim].reshape(dim, dim)
+            np.fill_diagonal(h, d)
+        else:
+            from scipy.sparse import csr_matrix
 
-
-def _dense_block(bonds, states: np.ndarray) -> np.ndarray:
-    """Block matrix as a numpy array: the flip-flop entries added in bond
-    order, then the diagonal, which no flip-flop entry touches."""
-    dim = len(states)
-    diag, flips = _bond_terms(bonds, states)
-    h = np.zeros((dim, dim))
-    flat = h.reshape(-1)
-    for rows, cols, val in flips:
-        flat[rows * dim + cols] += val
-    flat[::dim + 1] = diag
-    return h
-
-
-def _sparse_block(bonds, states: np.ndarray) -> csr_matrix:
-    """Block matrix as CSR, from the same terms as :func:`_dense_block`."""
-    from scipy.sparse import csr_matrix
-
-    dim = len(states)
-    diag, flips = _bond_terms(bonds, states)
-    rows = np.concatenate([r for r, _, _ in flips])
-    cols = np.concatenate([c for _, c, _ in flips])
-    vals = np.concatenate([np.full(len(r), v) for r, _, v in flips])
-    h = csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    h += csr_matrix((diag, (np.arange(dim), np.arange(dim))), shape=(dim, dim))
-    return h
-
-
-def _block_hamiltonian(bonds, states: np.ndarray) -> np.ndarray | csr_matrix:
-    """Heisenberg Hamiltonian restricted to one S_z block: a numpy array at
-    or below ``DENSE_BLOCK_CAP`` states, CSR above it."""
-    build = _dense_block if len(states) <= DENSE_BLOCK_CAP else _sparse_block
-    return build(bonds, states)
+            mine = (far >= off) & (far < off + dim * dim)  # in bond order
+            h = csr_matrix((far_vals[mine], np.divmod(far[mine] - off, dim)), shape=(dim, dim))
+            h += csr_matrix((d, (np.arange(dim), np.arange(dim))), shape=(dim, dim))
+        out[m] = blocks[m], h
+    return {m: out[m] for m in blocks}
 
 
 def build_hamiltonian(spec: LatticeSpec, blocks: tuple[int, ...] | None = None
                       ) -> dict[int, tuple[np.ndarray, np.ndarray | csr_matrix]]:
-    """Per-S_z-block Hamiltonian of bath + probes (:func:`_block_hamiltonian`).
+    """Per-S_z-block Hamiltonian of bath + probes, in one pass (:func:`_assemble`).
 
     Returns {n_up: (basis states, H_block)} for every block, or only for the
-    n_up values in ``blocks``; H commutes with total S_z by construction
-    (only flip-flop terms appear off the diagonal).
+    n_up values in ``blocks``: views of one shared buffer at or below
+    ``DENSE_BLOCK_CAP`` states, CSR above it.  H commutes with total S_z by
+    construction (only flip-flop terms appear off the diagonal).
     """
-    bonds = spec.coupled_bonds()
-    return {m: (sts, _block_hamiltonian(bonds, sts))
-            for m, sts in _blocks_by_magnetization(spec.n_total, blocks).items()}
+    return _assemble(spec.n_total, spec.coupled_bonds(), blocks)
 
 
 def _apply_probe_correlator(spec: LatticeSpec, states: np.ndarray,
@@ -241,7 +231,8 @@ class SpectrumResult:
     A block at or below ``DENSE_BLOCK_CAP`` holds every level; a larger one,
     the S_z = 0 block of the probe route, holds its lowest three, merged from
     its two spin-flip sectors.  The probe correlator diagonals and the
-    Boltzmann terms are computed on first use and kept.
+    Boltzmann terms (the shifted levels of all blocks, concatenated, and each
+    block's slice) are computed on first use and kept.
     """
 
     spec: LatticeSpec
@@ -256,11 +247,15 @@ class SpectrumResult:
                 for m, v in self.vectors.items()}
 
     @cached_property
-    def boltzmann_terms(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """What :func:`_boltzmann_average` reads at every beta: per block, in
-        stored order, (levels - ground energy, probe diagonals)."""
+    def boltzmann_terms(self) -> tuple[np.ndarray, list[tuple[slice, np.ndarray]]]:
+        """What :func:`_boltzmann_average` reads at every beta: the levels of
+        every block minus the ground energy, concatenated in stored order,
+        and per block its slice of them with its probe diagonals."""
         e0 = min(float(e[0]) for e in self.energies.values())
-        return [(es - e0, self.probe_diagonals[m]) for m, es in self.energies.items()]
+        levels = np.concatenate(list(self.energies.values())) - e0
+        ends = np.cumsum([len(es) for es in self.energies.values()]).tolist()
+        return levels, [(slice(end - len(es), end), self.probe_diagonals[m])
+                        for end, (m, es) in zip(ends, self.energies.items())]
 
 
 def full_spectrum(spec: LatticeSpec) -> SpectrumResult:
@@ -326,12 +321,10 @@ def _flip_sector_levels(h: csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
 def total_spin_expectation(result: SpectrumResult, m: int, level: int) -> float:
     """<S_tot^2> of one eigenvector (0 for a singlet, 2 for a triplet), from
     the full O(n^2) pair operator: the oracle for :func:`_spin_squared`."""
-    spec = result.spec
-    n = spec.n_total
-    sts = result.states[m]
+    n = result.spec.n_total
     vec = result.vectors[m][:, level]
     pairs = tuple((i, j, 2.0) for i in range(n) for j in range(i + 1, n))
-    op = _block_hamiltonian(pairs, sts)  # 2 sum_{i<j} S_i.S_j
+    op = _assemble(n, pairs, (m,))[m][1]  # 2 sum_{i<j} S_i.S_j
     return float(vec @ (op @ vec)) + 0.75 * n
 
 
@@ -417,8 +410,9 @@ def ground_state_correlator(spec: LatticeSpec,
 
 
 def _boltzmann_average(spectrum: SpectrumResult, betas) -> np.ndarray:
-    """Probe correlator averaged over every level of every block, summed
-    block by block in stored order.
+    """Probe correlator averaged over every level of every block: one
+    exponential over all levels, whose slices are summed block by block in
+    stored order, as one exponential per block would be.
 
     A beta that is NaN, infinite or negative raises DomainError; a spectrum
     that does not store all 2^n levels (the probe route's, or one missing a
@@ -432,11 +426,12 @@ def _boltzmann_average(spectrum: SpectrumResult, betas) -> np.ndarray:
     if stored < 1 << spectrum.spec.n_total:
         raise TruncationError(f"thermal average needs all {1 << spectrum.spec.n_total} "
                               f"levels; the spectrum stores {stored}")
+    levels, blocks = spectrum.boltzmann_terms
+    w = np.exp(-np.outer(betas, levels))
     num, den = np.zeros_like(betas), np.zeros_like(betas)
-    for shifted, diagonals in spectrum.boltzmann_terms:
-        w = np.exp(-np.outer(betas, shifted))
-        num += w @ diagonals
-        den += w.sum(axis=1)
+    for sl, diagonals in blocks:
+        num += w[:, sl] @ diagonals
+        den += w[:, sl].sum(axis=1)
     return num / den
 
 
@@ -466,8 +461,8 @@ def chi_lehman_and_phi(spec: LatticeSpec) -> tuple[float, float]:
         raise DegenerateSystemError("bath must have an even number of sites "
                                     "for a singlet ground state")
     m0 = spec.n_bath // 2
-    states = _blocks_by_magnetization(spec.n_bath, (m0,))[m0]
-    w, v = np.linalg.eigh(_dense_block(spec.bonds, states))
+    ((states, h),) = _assemble(spec.n_bath, spec.bonds, (m0,)).values()
+    w, v = np.linalg.eigh(h)
     if w[1] - w[0] < DEGENERACY_TOL:
         raise DegenerateSystemError("degenerate bath ground state")
     a, b = spec.probe_sites

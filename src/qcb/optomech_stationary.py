@@ -66,9 +66,10 @@ class SteadyState:
 
 
 def thermal_occupancy(omega_m: float, temperature: float) -> float:
-    if temperature <= 0.0:
+    kt = _k_boltzmann * temperature
+    if kt <= 0.0:  # T <= 0, or k_B T underflows (T below about 1.8e-301 K)
         return 0.0
-    x = _hbar * omega_m / (_k_boltzmann * temperature)
+    x = _hbar * omega_m / kt
     return 0.0 if x > 700.0 else 1.0 / math.expm1(x)
 
 

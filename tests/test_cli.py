@@ -387,6 +387,16 @@ class TestOptomechSteady:
         assert code == 0
         assert out.splitlines()[-1].startswith("Delta_over_wm,alpha_s,")
 
+    def test_underflowing_thermal_energy_is_zero_occupancy(self, capsys):
+        # k_B T underflows to 0 below about 1.8e-301 K: n_bar = 0, as at
+        # T = 0 and 1e-300 K, and every other byte as there
+        outs = {}
+        for t in ("0", "1e-300", "1e-310"):
+            code, out, _ = run(capsys, "optomech-steady", "--steps", "2", "--temperature", t)
+            assert code == 0 and "# n_bar=0\n" in out
+            outs[t] = out.replace(f"# temperature={t}\n", "# temperature=\n")
+        assert outs["1e-310"] == outs["1e-300"] == outs["0"]
+
     @pytest.mark.parametrize("power", ["0.0644", "0.0647", "0.0986", "0.1167"])
     def test_marginal_points_refined_past_the_gate(self, capsys, power):
         # One point of each map missed the 1e-10 ||D|| gate after two plain

@@ -14,11 +14,8 @@ from qcb.exceptions import (
 from qcb.ed import (
     LatticeSpec,
     _apply_probe_correlator,
-    _block_hamiltonian,
-    _blocks_by_magnetization,
-    _dense_block,
+    _boltzmann_average,
     _probe_block,
-    _sparse_block,
     _spin_squared,
     build_hamiltonian,
     chain,
@@ -53,6 +50,74 @@ def dense_hamiltonian(spec):
     return h
 
 
+def block_states(n, n_up):
+    """Sorted basis states with ``n_up`` of ``n`` spins up."""
+    return np.array([s for s in range(1 << n) if bin(s).count("1") == n_up], dtype=np.int64)
+
+
+def bond_terms(bonds, states):
+    """Heisenberg terms of one S_z block, found by ``searchsorted`` within the
+    block: the diagonal summed bond by bond in bond order, and per bond the
+    (rows, columns, value) of its flip-flop entries."""
+    diag = np.zeros(len(states))
+    flips = []
+    for i, j, w in bonds:
+        differ = ((states >> i) ^ (states >> j)) & 1
+        diag += np.where(differ, -0.25 * w, 0.25 * w)
+        k = np.flatnonzero(differ)
+        flips.append((k, np.searchsorted(states, states[k] ^ (1 << i) ^ (1 << j)), 0.5 * w))
+    return diag, flips
+
+
+def dense_block(bonds, states):
+    """One block as a numpy array, assembled on its own: the oracle for the
+    dense blocks of :func:`build_hamiltonian`."""
+    dim = len(states)
+    diag, flips = bond_terms(bonds, states)
+    h = np.zeros((dim, dim))
+    flat = h.reshape(-1)
+    for rows, cols, val in flips:
+        flat[rows * dim + cols] += val
+    flat[::dim + 1] = diag
+    return h
+
+
+def sparse_block(bonds, states):
+    """One block as CSR, from the same terms as :func:`dense_block`: the
+    oracle for the CSR blocks of :func:`build_hamiltonian`."""
+    from scipy.sparse import csr_matrix
+
+    dim = len(states)
+    diag, flips = bond_terms(bonds, states)
+    rows = np.concatenate([r for r, _, _ in flips])
+    cols = np.concatenate([c for _, c, _ in flips])
+    vals = np.concatenate([np.full(len(r), v) for r, _, v in flips])
+    h = csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    h += csr_matrix((diag, (np.arange(dim), np.arange(dim))), shape=(dim, dim))
+    return h
+
+
+def block_hamiltonian(bonds, states):
+    """Per-block oracle: dense at or below ``DENSE_BLOCK_CAP`` states, CSR
+    above it."""
+    build = dense_block if len(states) <= ed.DENSE_BLOCK_CAP else sparse_block
+    return build(bonds, states)
+
+
+def boltzmann_average_per_block(spectrum, betas):
+    """The probe correlator averaged with one exponential per block, summed
+    block by block in stored order: the oracle for
+    :func:`_boltzmann_average`."""
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    e0 = min(float(e[0]) for e in spectrum.energies.values())
+    num, den = np.zeros_like(betas), np.zeros_like(betas)
+    for m, es in spectrum.energies.items():
+        w = np.exp(-np.outer(betas, es - e0))
+        num += w @ spectrum.probe_diagonals[m]
+        den += w.sum(axis=1)
+    return num / den
+
+
 def plain_lanczos(h, k=8):
     """Lowest k levels of a whole S_z block by eigsh, with no spin-flip
     sectors: the oracle for the probe route's Lanczos branch."""
@@ -73,8 +138,8 @@ def chi_resolvent(spec):
     """chi via a linear solve, (E_0 - H) x = Q S_B^z |0>: an eigenbasis-free
     oracle for :func:`chi_lehman_and_phi`."""
     m0 = spec.n_bath // 2
-    states = _blocks_by_magnetization(spec.n_bath, (m0,))[m0]
-    h = _block_hamiltonian(spec.bonds, states)
+    states = block_states(spec.n_bath, m0)
+    h = block_hamiltonian(spec.bonds, states)
     w, v = np.linalg.eigh(h)
     a, b = spec.probe_sites
     za = np.where((states >> a) & 1, 0.5, -0.5)
@@ -139,9 +204,45 @@ class TestHamiltonian:
         for spec in (chain(10, alpha=0.05), chain(8, alpha=0.05, probes=(1, 6)),
                      chain(6, alpha=0.1), ladder(4, alpha=0.05), doubled):
             bonds = spec.coupled_bonds()
-            for sts in _blocks_by_magnetization(spec.n_total).values():
-                assert np.array_equal(_dense_block(bonds, sts),
-                                      _sparse_block(bonds, sts).toarray())
+            for sts in (block_states(spec.n_total, m) for m in range(spec.n_total + 1)):
+                assert np.array_equal(dense_block(bonds, sts),
+                                      sparse_block(bonds, sts).toarray())
+
+    def test_one_pass_blocks_equal_per_block_oracle(self):
+        # every block, or a subset in any order, equal to the bit to the same
+        # block assembled on its own; the doubled bond adds up its flip-flop
+        # entries in bond order
+        doubled = LatticeSpec(n_bath=4, bonds=((0, 1, 1.0), (1, 2, 0.7), (1, 2, 0.3),
+                                               (2, 3, 1.0)), probe_sites=(0, 3), alpha=0.05)
+        for spec in (chain(10, alpha=0.05, probes=(1, 8)), chain(8, alpha=0.05, probes=(1, 6)),
+                     ladder(4, alpha=0.05), doubled):
+            bonds = spec.coupled_bonds()
+            mid = spec.n_total // 2
+            for blocks in (None, (mid,), (mid + 1, 0, mid - 1)):
+                built = build_hamiltonian(spec, blocks)
+                assert list(built) == list(blocks or range(spec.n_total + 1))
+                for m, (sts, h) in built.items():
+                    assert np.array_equal(sts, block_states(spec.n_total, m))
+                    assert isinstance(h, np.ndarray)
+                    assert np.array_equal(h, dense_block(bonds, sts))
+
+    def test_one_pass_csr_blocks_equal_per_block_oracle(self):
+        # 16 spins: two CSR blocks requested before two dense ones; the CSR
+        # blocks hold the same entries, in the same order, as the oracle's
+        spec = chain(14, alpha=0.05, probes=(1, 12))
+        bonds = spec.coupled_bonds()
+        built = build_hamiltonian(spec, (8, 7, 4, 3))
+        assert list(built) == [8, 7, 4, 3]
+        for m, (sts, h) in built.items():
+            want = block_hamiltonian(bonds, sts)
+            if len(sts) <= ed.DENSE_BLOCK_CAP:
+                assert isinstance(h, np.ndarray)
+                assert np.array_equal(h, want)
+            else:
+                assert not isinstance(h, np.ndarray)
+                for part in ("data", "indices", "indptr"):
+                    got, ref = getattr(h, part), getattr(want, part)
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref), (m, part)
 
     def test_probe_correlator_gather_equals_sparse_product(self):
         for spec in (chain(10, alpha=0.05, probes=(1, 8)), chain(8, alpha=0.05, probes=(1, 6)),
@@ -150,7 +251,7 @@ class TestHamiltonian:
             pa, pb = spec.probe_indices
             for m, vecs in result.vectors.items():
                 sts = result.states[m]
-                op = _sparse_block(((pa, pb, 4.0),), sts)
+                op = sparse_block(((pa, pb, 4.0),), sts)
                 assert np.array_equal(_apply_probe_correlator(spec, sts, vecs), op @ vecs)
                 assert np.array_equal(_apply_probe_correlator(spec, sts, vecs[:, 0]),
                                       op @ vecs[:, 0])
@@ -356,6 +457,22 @@ class TestThermalCorrelator:
         want = ground_state_correlator(spec)
         got = thermal_correlator_exact(spec, [200.0 / j_can])[0]
         assert abs(want - got) < 1e-8
+
+    @pytest.fixture(scope="class")
+    def spectra(self):
+        return [full_spectrum(spec) for spec in (chain(8, alpha=0.05, probes=(1, 6)),
+                                                 chain(10, alpha=0.05, probes=(1, 8)),
+                                                 ladder(4, alpha=0.05))]
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 5, 12, 71])
+    def test_one_exponential_equals_per_block_oracle(self, spectra, batch):
+        # bit for bit, at every batch size
+        rng = np.random.default_rng(batch)
+        for spectrum in spectra:
+            j_can, _ = low_spectrum_jcan(spectrum.spec, spectrum=spectrum)
+            betas = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), batch)) / j_can
+            assert np.array_equal(_boltzmann_average(spectrum, betas),
+                                  boltzmann_average_per_block(spectrum, betas))
 
     def test_dense_oracle_agreement(self):
         spec = chain(6, alpha=0.1)  # 8 spins

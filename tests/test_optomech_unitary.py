@@ -453,6 +453,30 @@ def double_sum_partial_entropies(p, t, cutoff):
     return s_cav, s_mir
 
 
+def averaged_mi_full_grids(p):
+    """The trapezoid average with the MI evaluated at every point of every
+    grid: the oracle for :func:`averaged_mi`, which reuses the coarser
+    grid's points."""
+    lag_weight = _lag_weights(p.alpha)
+
+    def average(steps):
+        t = np.linspace(0.0, 2.0 * math.pi, steps + 1)
+        s_total, s_cav, s_mir = _linear_entropies(p, t, lag_weight)
+        mi = np.empty_like(t)
+        denom = s_cav + s_mir
+        ok = denom > 1e-12
+        mi[ok] = 1.0 - s_total / denom[ok]
+        mi[~ok] = 0.0
+        return float(np.trapezoid(mi, t) / (2.0 * math.pi))
+
+    steps, fine = 256, average(256)
+    while True:
+        steps, coarse = 2 * steps, fine
+        fine = average(steps)
+        if abs(fine - coarse) <= 5e-4 * max(1.0, abs(fine)):
+            return fine
+
+
 class TestMutualInformation:
     def test_autocorrelation_matches_double_sum(self):
         alpha = 10.0
@@ -558,6 +582,14 @@ class TestMutualInformation:
         s_total, s_cav, s_mir = _linear_entropies(p, t, _lag_weights(p.alpha))
         reference = np.trapezoid(1.0 - s_total / (s_cav + s_mir), t) / (2.0 * math.pi)
         assert abs(averaged_mi(p) - reference) <= 5e-4
+
+    @pytest.mark.parametrize("k, alpha, n_bar", [
+        (1.0, 3.0, 0.3), (1.0, 10.0, 10.0), (1.0, 10.0, 1.0), (1.0, 30.0, 3.0),
+        (1.0, 100.0, 10.0), (20.0, 3.0, 0.1), (0.7, 5.0, 2.0), (0.3, 50.0, 0.5)])
+    def test_refined_grid_reuse_equals_full_grids(self, k, alpha, n_bar):
+        # bit for bit: the even points of a doubled grid are the coarse grid
+        p = OptoUnitaryParams(k=k, alpha=alpha, n_bar=n_bar, t=0.0)
+        assert averaged_mi(p) == averaged_mi_full_grids(p)
 
     def test_averaged_refuses_beyond_the_finest_grid(self, monkeypatch):
         # the same parameters with 512 intervals as the finest grid
