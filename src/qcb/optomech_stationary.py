@@ -242,14 +242,17 @@ def _solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def _refined_solution(a: np.ndarray, d: np.ndarray):
     """(V, residual, failed) of each system: the solution, its residual
-    max |A V + V A^T + D| in double, and whether that exceeds 1e-10 ||D||.
+    max |A V + V A^T + D|, and whether that exceeds 1e-10 ||D||.
 
     Two refinement steps follow the direct solve.  Near marginal stability
     that can leave V 1e5 to 1e6 units in the last place off, so the systems
     that fail the check take two more steps on a residual of the linear
     system that :func:`_residual_dot2` gets right to the last bit.  That
-    brings V within one unit in the last place of the exact solution; the
-    systems that pass keep their bits.
+    brings V within one unit in the last place of the exact solution.  Their
+    check is taken again in double, and the systems it still refuses take it
+    once more by :func:`_gate_dot2`: there the terms of A V + V A^T are about
+    1e16 times the bound, so their rounding in double alone reaches it.  The
+    systems that pass the first check keep their bits.
     """
     n = a.shape[-1]
     # (A V + V A^T)_ij = sum_k A_ik V_kj + A_jk V_ik: tally[r, c, x, y] counts
@@ -275,6 +278,8 @@ def _refined_solution(a: np.ndarray, d: np.ndarray):
                 sol_f += np.linalg.solve(op_f, _residual_dot2(op_f, sol_f, rhs_f))
             v[failed] = sol_f[..., pos, 0]
             residual[failed], failed[failed] = _gate(a[failed], d[failed], v[failed])
+        if failed.any():
+            residual[failed], failed[failed] = _gate_dot2(a[failed], d[failed], v[failed])
     except np.linalg.LinAlgError as exc:
         raise DegenerateSystemError("Lyapunov system is singular") from exc
     return v, residual, failed
@@ -283,7 +288,27 @@ def _refined_solution(a: np.ndarray, d: np.ndarray):
 def _gate(a: np.ndarray, d: np.ndarray, v: np.ndarray):
     """(residual, failed): max |A V + V A^T + D| of each system, evaluated
     in double, and whether it exceeds 1e-10 ||D||."""
-    residual = np.max(np.abs(a @ v + v @ np.swapaxes(a, -1, -2) + d), axis=(-2, -1))
+    return _over_bound(a @ v + v @ np.swapaxes(a, -1, -2) + d, d)
+
+
+def _gate_dot2(a: np.ndarray, d: np.ndarray, v: np.ndarray):
+    """:func:`_gate` with each entry of A V + V A^T + D summed by
+    :func:`_dot2` over its 2n + 1 terms, D_ij, A_ik V_kj and V_ik A_jk, each
+    product exact: as accurate as if summed in twice the working precision
+    and rounded once.  (The vectorized operator of :func:`_refined_solution`
+    would round the coefficient a_ii + a_jj first.)"""
+    n = a.shape[-1]
+    shape = a.shape[:-2] + (n, n, n)  # (..., i, j, k)
+    left = np.concatenate((np.broadcast_to(a[..., :, None, :], shape),
+                           np.broadcast_to(v[..., :, None, :], shape)), axis=-1)
+    right = np.concatenate((np.broadcast_to(np.swapaxes(v, -1, -2)[..., None, :, :], shape),
+                            np.broadcast_to(a[..., None, :, :], shape)), axis=-1)
+    return _over_bound(_dot2(d, left, right), d)
+
+
+def _over_bound(r: np.ndarray, d: np.ndarray):
+    """(max |R|, whether it exceeds 1e-10 ||D||) of each system's residual R."""
+    residual = np.max(np.abs(r), axis=(-2, -1))
     scale = np.maximum(np.max(np.abs(d), axis=(-2, -1)), 1e-300)
     # arrays, 0-d for one system, so that the refined entries can be set
     return np.asarray(residual), np.asarray(residual > 1e-10 * scale)
@@ -311,15 +336,20 @@ def _split(a):
 
 
 def _residual_dot2(op: np.ndarray, sol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """rhs - op @ sol for stacks of (m, m) systems, as accurate as if summed
-    in twice the working precision and rounded once: Dot2 of Ogita, Rump
-    and Oishi, SIAM J. Sci. Comput. 26, 1955 (2005)."""
-    terms, errors = _two_product(-op, np.swapaxes(sol, -1, -2))
-    total, carry = rhs[..., 0], np.zeros(rhs.shape[:-1])
-    for j in range(op.shape[-1]):
-        total, e = _two_sum(total, terms[..., j])
-        carry += e + errors[..., j]
-    return (total + carry)[..., None]
+    """rhs - op @ sol for stacks of (m, m) systems by :func:`_dot2`."""
+    return _dot2(rhs[..., 0], -op, np.swapaxes(sol, -1, -2))[..., None]
+
+
+def _dot2(total: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """total + sum_k x[..., k] y[..., k], as accurate as if summed in twice
+    the working precision and rounded once: Dot2 of Ogita, Rump and Oishi,
+    SIAM J. Sci. Comput. 26, 1955 (2005)."""
+    terms, errors = _two_product(x, y)
+    carry = 0.0
+    for k in range(terms.shape[-1]):
+        total, e = _two_sum(total, terms[..., k])
+        carry = carry + (e + errors[..., k])
+    return total + carry
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ finite Leibniz sum over j = 0..min(mu, nu) of
 
 never a numeric derivative.  A whole Fock block is one array pass over the
 terms (n, m, mu, nu, j), summed in log magnitude with a per-element max
-shift; :func:`rho_element` is the one-element call of the same kernel.  This
+shift, with each phase factor evaluated once per (n, m, mu - j, nu - j);
+:func:`rho_element` is the one-element call of the same kernel.  This
 form matches brute-force expm evolution to machine precision at any
 temperature.  At high mirror levels the alternating sum cancels: in the
 block at cavity 0..5 x mirror 40..59 the worst element is off by 4e-4 of the
@@ -119,6 +120,12 @@ def _leibniz_block(p: OptoUnitaryParams, rows, cols, mu_levels, nu_levels) -> np
     j (the x = 0, P = 0 and Q = 0 factors drop every term with a positive
     power of them); elements with the same number of terms are summed
     together, one row each, after a shift by the row's largest log.
+
+    A term's phase (phase_nm + (mu - j) arg P) + (nu - j) arg Q depends only
+    on its key, the cavity pair (n, m) and (mu - j, nu - j).  Its factor
+    exp(i phase) is evaluated once per key, by the same expression in the
+    same operand order, and gathered per term (:func:`_phase_table`), so
+    every element has the bits of a per-term evaluation.
     """
     x = p.x
     et = eta(p.t)
@@ -164,11 +171,21 @@ def _leibniz_block(p: OptoUnitaryParams, rows, cols, mu_levels, nu_levels) -> np
     def per_element(v):
         return np.broadcast_to(v, shape).ravel()
 
-    log_mag, lo = np.ravel(log_mag), np.ravel(lo)
-    count = np.ravel(hi) - lo + 1
-    phase, log_p, ang_p, log_q, ang_q = (per_element(np.reshape(v, (-1, 1, 1)))
-                                         for v in (phase, *zip(*factors)))
+    log_mag, lo, hi = np.ravel(log_mag), np.ravel(lo), np.ravel(hi)
+    count = hi - lo + 1
+    log_p, ang_p, log_q, ang_q = (np.array(v) for v in zip(*factors))
     mu_e, nu_e = per_element(mu), per_element(nu)
+    # the run of the phase table that an element reads: its diagonal's when
+    # its last term is j = min(mu, nu), with the key (pair, 0, nu - mu) or
+    # (pair, mu - nu, 0); its own otherwise (at x = 0, j = 0 alone)
+    cells = np.arange(log_mirror.size).reshape(log_mirror.shape)
+    _, first_cell, diagonal = np.unique(nu - mu, return_index=True, return_inverse=True)
+    pair = per_element(np.arange(len(phase))[:, None, None])
+    run = pair * cells.size + np.where(hi == np.minimum(mu_e, nu_e),
+                                       per_element(first_cell[diagonal.reshape(cells.shape)]),
+                                       per_element(cells))
+    table, first = _phase_table((np.array(phase), ang_p, ang_q), pair, mu_e, nu_e, hi, count, run)
+    log_p, log_q = per_element(log_p[:, None, None]), per_element(log_q[:, None, None])
     values = np.zeros(count.size, dtype=complex)
 
     for c in np.unique(count[count > 0]):
@@ -176,15 +193,47 @@ def _leibniz_block(p: OptoUnitaryParams, rows, cols, mu_levels, nu_levels) -> np
         jj = lo[e, None] + np.arange(c)
         d_mu = mu_e[e, None] - jj
         d_nu = nu_e[e, None] - jj
-        # term order as in the Leibniz sum: factorials, then x, P and Q
-        logs = (log_mag[e, None] - lg[jj] - lg[d_mu] - lg[d_nu]
-                + jj * log_x + d_mu * log_p[e, None] + d_nu * log_q[e, None])
-        phases = phase[e, None] + d_mu * ang_p[e, None] + d_nu * ang_q[e, None]
+        # term order as in the Leibniz sum: factorials, then x, P and Q;
+        # in place, each step rounded as in one expression
+        logs = log_mag[e, None] - lg[jj]
+        logs -= lg[d_mu]
+        logs -= lg[d_nu]
+        logs += jj * log_x
+        logs += d_mu * log_p[e, None]
+        logs += d_nu * log_q[e, None]
         # floor: a row whose terms all underflow (log -inf) sums to 0, not nan
         top = np.maximum(logs.max(axis=1), -np.finfo(float).max)
-        acc = np.sum(np.exp(logs - top[:, None]) * np.exp(1j * phases), axis=1)
-        values[e] = np.exp(top) * acc
+        logs -= top[:, None]
+        terms = table[first[e, None] - jj]
+        terms *= np.exp(logs, out=logs)
+        values[e] = np.exp(top) * terms.sum(axis=1)
     return values.reshape(len(rows), len(cols), *log_mirror.shape).transpose(0, 2, 1, 3)
+
+
+def _phase_table(angles, pair, mu, nu, hi, count, run):
+    """(table, first): the factors exp(i phase) of a block's terms, one per
+    run of keys, and the table index of each element's term j = hi; its
+    term j is at ``first - j``.
+
+    ``angles`` holds (phase, arg P, arg Q) per cavity pair, the rest is per
+    element.  The keys (pair, mu - j, nu - j) of an element's terms run from
+    (pair, mu - hi, nu - hi) up by (1, 1) for ``count`` terms.  Elements of
+    one ``run`` number start from one key and read one run of the table, as
+    long as the longest of them, so the table never holds more entries than
+    the block has terms.
+    """
+    phase, ang_p, ang_q = angles
+    live = np.flatnonzero(count > 0)
+    length = np.zeros(count.size, dtype=int)
+    np.maximum.at(length, run[live], count[live])
+    offset = np.cumsum(length) - length
+    lead = np.zeros_like(run)
+    lead[run[live]] = live  # an element of each run
+    step = np.arange(offset[-1] + length[-1])
+    d_mu = np.repeat((mu - hi)[lead] - offset, length) + step
+    d_nu = np.repeat((nu - hi)[lead] - offset, length) + step
+    pr = np.repeat(pair[lead], length)
+    return np.exp(1j * ((phase[pr] + d_mu * ang_p[pr]) + d_nu * ang_q[pr])), offset[run] + hi
 
 
 def rho_element(p: OptoUnitaryParams, n: int, m: int, mu: int, nu: int) -> complex:

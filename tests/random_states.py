@@ -11,7 +11,8 @@ import numpy as np
 from qcb.exceptions import DomainError, PurityError
 from qcb.gaussian import GaussianState
 from qcb.optomech_stationary import StationaryParams
-from qcb.optomech_unitary import OptoUnitaryParams, SubspaceSelector, marker_upsilon
+from qcb.optomech_unitary import (OptoUnitaryParams, SubspaceSelector, _free_phase,
+                                  _poisson_log_weight, eta, marker_upsilon)
 from qcb.qstate import PAULI_DOT, DensityMatrix
 
 
@@ -122,6 +123,88 @@ def chi_aklt_sma(r: int) -> float:
     # overall -2: the structure-factor convolution carries a factor 2 and
     # the sign convention is fixed so positive chi favors the singlet
     return -2.0 * val
+
+
+def leibniz_block_per_term(p: OptoUnitaryParams, rows, cols, mu_levels, nu_levels
+                           ) -> np.ndarray:
+    """The Leibniz kernel of :mod:`qcb.optomech_unitary` with exp(i phase)
+    evaluated for every term, the reference of its table of phase factors.
+
+    Matrix elements <n, mu| rho(t) |m, nu> for n in ``rows``, m in ``cols``,
+    mu in ``mu_levels`` and nu in ``nu_levels``, as an array of shape
+    (len(rows), len(mu_levels), len(cols), len(nu_levels)).
+
+    Each Leibniz term is summed in log magnitude, which keeps mirror indices
+    of a few hundred finite.  An element's kept terms run over an interval of
+    j (the x = 0, P = 0 and Q = 0 factors drop every term with a positive
+    power of them); elements with the same number of terms are summed
+    together, one row each, after a shift by the row's largest log.
+    """
+    x = p.x
+    et = eta(p.t)
+    abs_eta2 = abs(et) ** 2
+    k = p.k
+    a2 = abs(p.alpha) ** 2
+    log_x = math.log(x) if x > 0.0 else 0.0  # x = 0 keeps only j = 0
+    mu = np.asarray(mu_levels)[:, None]
+    nu = np.asarray(nu_levels)[None, :]
+    lg = np.array([math.lgamma(i + 1) for i in range(max(mu.max(), nu.max()) + 1)])  # log(i!)
+    log_mirror = 0.5 * (lg[mu] + lg[nu])
+    top_j = np.minimum(mu, nu)
+    if x == 0.0:
+        top_j = np.minimum(top_j, 0)
+
+    # per cavity pair: the log magnitude and phase shared by its (mu, nu)
+    # elements, the logs and angles of P and Q, and each element's j range
+    log_mag, phase, factors, lo, hi = [], [], [], [], []
+    for n in rows:
+        for m in cols:
+            base = 0.5 * (_poisson_log_weight(a2, n) + _poisson_log_weight(a2, m))
+            base += k**2 * abs_eta2 * (x * n * m - 0.5 * (n**2 + m**2))
+            base -= math.log1p(p.n_bar)
+            big_p = k * et * (n - x * m)
+            big_q = k * np.conj(et) * (m - x * n)
+            j_lo, j_hi = np.zeros_like(top_j), top_j
+            if big_p == 0.0:  # only j = mu survives
+                j_lo, j_hi = np.maximum(j_lo, mu), np.minimum(j_hi, mu)
+            if big_q == 0.0:  # only j = nu survives
+                j_lo, j_hi = np.maximum(j_lo, nu), np.minimum(j_hi, nu)
+            if a2 == 0.0 and n + m > 0:
+                j_hi = j_lo - 1  # no coherent-state weight: no terms
+            log_mag.append(base + log_mirror)
+            phase.append((n - m) * np.angle(p.alpha) - (_free_phase(p, n) - _free_phase(p, m)))
+            factors.append((math.log(abs(big_p)) if big_p != 0.0 else 0.0, np.angle(big_p),
+                            math.log(abs(big_q)) if big_q != 0.0 else 0.0, np.angle(big_q)))
+            lo.append(j_lo)
+            hi.append(j_hi)
+
+    # one entry per element, ordered (n, m, mu, nu)
+    shape = (len(rows) * len(cols),) + log_mirror.shape
+
+    def per_element(v):
+        return np.broadcast_to(v, shape).ravel()
+
+    log_mag, lo = np.ravel(log_mag), np.ravel(lo)
+    count = np.ravel(hi) - lo + 1
+    phase, log_p, ang_p, log_q, ang_q = (per_element(np.reshape(v, (-1, 1, 1)))
+                                         for v in (phase, *zip(*factors)))
+    mu_e, nu_e = per_element(mu), per_element(nu)
+    values = np.zeros(count.size, dtype=complex)
+
+    for c in np.unique(count[count > 0]):
+        e = np.flatnonzero(count == c)
+        jj = lo[e, None] + np.arange(c)
+        d_mu = mu_e[e, None] - jj
+        d_nu = nu_e[e, None] - jj
+        # term order as in the Leibniz sum: factorials, then x, P and Q
+        logs = (log_mag[e, None] - lg[jj] - lg[d_mu] - lg[d_nu]
+                + jj * log_x + d_mu * log_p[e, None] + d_nu * log_q[e, None])
+        phases = phase[e, None] + d_mu * ang_p[e, None] + d_nu * ang_q[e, None]
+        # floor: a row whose terms all underflow (log -inf) sums to 0, not nan
+        top = np.maximum(logs.max(axis=1), -np.finfo(float).max)
+        acc = np.sum(np.exp(logs - top[:, None]) * np.exp(1j * phases), axis=1)
+        values[e] = np.exp(top) * acc
+    return values.reshape(len(rows), len(cols), *log_mirror.shape).transpose(0, 2, 1, 3)
 
 
 def renormalization_check(p: OptoUnitaryParams, s: int,

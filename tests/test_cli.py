@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import row_template_writer
-from qcb import cli, output
+from qcb import cli, optomech_stationary, output
 from qcb.cli import MAX_TABLE_CELLS, _parser, main
 from qcb.exceptions import QcbError
 from qcb.output import export_table, fmt_value, read_table, write_text
@@ -405,12 +405,22 @@ class TestOptomechSteady:
         assert code == 0
         assert sum(not line.startswith("#") for line in out.splitlines()) == 1 + 2810
 
-    def test_residual_failure_names_the_point(self, capsys):
-        # A marginally stable point (S2 ~ 6e-6) whose Lyapunov residual
-        # misses the 1e-10 ||D|| gate.
+    def test_residual_failure_names_the_point(self, capsys, monkeypatch):
+        # A marginally stable point (S2 ~ 6e-6) that misses the 1e-10 ||D||
+        # gate in double and passes it once refined and checked by Dot2.
+        # With a compensated gate that refuses every system, the error names
+        # the point.
         x = "1.6523317906728372"
-        code, _, err = run(capsys, "optomech-steady", "--power", "0.0797",
-                           "--dmin", x, "--dmax", x, "--steps", "1")
+        argv = ("optomech-steady", "--power", "0.0797", "--dmin", x, "--dmax", x,
+                "--steps", "1")
+        assert run(capsys, *argv)[0] == 0
+
+        def refuse(a, d, v):
+            residual = optomech_stationary._gate(a, d, v)[0]
+            return residual, np.ones(residual.shape, dtype=bool)
+
+        monkeypatch.setattr(optomech_stationary, "_gate_dot2", refuse)
+        code, _, err = run(capsys, *argv)
         assert code == 3
         assert err.startswith("qcb: error:") and "1.65233" in err
 

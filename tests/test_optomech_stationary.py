@@ -397,9 +397,11 @@ def exact_lyapunov(a, d):
 def test_marginal_systems_refined_to_the_last_bit(power, x):
     """At the two points of the 79.7 and 68.4 mW maps (2810 steps) that
     miss the gate, the compensated steps bring V within one unit in the last
-    place of the 50-digit solution.  The gate still fails there: evaluated
-    in double, even that solution rounded to double has a residual above
-    1e-10 ||D||, so no accurate V can pass it."""
+    place of the 50-digit solution.  Evaluated in double, even that solution
+    rounded to double has a residual above 1e-10 ||D||; the compensated
+    gate's residual is the exact one of V, rounded, and passes."""
+    import mpmath
+
     p = fig_params(power=power)
     xs = np.linspace(0.2, 3.0, 2810)
     delta = xs[np.abs(xs - x).argmin()] * p.omega_m
@@ -410,7 +412,14 @@ def test_marginal_systems_refined_to_the_last_bit(power, x):
     exact = exact_lyapunov(a, d)
     # V_qp = <dq dp + dp dq>/2 vanishes; the 50-digit solve leaves it ~1e-48
     assert np.all(np.abs(v - exact) <= np.maximum(np.spacing(np.abs(exact)), 1e-40))
-    assert failed and optomech_stationary._gate(a, d, exact)[1]
+    assert optomech_stationary._gate(a, d, exact)[1]
+    assert not failed and optomech_stationary._gate(a, d, v)[1]
+    with mpmath.workdps(50):
+        am, vm, dm = (mpmath.matrix(m.tolist()) for m in (a, v, d))
+        r = am * vm + vm * am.T + dm
+        want = float(max(abs(r[i, j]) for i in range(4) for j in range(4)))
+    assert abs(residual - want) <= 1e-15 * want
+    assert residual <= 1e-10 * np.max(np.abs(d))
 
 
 def test_compensated_residual_against_mpmath():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qcb import cli, optomech_unitary
 from qcb.exceptions import (
     DomainError,
     EmptySubspaceError,
@@ -16,6 +17,7 @@ from qcb.optomech_unitary import (
     OptoUnitaryParams,
     SubspaceSelector,
     _check_tails,
+    _leibniz_block,
     _lag_weights,
     _linear_entropies,
     _poisson_log_weight,
@@ -32,7 +34,7 @@ from qcb.optomech_unitary import (
 )
 from qcb.qstate import tangle
 
-from random_states import renormalization_check, subspace_tangle_t0
+from random_states import leibniz_block_per_term, renormalization_check, subspace_tangle_t0
 
 LOWEST = SubspaceSelector((0, 1), (0, 1))
 
@@ -172,6 +174,63 @@ class TestLeibnizKernel:
         trace, frobenius = np.trace(raw).real, np.linalg.norm(raw)
         assert abs(trace - 1.0087545044173537e-04) <= 1e-12 * 1.0087545044173537e-04
         assert abs(frobenius - 5.057549173399654e-05) <= 1e-12 * 5.057549173399654e-05
+
+
+def _seed_style_draws(n):
+    """(k, n_bar, t) drawn as the benchmark draws its marker job at seeds
+    other than 0, rounded to 4 digits."""
+    rng = np.random.default_rng(1)
+    return [tuple(round(rng.uniform(lo, hi), 4) for lo, hi in ((0.2, 0.6), (0.0, 3.0), (0.5, 6.0)))
+            for _ in range(n)]
+
+
+BENCH_MIRROR = tuple(range(40, 60))
+PHASE_TABLE_CASES = [
+    # the benchmark's marker block, and the README tangle and marker commands
+    ((0.4, 1.0, 2.0, 2.5), tuple(range(6)), BENCH_MIRROR),
+    ((1.0, 1.0, 0.0, math.pi), (0, 1), (0, 1)),
+    ((0.4, 1.0, 2.0, 2.5), (0, 1), (3, 4, 5)),
+    # x = 0, P = Q = 0 at k = 0, no coherent weight, a complex amplitude
+    ((0.7, 0.9, 0.0, 1.7), (0, 1, 2, 3), (0, 1, 2, 5)),
+    ((0.0, 0.9, 1.3, 1.7), (0, 1, 2, 3), (0, 1, 2, 5)),
+    ((0.7, 0.0, 1.3, 1.7), (0, 1, 2, 3), (0, 1, 2, 5)),
+    ((0.7, 0.7 + 0.2j, 1.3, 1.7), (0, 1, 2, 3), (0, 1, 2, 5)),
+    # far-apart mirror levels
+    ((0.5, 1.1, 0.8, 4.2), (0, 1, 2), (0, 2, 9, 30)),
+] + [((k, 1.0, n_bar, t), tuple(range(6)), BENCH_MIRROR) for k, n_bar, t in _seed_style_draws(2)]
+
+
+@pytest.mark.parametrize("args, cav, mir", PHASE_TABLE_CASES)
+def test_phase_table_is_bit_identical_to_per_term_factors(args, cav, mir):
+    """The kernel evaluates exp(i phase) once per key and gathers it; every
+    element, its signed zeros included, is the per-term evaluation's."""
+    p = OptoUnitaryParams(*args)
+    got = _leibniz_block(p, cav, cav, mir, mir)
+    want = leibniz_block_per_term(p, cav, cav, mir, mir)
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+def test_phase_table_is_bounded_by_the_terms(monkeypatch, capsys):
+    """Far-apart mirror levels allocate nothing per level of the gap: the
+    phase table never holds more entries than the block has terms."""
+    sizes = []
+    table_of = optomech_unitary._phase_table
+
+    def spy(angles, pair, mu, nu, hi, count, run):
+        table, first = table_of(angles, pair, mu, nu, hi, count, run)
+        sizes.append((table.size, int(np.sum(np.maximum(count, 0)))))
+        return table, first
+
+    monkeypatch.setattr(optomech_unitary, "_phase_table", spy)
+    for n_bar in (0.0, 2.0):
+        p = OptoUnitaryParams(k=0.4, alpha=1.0, n_bar=n_bar, t=2.5)
+        projected_density(p, SubspaceSelector((0, 1), (3, 100000)), normalize=False)
+    assert cli.main(["optomech-unitary", "--mirror", "100000,100001"]) == 0
+    assert capsys.readouterr().out.startswith("marker=")
+    assert all(size <= terms for size, terms in sizes)
+    assert sizes[0][1] <= 16 and sizes[2][1] <= 16  # n_bar = 0: one term each
 
 
 def closed_form_projection(k, alpha, t):
