@@ -1,8 +1,9 @@
 """Command-line front end: figure-data reproduction sweeps as CSV/JSON.
 
-Exit codes: 0 success, 2 usage error, 3 numeric-domain error.  All output is
-deterministic for a fixed argv; a table's header records the resolved
-configuration.  Every command writes its text once, to --out or to stdout.
+Exit codes: 0 success, 2 usage error, 3 numeric-domain error; warnings are
+``qcb: warning:`` lines on stderr.  All output is deterministic for a fixed
+argv; a table's header records the resolved configuration.  Every command
+writes its text once, to --out or to stdout.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -407,20 +409,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"qcb: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    try:
-        args = _parse_args(argv)
-        text = args.run(args)
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            write_text(args.out, text)
-        return 0
-    except SystemExit as exc:  # usage errors, from argparse or a handler
-        return exc.code if isinstance(exc.code, int) else 2
-    except (QcbError, ArithmeticError, MemoryError) as exc:  # extreme inputs
-        print(f"qcb: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 3
+    # Warnings show as one line each; the filters stay the caller's.
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = _parse_args(argv)
+            text = args.run(args)
+            if args.out is None:
+                sys.stdout.write(text)
+            else:
+                write_text(args.out, text)
+            return 0
+        except SystemExit as exc:  # usage errors, from argparse or a handler
+            return exc.code if isinstance(exc.code, int) else 2
+        except (QcbError, ArithmeticError, MemoryError) as exc:  # extreme inputs
+            print(f"qcb: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

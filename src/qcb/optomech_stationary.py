@@ -70,6 +70,8 @@ def thermal_occupancy(omega_m: float, temperature: float) -> float:
     if kt <= 0.0:  # T <= 0, or k_B T underflows (T below about 1.8e-301 K)
         return 0.0
     x = _hbar * omega_m / kt
+    if x == 0.0:  # hbar omega_m underflows beside k_B T: n_bar = k_B T / hbar omega_m
+        return math.inf
     return 0.0 if x > 700.0 else 1.0 / math.expm1(x)
 
 
@@ -99,19 +101,30 @@ def derive_physical_params(length: float, mass: float, power: float,
         warnings.warn("adiabatic condition omega_m << pi c / L is marginal",
                       stacklevel=2)
     g = (omega_c / length) * math.sqrt(_hbar / (mass * omega_m))
-    drive = math.sqrt(2.0 * power * kappa / (_hbar * omega_c))
+    photon = _hbar * omega_c  # 0 for a wavelength above about 8e298 m
+    drive = math.sqrt(2.0 * power * kappa / photon) if photon else math.inf
     n_bar = thermal_occupancy(omega_m, temperature)
     # The intensity cubic of steady_state has the coefficients (g/omega_m)^4
-    # and (E/omega_m)^2.  Inputs that overflow them, or the rates themselves,
-    # would give inf and nan rows instead of an error.
+    # and (E/omega_m)^2, and the Routh-Hurwitz S1 the terms (gamma_m/omega_m)^2
+    # and (gamma_m kappa/omega_m^2 + (kappa/omega_m)^2 + 1)^2.  Inputs that
+    # overflow them, or the rates themselves, would give inf and nan rows or
+    # Python's own overflow message instead of an error naming the quantity.
     g2_scaled, e_scaled = (g / omega_m) * (g / omega_m), drive / omega_m
-    for name, value in (("cavity decay kappa", kappa), ("coupling g", g),
-                        ("drive amplitude E", drive), ("thermal occupancy", n_bar),
+    gamma_m = omega_m / quality
+    gm, k = gamma_m / omega_m, kappa / omega_m
+    s1_term = gm * k + k * k + 1.0
+    for name, value in (("mechanical frequency omega_m", omega_m),
+                        ("cavity decay kappa", kappa), ("kappa^2", kappa * kappa),
+                        ("coupling g", g), ("drive amplitude E", drive),
+                        ("thermal occupancy", n_bar),
                         ("(g/omega_m)^4", g2_scaled * g2_scaled),
-                        ("(E/omega_m)^2", e_scaled * e_scaled)):
+                        ("(E/omega_m)^2", e_scaled * e_scaled),
+                        ("(gamma_m/omega_m)^2", gm * gm),
+                        ("(gamma_m kappa/omega_m^2 + (kappa/omega_m)^2 + 1)^2",
+                         s1_term * s1_term)):
         if not math.isfinite(value):
             raise DomainError(f"derived {name} is not finite; inputs out of range")
-    return StationaryParams(omega_m=omega_m, gamma_m=omega_m / quality,
+    return StationaryParams(omega_m=omega_m, gamma_m=gamma_m,
                             kappa=kappa, Delta0=0.0, g=g, drive_E=drive,
                             n_bar=n_bar)
 

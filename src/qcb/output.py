@@ -6,15 +6,15 @@ structured array.  CSV files carry the resolved run configuration as
 12 significant digits so that parse -> re-emit round-trips byte-identically.
 
 Rows are rendered :data:`CHUNK_ROWS` at a time.  Within a chunk each
-distinct column is converted once: an array column with the dtype and bytes
-of an earlier one (the mirrored V_ji of a covariance) reads that column's
-cell texts, and a float array's NaN cells are ``nan`` without a conversion.
+distinct column becomes one list of cell texts, made by one ``%`` call over
+its cells; an array column with the dtype and bytes of an earlier one (the
+mirrored V_ji of a covariance) reads that column's texts.  A row is its
+columns' texts.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -54,45 +54,30 @@ def _convert(spec: str, cells: list) -> list[str]:
     return ("\n".join([spec] * len(cells)) % tuple(cells)).split("\n")
 
 
-def _list_column(cells: list) -> tuple[str, list]:
-    """(conversion, cells) of list cells: their one conversion when their
-    types share one, else ``%s`` over their :func:`fmt_value` texts."""
-    specs = {_spec(kind) for kind in set(map(type, cells))}
+def _texts(part) -> list[str]:
+    """The cell texts of a slice of a column: an array's under its dtype's
+    conversion, a list's under its cells' shared one, or :func:`fmt_value`
+    of each cell when their types mix."""
+    if isinstance(part, np.ndarray):
+        return _convert(_ARRAY_SPECS[part.dtype.kind], part.tolist())
+    specs = {_spec(kind) for kind in set(map(type, part))}
     if len(specs) == 1:
-        return specs.pop(), cells
-    return "%s", list(map(fmt_value, cells))
-
-
-def _array_column(part: np.ndarray) -> tuple[str, list, bool]:
-    """(conversion, cells, converted) of a slice of an array column.  A
-    float slice with NaN cells comes converted, ``%s`` over texts whose NaN
-    cells are ``nan`` without a conversion; any other keeps its cells."""
-    spec = _ARRAY_SPECS[part.dtype.kind]
-    cells = part.tolist()
-    # A NaN cell makes the sum NaN (inf - inf does too, and costs only the mask).
-    if spec != "%.12g" or not math.isnan(sum(cells)):
-        return spec, cells, False
-    nan = np.isnan(part)
-    texts = iter(_convert(spec, part[~nan].tolist()))
-    return "%s", ["nan" if m else next(texts) for m in nan.tolist()], True
+        return _convert(specs.pop(), part)
+    return list(map(fmt_value, part))
 
 
 def _chunks(table, columns):
-    """(conversion, cells) of each of ``columns`` of ``table``, for each run
-    of :data:`CHUNK_ROWS` rows.  Within a run, an array column whose dtype
-    and bytes repeat an earlier one's shares that column's texts, converted
-    once.  Columns of unequal length raise QcbError."""
+    """The cell texts of each of ``columns`` of ``table``, for each run of
+    :data:`CHUNK_ROWS` rows.  Within a run, an array column whose dtype and
+    bytes repeat an earlier one's shares that column's texts.  Columns of
+    unequal length raise QcbError."""
     cols = []
     for c in columns:
         col = table[c]
         # a longdouble array's cells are not Python floats: a list column
-        if (isinstance(col, np.ndarray) and col.ndim == 1
+        if not (isinstance(col, np.ndarray) and col.ndim == 1
                 and col.dtype.kind in _ARRAY_SPECS and col.dtype.itemsize <= 8):
-            pass
-        elif hasattr(col, "tolist"):
-            col = col.tolist()
-        elif not isinstance(col, list):
-            col = list(col)
+            col = col.tolist() if hasattr(col, "tolist") else list(col)
         cols.append(col)
     lengths = [len(col) for col in cols]
     if len(set(lengths)) > 1:
@@ -101,23 +86,16 @@ def _chunks(table, columns):
     n = lengths[0] if lengths else 0
     for start in range(0, n, CHUNK_ROWS):
         parts = cols if n <= CHUNK_ROWS else [col[start:start + CHUNK_ROWS] for col in cols]
-        typed, first = [], {}
+        texts, shared = [], {}
         for part in parts:
             if not isinstance(part, np.ndarray):
-                typed.append(_list_column(part))
+                texts.append(_texts(part))
                 continue
             key = (part.dtype, part.tobytes())
-            if key in first:
-                i, converted = first[key]
-                if not converted:
-                    typed[i] = ("%s", _convert(*typed[i]))
-                    first[key] = (i, True)
-                typed.append(typed[i])
-                continue
-            spec, cells, converted = _array_column(part)
-            first[key] = (len(typed), converted)
-            typed.append((spec, cells))
-        yield typed
+            if key not in shared:
+                shared[key] = _texts(part)
+            texts.append(shared[key])
+        yield texts
 
 
 def export_table(table, columns, config=None, fmt="csv") -> str:
@@ -125,30 +103,24 @@ def export_table(table, columns, config=None, fmt="csv") -> str:
     ``config`` items as sorted ``# key=value`` header lines (CSV) or a
     ``config`` object (JSON).
 
-    Every cell reads as :func:`fmt_value` writes it.  A CSV row is the
-    chunk's %-template, its columns' conversions joined by commas, applied to
-    the row's cells; a JSON row lists the texts of each column converted in
-    one call.  Columns of unequal length raise QcbError.  Writing the text
-    is the caller's step (:func:`write_text`).
+    Every cell reads as :func:`fmt_value` writes it.  A CSV row is its
+    columns' cell texts joined by commas, and a JSON row lists them.
+    Columns of unequal length raise QcbError.  Writing the text is the
+    caller's step (:func:`write_text`).
     """
     if fmt not in ("csv", "json"):
         raise QcbError(f"unknown output format {fmt!r}")
     items = sorted(dict(config or {}).items())
-    chunks = _chunks(table, columns)
     if fmt == "csv":
         lines = [f"# {k}={fmt_value(v)}" for k, v in items]
         lines.append(",".join(columns))
-        for typed in chunks:
-            template = ",".join([spec for spec, _ in typed])
-            lines.extend(template % cells for cells in zip(*[cells for _, cells in typed]))
+        for texts in _chunks(table, columns):
+            lines.extend(map(",".join, zip(*texts)))
         return "\n".join(lines) + "\n"
-    rows = []
-    for typed in chunks:
-        rows.extend(map(list, zip(*[_convert(spec, cells) for spec, cells in typed])))
     payload = {
         "config": {k: fmt_value(v) for k, v in items},
         "columns": columns,
-        "rows": rows,
+        "rows": [list(row) for texts in _chunks(table, columns) for row in zip(*texts)],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -156,6 +156,38 @@ class TestExitCodes:
         assert err == ("qcb: error: V + i sigma/2 has eigenvalue < -1e-10"
                        " at r = 9, n_bar = 0\n")
 
+    @pytest.mark.parametrize("value", ["1e-300", "1e300"])
+    @pytest.mark.parametrize("flag", ["--length", "--mass", "--power", "--quality",
+                                      "--temperature", "--wavelength", "--finesse",
+                                      "--fm", "--kappa"])
+    def test_extreme_physical_flags(self, capsys, flag, value):
+        """Each physical flag of optomech-steady at 1e-300 and 1e300 exits 0
+        or 3.  An exit 3 writes one error line that names what overflowed;
+        an exit 0 writes nothing to stderr but, at L or f_m of 1e300, the
+        adiabatic warning as one line."""
+        code, out, err = run(capsys, "optomech-steady", flag, value, "--steps", "3")
+        assert code in (0, 3)
+        if code == 3:
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith(("qcb: error: derived ", "qcb: error: covariance "))
+        elif flag in ("--length", "--fm") and value == "1e300":
+            assert err == "qcb: warning: adiabatic condition omega_m << pi c / L is marginal\n"
+        else:
+            assert err == ""
+
+    @pytest.mark.parametrize("argv", [["--length", "1e-80"], ["--quality", "1e-160"],
+                                      ["--finesse", "1e-100"], ["--kappa", "1e90"],
+                                      ["--kappa", "1e290"], ["--fm", "1e300", "--kappa", "1e200"],
+                                      ["--fm", "1e308"]],
+                             ids=" ".join)
+    def test_overflowing_derived_quantities_are_named(self, capsys, argv):
+        """Inputs whose (gamma_m/omega_m)^2, kappa^2, Routh-Hurwitz constant
+        term or omega_m = 2 pi f_m overflows end in an error that names the
+        derived quantity."""
+        code, out, err = run(capsys, "optomech-steady", *argv, "--steps", "3")
+        assert code == 3 and out == ""
+        assert err.splitlines()[-1].startswith("qcb: error: derived ")
+
 
 def test_allocation_failure_is_a_domain_error():
     """An input too large to hold in memory ends in exit 3 and one error
@@ -636,6 +668,15 @@ def cli_table(monkeypatch, argv):
 ORACLE_TABLES = [["optomech-steady", "--dmin", "0.2", "--dmax", "3.0", "--steps", "2810",
                   "--power", power] for power in ("0.005", "0.025", "0.075", "0.15")]
 ORACLE_TABLES += [["gaussian", "--grid", "20"], ["werner", "--grid", "100"]]
+# Tables with list columns: beta, J_ab, concurrence and marker.
+ORACLE_TABLES += [
+    ["optomech-steady", "--dmin", "0.2", "--dmax", "3.0", "--steps", "281"],
+    ["lde", "thermal", "--jcan", "5.07e-4", "--phi", "1.03e-2", "--eta", "6.23e-4",
+     "--tmin", "2e-5", "--tmax", "1e-2", "--steps", "24"],
+    ["ed", "run", "--lattice", "chain", "--L", "8", "--alpha", "0.05", "--probes", "1,6",
+     "--temps", "auto"],
+    ["optomech-unitary", "--quantity", "marker", "--k", "0.4", "--alpha", "1", "--n-bar", "2",
+     "--t", "2.5", "--mirror", "3,4,5", "--sweep-t", "5"]]
 
 
 class TestFormatting:
@@ -648,7 +689,7 @@ class TestFormatting:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.lists(CELL, min_size=3, max_size=3), max_size=6))
     def test_rows_render_as_fmt_value_cells(self, table):
-        """The row templates give each cell the text of fmt_value, in CSV and
+        """The writer gives each cell the text of fmt_value, in CSV and
         JSON, over floats (nan, +-inf, +-0.0, subnormals, +-1e300), numpy
         float64, bools, ints and strings, homogeneous rows or not, in one
         chunk of rows or several."""
@@ -722,8 +763,8 @@ class TestFormatting:
     @pytest.mark.parametrize("argv", ORACLE_TABLES, ids=lambda argv: " ".join(argv[-4:]))
     def test_cli_tables_equal_the_row_template_writer(self, monkeypatch, argv):
         """The detuning maps of the benchmark (2810 points at 5, 25, 75 and
-        150 mW) and the README grids are byte-identical to the row-template
-        writer's, in CSV and JSON."""
+        150 mW), the README grids and four tables with list columns are
+        byte-identical to the row-template writer's, in CSV and JSON."""
         table, columns, config = cli_table(monkeypatch, argv)
         for fmt in ("csv", "json"):
             assert (export_table(table, columns, config, fmt)
