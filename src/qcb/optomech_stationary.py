@@ -106,9 +106,8 @@ def derive_physical_params(length: float, mass: float, power: float,
     n_bar = thermal_occupancy(omega_m, temperature)
     # The intensity cubic of steady_state has the coefficients (g/omega_m)^4
     # and (E/omega_m)^2, and the Routh-Hurwitz S1 the terms (gamma_m/omega_m)^2
-    # and (gamma_m kappa/omega_m^2 + (kappa/omega_m)^2 + 1)^2.  Inputs that
-    # overflow them, or the rates themselves, would give inf and nan rows or
-    # Python's own overflow message instead of an error naming the quantity.
+    # and S1 at zero detuning.  Inputs that overflow them, or the rates, would
+    # give inf and nan rows or an error that does not name the quantity.
     g2_scaled, e_scaled = (g / omega_m) * (g / omega_m), drive / omega_m
     gamma_m = omega_m / quality
     gm, k = gamma_m / omega_m, kappa / omega_m
@@ -120,8 +119,8 @@ def derive_physical_params(length: float, mass: float, power: float,
                         ("(g/omega_m)^4", g2_scaled * g2_scaled),
                         ("(E/omega_m)^2", e_scaled * e_scaled),
                         ("(gamma_m/omega_m)^2", gm * gm),
-                        ("(gamma_m kappa/omega_m^2 + (kappa/omega_m)^2 + 1)^2",
-                         s1_term * s1_term)):
+                        ("Routh-Hurwitz S1 at zero detuning",
+                         2.0 * gm * k * (s1_term * s1_term))):
         if not math.isfinite(value):
             raise DomainError(f"derived {name} is not finite; inputs out of range")
     return StationaryParams(omega_m=omega_m, gamma_m=gamma_m,

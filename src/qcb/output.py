@@ -147,13 +147,16 @@ def read_table(path) -> tuple[dict, list[str], dict]:
     """Parse a CSV written by :func:`export_table`.
 
     Returns (config, columns, table), the table a dict of column lists;
-    numeric cells come back as floats.  Unreadable paths, and a row whose
-    cell count differs from the header's, raise QcbError.
+    numeric cells come back as floats.  Unreadable paths, a JSON table and
+    a row whose cell count differs from the header's raise QcbError.
     """
+    text = read_text(path)
+    if text.lstrip().startswith("{"):
+        raise QcbError(f"{path} is a JSON table; read_table reads the CSV form")
     config: dict = {}
     columns: list[str] = []
     rows: list[list] = []
-    for line in filter(None, read_text(path).split("\n")):
+    for line in filter(None, text.split("\n")):
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body:

@@ -178,12 +178,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["--length", "1e-80"], ["--quality", "1e-160"],
                                       ["--finesse", "1e-100"], ["--kappa", "1e90"],
                                       ["--kappa", "1e290"], ["--fm", "1e300", "--kappa", "1e200"],
-                                      ["--fm", "1e308"]],
+                                      ["--fm", "1e308"], ["--length", "1e-70"],
+                                      *(["--quality", f"1e-{e}"] for e in range(110, 160, 10)),
+                                      ["--finesse", "1e-60"], ["--finesse", "1e-70"],
+                                      ["--kappa", "1e80"]],
                              ids=" ".join)
     def test_overflowing_derived_quantities_are_named(self, capsys, argv):
-        """Inputs whose (gamma_m/omega_m)^2, kappa^2, Routh-Hurwitz constant
-        term or omega_m = 2 pi f_m overflows end in an error that names the
-        derived quantity."""
+        """Inputs whose (gamma_m/omega_m)^2, kappa^2, Routh-Hurwitz S1 at zero
+        detuning or omega_m = 2 pi f_m overflows end in an error that names
+        the derived quantity, not the detuning."""
         code, out, err = run(capsys, "optomech-steady", *argv, "--steps", "3")
         assert code == 3 and out == ""
         assert err.splitlines()[-1].startswith("qcb: error: derived ")
@@ -257,6 +260,15 @@ class TestFileErrors:
     def test_lde_fit_missing_input(self, tmp_path, capsys):
         code, _, err = run(capsys, "lde", "fit", "--in", str(tmp_path / "none.csv"))
         assert code == 3 and err.startswith("qcb: error:")
+
+    def test_lde_fit_names_a_json_table(self, tmp_path, capsys):
+        """A table written with --format json is refused as such, not as a
+        CSV row of the wrong width."""
+        data = tmp_path / "ed.json"
+        run(capsys, "ed", "run", "--L", "4", "--format", "json", "--out", str(data))
+        code, out, err = run(capsys, "lde", "fit", "--in", str(data))
+        assert code == 3 and out == ""
+        assert err == f"qcb: error: {data} is a JSON table; read_table reads the CSV form\n"
 
 
 def count_calls(monkeypatch, owner, name):
