@@ -19,6 +19,9 @@ global spin flip F = prod sigma^x.  Dense blocks are not reduced, because the
 printed goldens pin the bits of their direct ``eigh``.  Importing this module
 loads no scipy, and neither does a dense block: only the Lanczos branch
 imports ``scipy.sparse`` and ``scipy.sparse.linalg``.
+A spectrum keeps no block's eigenvectors but the three lowest of the
+S_z = 0 block: right after its ``eigh``, :func:`full_spectrum` reduces each
+block to its levels and probe correlator diagonals.
 The T = 0 quantities read the S_z = 0 block alone, where every
 integer-spin multiplet has one member (SU(2)), of a given spectrum or of
 its own diagonalization, and total spin is verified through
@@ -226,25 +229,24 @@ def _apply_probe_correlator(spec: LatticeSpec, states: np.ndarray,
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigen-decomposition of some S_z blocks, keyed by the number of up spins.
+    """Levels of some S_z blocks, keyed by the number of up spins.
 
     A block at or below ``DENSE_BLOCK_CAP`` holds every level; a larger one,
     the S_z = 0 block of the probe route, holds its lowest three, merged from
-    its two spin-flip sectors.  The probe correlator diagonals and the
-    Boltzmann terms (the shifted levels of all blocks, concatenated, and each
-    block's slice) are computed on first use and kept.
+    its two spin-flip sectors.  ``probe_diagonals`` holds <k|tau_a . tau_b|k>
+    of every level of every block of :func:`full_spectrum` (none on the probe
+    route).  ``vectors`` and ``states`` hold the S_z = 0 block alone: its
+    three lowest eigenvectors and its basis, which the T = 0 quantities read
+    (nothing for an odd spin count).  The Boltzmann terms (the shifted
+    levels of all blocks, concatenated, and each block's slice) are computed
+    on first use and kept.
     """
 
     spec: LatticeSpec
     energies: dict[int, np.ndarray]
+    probe_diagonals: dict[int, np.ndarray]
     vectors: dict[int, np.ndarray]
     states: dict[int, np.ndarray]
-
-    @cached_property
-    def probe_diagonals(self) -> dict[int, np.ndarray]:
-        """<k|tau_a . tau_b|k> for every stored eigenvector, per block."""
-        return {m: np.einsum("ik,ik->k", v, _apply_probe_correlator(self.spec, self.states[m], v))
-                for m, v in self.vectors.items()}
 
     @cached_property
     def boltzmann_terms(self) -> tuple[np.ndarray, list[tuple[slice, np.ndarray]]]:
@@ -260,16 +262,20 @@ class SpectrumResult:
 
 def full_spectrum(spec: LatticeSpec) -> SpectrumResult:
     """Every level of every S_z block by dense ``eigh`` (total dim <= 4096,
-    so no block exceeds ``DENSE_BLOCK_CAP``)."""
+    so no block exceeds ``DENSE_BLOCK_CAP``).  Each block's vectors are
+    released once its probe diagonals are taken, but for the three lowest
+    of the S_z = 0 block."""
     if (1 << spec.n_total) > DENSE_BLOCK_CAP:
         raise ResourceError(
             f"full spectrum needs total dim <= {DENSE_BLOCK_CAP}; "
             f"got {1 << spec.n_total}")
-    energies, vectors, states = {}, {}, {}
+    energies, diagonals, vectors, states = {}, {}, {}, {}
     for m, (sts, h) in build_hamiltonian(spec).items():
-        energies[m], vectors[m] = np.linalg.eigh(h)
-        states[m] = sts
-    return SpectrumResult(spec, energies, vectors, states)
+        energies[m], v = np.linalg.eigh(h)
+        diagonals[m] = np.einsum("ik,ik->k", v, _apply_probe_correlator(spec, sts, v))
+        if 2 * m == spec.n_total:
+            vectors[m], states[m] = v[:, :3].copy(order="K"), sts
+    return SpectrumResult(spec, energies, diagonals, vectors, states)
 
 
 def _lanczos(h: csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -318,11 +324,10 @@ def _flip_sector_levels(h: csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     return w[order], np.hstack(vs)[:, order]
 
 
-def total_spin_expectation(result: SpectrumResult, m: int, level: int) -> float:
-    """<S_tot^2> of one eigenvector (0 for a singlet, 2 for a triplet), from
-    the full O(n^2) pair operator: the oracle for :func:`_spin_squared`."""
-    n = result.spec.n_total
-    vec = result.vectors[m][:, level]
+def total_spin_expectation(n: int, m: int, vec: np.ndarray) -> float:
+    """<S_tot^2> of a vector of the block of ``m`` up spins out of ``n`` (0
+    for a singlet, 2 for a triplet), from the full O(n^2) pair operator: the
+    oracle for :func:`_spin_squared`."""
     pairs = tuple((i, j, 2.0) for i in range(n) for j in range(i + 1, n))
     op = _assemble(n, pairs, (m,))[m][1]  # 2 sum_{i<j} S_i.S_j
     return float(vec @ (op @ vec)) + 0.75 * n
@@ -360,7 +365,8 @@ def _probe_block(spec: LatticeSpec, spectrum: SpectrumResult | None):
     lattice: the ground singlet, the probe triplet and the next level are
     its three lowest.  A new diagonalization builds only this block: at or
     below ``DENSE_BLOCK_CAP`` it keeps every level of a dense ``eigh``, above
-    it the three lowest of its spin-flip sectors (:func:`_flip_sector_levels`).
+    it the three lowest of its spin-flip sectors (:func:`_flip_sector_levels`),
+    and either way three vectors.
     """
     if spec.n_total % 2:
         raise SectorAmbiguityError(
@@ -369,7 +375,9 @@ def _probe_block(spec: LatticeSpec, spectrum: SpectrumResult | None):
     if spectrum is None:
         ((sts, h),) = build_hamiltonian(spec, (mid,)).values()
         w, v = np.linalg.eigh(h) if isinstance(h, np.ndarray) else _flip_sector_levels(h, 3)
-        spectrum = SpectrumResult(spec, {mid: w}, {mid: v}, {mid: sts})
+        # order "K" keeps the sectors' column-major layout: the dot product
+        # of a column rounds differently at another stride
+        spectrum = SpectrumResult(spec, {mid: w}, {}, {mid: v[:, :3].copy(order="K")}, {mid: sts})
     return spectrum, mid
 
 

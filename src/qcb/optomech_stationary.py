@@ -15,6 +15,7 @@ log-negativity.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -266,17 +267,8 @@ def _refined_solution(a: np.ndarray, d: np.ndarray):
     1e16 times the bound, so their rounding in double alone reaches it.  The
     systems that pass the first check keep their bits.
     """
-    n = a.shape[-1]
-    # (A V + V A^T)_ij = sum_k A_ik V_kj + A_jk V_ik: tally[r, c, x, y] counts
-    # how often A_xy multiplies unknown c in equation r (at most twice).
-    i, j = np.triu_indices(n)
-    pos = np.empty((n, n), dtype=int)
-    pos[i, j] = pos[j, i] = np.arange(i.size)
-    r, k = np.arange(i.size)[:, None], np.arange(n)
-    tally = np.zeros((i.size, i.size, n, n))
-    np.add.at(tally, (r, pos[k, j[:, None]], i[:, None], k), 1.0)
-    np.add.at(tally, (r, pos[i[:, None], k], j[:, None], k), 1.0)
-    op = np.einsum("rcxy,...xy->...rc", tally, a)
+    i, j, pos = _symmetric_unknowns(a.shape[-1])
+    op = _lyapunov_operator(a)
     rhs = -d[..., i, j, None]
     try:
         sol = np.linalg.solve(op, rhs)
@@ -297,6 +289,56 @@ def _refined_solution(a: np.ndarray, d: np.ndarray):
     return v, residual, failed
 
 
+@functools.cache
+def _symmetric_unknowns(n: int):
+    """(i, j, pos): the unknowns of a symmetric n x n V are its n(n+1)/2
+    entries V_ij with i <= j, and V_xy is unknown pos[x, y].  Read-only, as
+    every caller shares them."""
+    i, j = np.triu_indices(n)
+    pos = np.empty((n, n), dtype=int)
+    pos[i, j] = pos[j, i] = np.arange(i.size)
+    for index in (i, j, pos):
+        index.flags.writeable = False
+    return i, j, pos
+
+
+@functools.cache
+def _operator_terms(n: int):
+    """The terms w A_xy of the vectorized operator of n x n systems, as two
+    tuples of (row, column, w, x, y): every nonzero entry's first term, and
+    the second term of the entries that have two.
+
+    (A V + V A^T)_ij = sum_k A_ik V_kj + A_jk V_ik, so w counts how often
+    A_xy multiplies unknown c in equation r (once or twice), and no entry
+    has more than two distinct A_xy.
+    """
+    i, j, pos = _symmetric_unknowns(n)
+    r, k = np.arange(i.size)[:, None], np.arange(n)
+    tally = np.zeros((i.size, i.size, n, n))
+    np.add.at(tally, (r, pos[k, j[:, None]], i[:, None], k), 1.0)
+    np.add.at(tally, (r, pos[i[:, None], k], j[:, None], k), 1.0)
+    r, c, x, y = np.nonzero(tally)  # entry by entry
+    first = np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])]
+    terms = (r, c, tally[r, c, x, y], x, y)
+    return tuple(tuple(zip(*(t[s].tolist() for t in terms))) for s in (first, ~first))
+
+
+def _lyapunov_operator(a: np.ndarray) -> np.ndarray:
+    """The vectorized operator of V -> A V + V A^T for each A of the stack:
+    each entry's one or two terms written into zeros, the second added with
+    one ``+``, one term at a time over the stack (no temporary larger than
+    one entry's stack).  No absent term is read, so an entry without terms
+    stays +0 (a weight-0 term of a negative A_xy would write -0.0)."""
+    n = a.shape[-1]
+    first, second = _operator_terms(n)
+    op = np.zeros(a.shape[:-2] + (n * (n + 1) // 2,) * 2)
+    for r, c, w, x, y in first:
+        op[..., r, c] = w * a[..., x, y]
+    for r, c, w, x, y in second:
+        op[..., r, c] += w * a[..., x, y]
+    return op
+
+
 def _gate(a: np.ndarray, d: np.ndarray, v: np.ndarray):
     """(residual, failed): max |A V + V A^T + D| of each system, evaluated
     in double, and whether it exceeds 1e-10 ||D||."""
@@ -307,7 +349,7 @@ def _gate_dot2(a: np.ndarray, d: np.ndarray, v: np.ndarray):
     """:func:`_gate` with each entry of A V + V A^T + D summed by
     :func:`_dot2` over its 2n + 1 terms, D_ij, A_ik V_kj and V_ik A_jk, each
     product exact: as accurate as if summed in twice the working precision
-    and rounded once.  (The vectorized operator of :func:`_refined_solution`
+    and rounded once.  (The vectorized operator of :func:`_lyapunov_operator`
     would round the coefficient a_ii + a_jj first.)"""
     n = a.shape[-1]
     shape = a.shape[:-2] + (n, n, n)  # (..., i, j, k)

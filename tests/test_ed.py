@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qcb.exceptions import (
 )
 from qcb.ed import (
     LatticeSpec,
+    SpectrumResult,
     _apply_probe_correlator,
     _boltzmann_average,
     _probe_block,
@@ -20,6 +22,7 @@ from qcb.ed import (
     build_hamiltonian,
     chain,
     chi_lehman_and_phi,
+    default_temperature_grid,
     full_spectrum,
     ground_state_correlator,
     ladder,
@@ -126,6 +129,19 @@ def plain_lanczos(h, k=8):
     v0 = np.random.default_rng(1).standard_normal(h.shape[0])
     return np.sort(eigsh(h, k=k, which="SA", tol=1e-12, v0=v0,
                          return_eigenvectors=False))
+
+
+def every_vector_spectrum(spec):
+    """Every block of ``spec`` by its own ``eigh``, every eigenvector kept,
+    and the probe diagonals taken from all of them: the oracle for what
+    :func:`full_spectrum` keeps of each block."""
+    energies, vectors, states = {}, {}, {}
+    for m, (sts, h) in build_hamiltonian(spec).items():
+        energies[m], vectors[m] = np.linalg.eigh(h)
+        states[m] = sts
+    diagonals = {m: np.einsum("ik,ik->k", v, _apply_probe_correlator(spec, states[m], v))
+                 for m, v in vectors.items()}
+    return SpectrumResult(spec, energies, diagonals, vectors, states)
 
 
 def all_levels(result):
@@ -247,7 +263,7 @@ class TestHamiltonian:
     def test_probe_correlator_gather_equals_sparse_product(self):
         for spec in (chain(10, alpha=0.05, probes=(1, 8)), chain(8, alpha=0.05, probes=(1, 6)),
                      chain(6, alpha=0.1), ladder(4, alpha=0.05)):
-            result = full_spectrum(spec)
+            result = every_vector_spectrum(spec)
             pa, pb = spec.probe_indices
             for m, vecs in result.vectors.items():
                 sts = result.states[m]
@@ -302,10 +318,11 @@ class TestLowSpectrum:
         j_can, gap = low_spectrum_jcan(spec)
         assert j_can > 0.0
         assert gap > 5.0 * j_can  # robust-gap property
-        result = full_spectrum(spec)
-        levels = all_levels(result)
-        assert abs(total_spin_expectation(result, levels[0][1], levels[0][2])) < 1e-8
-        assert abs(total_spin_expectation(result, levels[1][1], levels[1][2]) - 2.0) < 1e-8
+        result = every_vector_spectrum(spec)
+        (_, m0, k0), (_, m1, k1) = all_levels(result)[:2]
+        n = spec.n_total
+        assert abs(total_spin_expectation(n, m0, result.vectors[m0][:, k0])) < 1e-8
+        assert abs(total_spin_expectation(n, m1, result.vectors[m1][:, k1]) - 2.0) < 1e-8
 
     def test_given_spectrum_matches_central_blocks(self):
         # both routes read the same central blocks, so the floats agree exactly
@@ -322,20 +339,23 @@ class TestLowSpectrum:
         spec = chain(14, alpha=0.05, probes=(1, 12))
         result, mid = _probe_block(spec, None)
         s2 = [_spin_squared(result, mid, (k,))[0] for k in range(3)]
-        oracle = [total_spin_expectation(result, mid, k) for k in range(3)]
+        oracle = [total_spin_expectation(spec.n_total, mid, result.vectors[mid][:, k])
+                  for k in range(3)]
         assert np.max(np.abs(np.subtract(s2, oracle))) < 1e-9
         assert np.max(np.abs(np.subtract(s2[:2], [0.0, 2.0]))) < 1e-6
 
     def test_spin_check_of_several_levels_matches_pair_operator(self):
         # one call per block for all its stored levels: a 10-spin lattice
-        # (dense, every block) and the 16-spin S_z = 0 block (Lanczos)
-        for result in (full_spectrum(chain(8, alpha=0.05, probes=(1, 6))),
+        # (dense, every block with every vector) and the 16-spin S_z = 0
+        # block (Lanczos)
+        for result in (every_vector_spectrum(chain(8, alpha=0.05, probes=(1, 6))),
                        _probe_block(chain(14, alpha=0.05, probes=(1, 12)), None)[0]):
             spec = result.spec
             for m, energies in result.energies.items():
                 levels = tuple(range(min(len(energies), 6)))
                 s2 = _spin_squared(result, m, levels)
-                oracle = [total_spin_expectation(result, m, k) for k in levels]
+                oracle = [total_spin_expectation(spec.n_total, m, result.vectors[m][:, k])
+                          for k in levels]
                 assert np.max(np.abs(np.subtract(s2, oracle))) < 1e-9, (spec.label, m)
 
     def test_flip_sectors_and_mirror_match_plain_lanczos(self):
@@ -349,6 +369,10 @@ class TestLowSpectrum:
         assert np.max(np.abs(result.energies[mid] - plain_lanczos(h)[:3])) < 1e-10
         vecs = result.vectors[mid]
         assert np.max(np.abs(h @ vecs - vecs * result.energies[mid])) < 1e-10
+        # kept as the sectors return them, layout too, which the bits of the
+        # ground correlator's dot product depend on
+        w, v = ed._flip_sector_levels(h, 3)
+        assert np.array_equal(vecs, v) and vecs.strides == v.strides
         # F mirrors the block onto itself: H = J H J entry for entry, J the
         # order reversal, which the sector split A +- B relies on
         rev = np.arange(len(sts))[::-1]
@@ -473,6 +497,51 @@ class TestThermalCorrelator:
             betas = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), batch)) / j_can
             assert np.array_equal(_boltzmann_average(spectrum, betas),
                                   boltzmann_average_per_block(spectrum, betas))
+
+    @pytest.mark.parametrize("spec", [chain(8, alpha=0.05, probes=(1, 6)),
+                                      chain(10, alpha=0.05, probes=(1, 8)),
+                                      ladder(4, alpha=0.05),
+                                      chain(7, alpha=0.05, probes=(1, 5))],
+                             ids=["chain8", "chain10", "ladder4", "chain7-odd"])
+    def test_reduced_spectrum_equals_every_vector_oracle(self, spec):
+        # what a spectrum keeps of each block gives every reader the bits
+        # that every vector gave; 9 spins keep no vector and have no probe
+        # gap, so they take the thermal part alone, on the grid of the
+        # 10-spin chain's J_can (1.2e-3)
+        got, want = full_spectrum(spec), every_vector_spectrum(spec)
+        assert list(got.probe_diagonals) == list(want.energies)
+        for m, es in want.energies.items():
+            assert np.array_equal(got.energies[m], es)
+            assert np.array_equal(got.probe_diagonals[m], want.probe_diagonals[m])
+        j_can = 1.2e-3
+        if spec.n_total % 2:
+            assert got.vectors == {} and got.states == {}
+        else:
+            mid = spec.n_total // 2
+            assert list(got.vectors) == list(got.states) == [mid]
+            assert np.array_equal(got.vectors[mid], want.vectors[mid][:, :3])
+            j_can, gap = low_spectrum_jcan(spec, spectrum=want)
+            assert low_spectrum_jcan(spec, spectrum=got) == (j_can, gap)
+            assert (ground_state_correlator(spec, spectrum=got)
+                    == ground_state_correlator(spec, spectrum=want))
+        betas = 1.0 / default_temperature_grid(j_can)
+        assert np.array_equal(thermal_correlator_exact(spec, betas, spectrum=got),
+                              thermal_correlator_exact(spec, betas, spectrum=want))
+
+    def test_spectrum_holds_no_eigenvector_blocks(self):
+        # every vector of a 12-spin spectrum would hold 20.7 MiB, what is
+        # kept 0.1 MiB; the peak, 40.8 MiB (41.3 with every vector kept), is
+        # the one-pass H buffer plus the 924-state block's eigh
+        spec = chain(10, alpha=0.05, probes=(1, 8))
+        tracemalloc.start()
+        try:
+            spectrum = full_spectrum(spec)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spectrum.vectors[6].shape == (924, 3)
+        assert held < 1 << 20
+        assert peak < 41.4 * (1 << 20)
 
     def test_dense_oracle_agreement(self):
         spec = chain(6, alpha=0.1)  # 8 spins

@@ -358,6 +358,39 @@ def test_routh_hurwitz_stable_points_need_no_eigenvalue_check(power, steps):
     assert np.array_equal(cov, lyapunov_solve(a, d))
 
 
+def einsum_operator(a):
+    """The vectorized operator of V -> A V + V A^T as a contraction of A with
+    tally[r, c, x, y], how often A_xy multiplies unknown c in equation r: 16
+    products per entry, zeros included.  The oracle for the scatter build."""
+    n = a.shape[-1]
+    i, j = np.triu_indices(n)
+    pos = np.empty((n, n), dtype=int)
+    pos[i, j] = pos[j, i] = np.arange(i.size)
+    r, k = np.arange(i.size)[:, None], np.arange(n)
+    tally = np.zeros((i.size, i.size, n, n))
+    np.add.at(tally, (r, pos[k, j[:, None]], i[:, None], k), 1.0)
+    np.add.at(tally, (r, pos[i[:, None], k], j[:, None], k), 1.0)
+    return np.einsum("rcxy,...xy->...rc", tally, a)
+
+
+@pytest.mark.parametrize("power, steps", REAL_SWEEPS)
+def test_scatter_operator_equals_einsum_oracle(power, steps):
+    """On the drift stacks of the real maps, and on one system, the scatter
+    build equals the contraction to the bit, the signs of its zeros
+    included, and is C-contiguous like the contraction's result: ``op @ sol``
+    on another layout of the same values moves bits of V."""
+    p = fig_params(power=power)
+    sweep = detuning_sweep(p, np.linspace(0.2, 3.0, steps))
+    stable = sweep["stable"] == 1
+    a, _ = drift_and_diffusion(p, sweep["Delta_over_wm"][stable] * p.omega_m,
+                               sweep["G"][stable], p.omega_m)
+    for drift in (a, a[0]):
+        got, want = optomech_stationary._lyapunov_operator(drift), einsum_operator(drift)
+        assert got.shape == want.shape == drift.shape[:-2] + (10, 10)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert got.flags.c_contiguous and want.flags.c_contiguous
+
+
 def test_si_constants_equal_scipy_constants():
     assert optomech_stationary._c_light == scipy.constants.c
     assert optomech_stationary._k_boltzmann == scipy.constants.k
