@@ -7,16 +7,19 @@ and the Lehmann-representation inputs of the perturbative canonical
 parameters.
 
 Engine (after Sandvik, arXiv:1101.3281, sec. 4): basis states are bit
-strings and blocks are sorted arrays of equal popcount.  The requested blocks
-are assembled in one pass of array bit operations over all their states, one
-scatter per bond: at or below ``DENSE_BLOCK_CAP`` (dense ``eigh``) as views
-of one flat buffer, above it as CSR from the same pass.  Two routes
-diagonalize: :func:`full_spectrum` takes every block of a lattice of at most
-12 spins by dense ``eigh``, and the probe route (:func:`_probe_block`) takes
-the S_z = 0 block alone, by dense ``eigh`` at or below the cap and above it
-by Lanczos from a fixed start vector on the two half-size sectors of the
-global spin flip F = prod sigma^x.  Dense blocks are not reduced, because the
-printed goldens pin the bits of their direct ``eigh``.  Importing this module
+strings and blocks are sorted arrays of equal popcount.  One pass of array
+bit operations over all states of the requested blocks keeps each block's
+diagonal and each bond's flip-flop entries in it; a block's H is built from
+those only when the block is reached, at or below ``DENSE_BLOCK_CAP``
+(dense ``eigh``) as an array of its own, one scatter per bond, above it as
+CSR.  Two routes diagonalize, one block at a time: :func:`full_spectrum`
+takes every block of a lattice of at most 12 spins by dense ``eigh``, and
+the probe route (:func:`_probe_block`) takes the S_z = 0 block alone, by
+dense ``eigh`` at or below the cap and above it by Lanczos from a fixed
+start vector on the two half-size sectors of the global spin flip
+F = prod sigma^x, built from the first half of the block's rows (the whole
+block is never built).  Dense blocks are not reduced, because the printed
+goldens pin the bits of their direct ``eigh``.  Importing this module
 loads no scipy, and neither does a dense block: only the Lanczos branch
 imports ``scipy.sparse`` and ``scipy.sparse.linalg``.
 A spectrum keeps no block's eigenvectors but the three lowest of the
@@ -147,68 +150,123 @@ def ladder(length: int, alpha: float, probes: str | tuple[int, int] = "ends") ->
 # ---------------------------------------------------------------------------
 
 
-def _assemble(n: int, bonds, n_ups: tuple[int, ...] | None = None
-              ) -> dict[int, tuple[np.ndarray, np.ndarray | csr_matrix]]:
-    """{n_up: (sorted states with n_up bits set, H)} of ``n`` spins and
-    ``bonds``, for every block or those in ``n_ups``, in one pass.
+def _bond_pass(n: int, bonds, n_ups: tuple[int, ...] | None):
+    """{n_up: (states, diagonal, terms)} of ``n`` spins and ``bonds``, for
+    every block or those in ``n_ups``, in that order, from one pass over all
+    their states.
 
-    Entries are numbered block by block, row by row, blocks at or below
-    ``DENSE_BLOCK_CAP`` first: those numbers index one flat buffer, the rest
-    are the CSR triplets of the larger blocks, in bond order.  Partners are
-    read from a table of each state's rank in its block, so a bond is one
-    scatter (no entry twice).  The diagonal is summed bond by bond in bond
-    order: its floats, and so the printed eigenvalues, depend on that order.
+    ``states`` are the block's sorted basis states and ``diagonal`` its
+    diagonal, summed bond by bond in bond order: its floats, and so the
+    printed eigenvalues, depend on that order.  ``terms`` holds, per bond in
+    bond order, its flip-flop entries in the block, (at, weight): the
+    ascending positions row * dim + column in the block, the column read
+    from a table of every state's rank in its block, and half the bond's
+    weight.
     """
     every = np.arange(1 << n, dtype=np.int64)
     pop = np.bitwise_count(every)
     blocks = {m: every[pop == m] for m in (range(n + 1) if n_ups is None else n_ups)}
-    layout = sorted(blocks, key=lambda m: len(blocks[m]) > DENSE_BLOCK_CAP)
-    states = np.concatenate([blocks[m] for m in layout])
-    dims = np.array([len(blocks[m]) for m in layout])
-    local = np.arange(len(states)) - np.repeat(np.cumsum(dims) - dims, dims)
+    states = np.concatenate(list(blocks.values()))
+    dims = [len(sts) for sts in blocks.values()]
+    cuts = np.cumsum(dims)[:-1]
     rank = np.zeros(1 << n, dtype=np.int64)
-    rank[states] = local
-    offset = np.cumsum(dims * dims) - dims * dims
-    row_start = np.repeat(offset, dims) + np.repeat(dims, dims) * local
-    flat = np.zeros(int(np.sum(dims[dims <= DENSE_BLOCK_CAP] ** 2)))
-    diag = np.zeros(len(states))
-    far = []
+    for sts in blocks.values():
+        rank[sts] = np.arange(len(sts))
+    row_start = np.concatenate([np.arange(0, dim * dim, dim) for dim in dims])
+    diagonal = np.zeros(len(states))
+    terms = {m: [] for m in blocks}
     for i, j, w in bonds:
         differ = ((states >> i) ^ (states >> j)) & 1
-        diag += np.where(differ, -0.25 * w, 0.25 * w)
+        diagonal += np.where(differ, -0.25 * w, 0.25 * w)
         k = np.flatnonzero(differ)
-        at = row_start[k] + rank[states[k] ^ (1 << i) ^ (1 << j)]  # ascending
-        cut = np.searchsorted(at, flat.size)
-        flat[at[:cut]] += 0.5 * w
-        far.append(at[cut:])
-    far_vals = np.repeat([0.5 * w for *_, w in bonds], [len(at) for at in far])
-    far = np.concatenate(far)
-    out = {}
-    for m, dim, off, d in zip(layout, dims.tolist(), offset.tolist(),
-                              np.split(diag, np.cumsum(dims)[:-1])):
-        if dim <= DENSE_BLOCK_CAP:
-            h = flat[off:off + dim * dim].reshape(dim, dim)
-            np.fill_diagonal(h, d)
-        else:
-            from scipy.sparse import csr_matrix
+        ends = [0, *np.searchsorted(k, cuts).tolist(), len(k)]
+        at = row_start[k] + rank[states[k] ^ (1 << i) ^ (1 << j)]
+        for m, lo, hi in zip(blocks, ends, ends[1:]):
+            terms[m].append((at[lo:hi], 0.5 * w))
+    return {m: (sts, d, terms[m])
+            for (m, sts), d in zip(blocks.items(), np.split(diagonal, cuts))}
 
-            mine = (far >= off) & (far < off + dim * dim)  # in bond order
-            h = csr_matrix((far_vals[mine], np.divmod(far[mine] - off, dim)), shape=(dim, dim))
-            h += csr_matrix((d, (np.arange(dim), np.arange(dim))), shape=(dim, dim))
-        out[m] = blocks[m], h
-    return {m: out[m] for m in blocks}
+
+def _assemble(n: int, bonds, n_ups: tuple[int, ...] | None = None):
+    """Yield (n_up, states, H) of ``n`` spins and ``bonds`` block by block,
+    for every block or those in ``n_ups``, in that order.
+
+    One :func:`_bond_pass` serves every block, and each H is built only when
+    its block is reached, so a caller that drops it holds one block at a
+    time.  A block at or below ``DENSE_BLOCK_CAP`` is an array of its own
+    (:func:`_dense_block`); a larger one is CSR (:func:`_csr_rows`).
+    """
+    for m, (sts, diagonal, terms) in _bond_pass(n, bonds, n_ups).items():
+        if len(sts) <= DENSE_BLOCK_CAP:
+            yield m, sts, _dense_block(diagonal, terms)
+        else:
+            yield m, sts, _csr_rows(diagonal, terms)
+
+
+def _dense_block(diagonal: np.ndarray, terms) -> np.ndarray:
+    """One block as an array: each bond's flip-flop entries added in bond
+    order (a bond is one scatter, no entry twice), then the diagonal."""
+    dim = len(diagonal)
+    h = np.zeros((dim, dim))
+    flat = h.reshape(-1)
+    for at, weight in terms:
+        flat[at] += weight
+    np.fill_diagonal(h, diagonal)
+    return h
+
+
+def _csr_rows(diagonal: np.ndarray, terms, n_rows: int | None = None) -> csr_matrix:
+    """The first ``n_rows`` rows of a block (every row by default) as CSR:
+    the flip-flop entries in bond order, the terms of one entry (a bond
+    listed twice) summed by the CSR build, then the diagonal added, a sum
+    that drops entries that are exactly zero."""
+    from scipy.sparse import csr_matrix
+
+    dim = len(diagonal)
+    n_rows = dim if n_rows is None else n_rows
+    tops = [np.searchsorted(at, n_rows * dim) for at, _ in terms]
+    rows_cols = np.divmod(np.concatenate([at[:top] for (at, _), top in zip(terms, tops)]), dim)
+    h = csr_matrix((np.repeat([weight for _, weight in terms], tops), rows_cols),
+                   shape=(n_rows, dim))
+    on = np.arange(n_rows)
+    h += csr_matrix((diagonal[:n_rows], (on, on)), shape=(n_rows, dim))
+    return h
+
+
+def _flip_sectors(diagonal: np.ndarray, terms) -> tuple[csr_matrix, csr_matrix]:
+    """The F = +1 and F = -1 sectors A + B and A - B of an S_z = 0 block
+    (:func:`_flip_sector_levels`), as CSR, from the first half of its rows
+    alone (:func:`_csr_rows`).
+
+    F reverses the sorted basis, so A = H[:half, :half] and column c of B
+    is column dim - 1 - c of the block.  The (row, col) pairs that A and B
+    share are summed by the CSR build, which keeps a sum that is exactly
+    zero.
+    """
+    from scipy.sparse import csr_matrix
+
+    dim = len(diagonal)
+    half = dim // 2
+    top = _csr_rows(diagonal, terms, half).tocoo()
+    right = top.col >= half
+    cols = np.where(right, dim - 1 - top.col, top.col)
+    return tuple(csr_matrix((np.where(right, sign * top.data, top.data), (top.row, cols)),
+                            shape=(half, half)) for sign in (1.0, -1.0))
 
 
 def build_hamiltonian(spec: LatticeSpec, blocks: tuple[int, ...] | None = None
                       ) -> dict[int, tuple[np.ndarray, np.ndarray | csr_matrix]]:
-    """Per-S_z-block Hamiltonian of bath + probes, in one pass (:func:`_assemble`).
+    """Per-S_z-block Hamiltonian of bath + probes, from one bond pass
+    (:func:`_assemble`).
 
     Returns {n_up: (basis states, H_block)} for every block, or only for the
-    n_up values in ``blocks``: views of one shared buffer at or below
+    n_up values in ``blocks``: an array of its own at or below
     ``DENSE_BLOCK_CAP`` states, CSR above it.  H commutes with total S_z by
-    construction (only flip-flop terms appear off the diagonal).
+    construction (only flip-flop terms appear off the diagonal).  The
+    diagonalization routes do not hold every block at once: they take the
+    blocks one by one from :func:`_assemble`.
     """
-    return _assemble(spec.n_total, spec.coupled_bonds(), blocks)
+    return {m: (sts, h) for m, sts, h in _assemble(spec.n_total, spec.coupled_bonds(), blocks)}
 
 
 def _apply_probe_correlator(spec: LatticeSpec, states: np.ndarray,
@@ -262,16 +320,18 @@ class SpectrumResult:
 
 def full_spectrum(spec: LatticeSpec) -> SpectrumResult:
     """Every level of every S_z block by dense ``eigh`` (total dim <= 4096,
-    so no block exceeds ``DENSE_BLOCK_CAP``).  Each block's vectors are
-    released once its probe diagonals are taken, but for the three lowest
-    of the S_z = 0 block."""
+    so no block exceeds ``DENSE_BLOCK_CAP``), one block at a time: each is
+    built when reached (:func:`_assemble`), and its H is released after its
+    ``eigh`` and its vectors once its probe diagonals are taken, but for the
+    three lowest of the S_z = 0 block."""
     if (1 << spec.n_total) > DENSE_BLOCK_CAP:
         raise ResourceError(
             f"full spectrum needs total dim <= {DENSE_BLOCK_CAP}; "
             f"got {1 << spec.n_total}")
     energies, diagonals, vectors, states = {}, {}, {}, {}
-    for m, (sts, h) in build_hamiltonian(spec).items():
+    for m, sts, h in _assemble(spec.n_total, spec.coupled_bonds()):
         energies[m], v = np.linalg.eigh(h)
+        del h  # gone before the next block is built
         diagonals[m] = np.einsum("ik,ik->k", v, _apply_probe_correlator(spec, sts, v))
         if 2 * m == spec.n_total:
             vectors[m], states[m] = v[:, :3].copy(order="K"), sts
@@ -293,30 +353,23 @@ def _lanczos(h: csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
-def _flip_sector_levels(h: csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _flip_sector_levels(sectors: tuple[csr_matrix, csr_matrix],
+                        k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest ``k`` levels of an S_z = 0 block from its two F sectors.
 
     F = prod sigma^x commutes with H and reverses the sorted basis of the
     block, so with A = H[:half, :half] and B = H[:half, half:][:, ::-1] the
-    F = +1 and F = -1 sectors are A + B and A - B, each diagonalized by
-    :func:`_lanczos`; their vectors expand back as [v; +-v[::-1]]/sqrt(2).
+    F = +1 and F = -1 sectors are A + B and A - B (``sectors``, from
+    :func:`_flip_sectors`), each diagonalized by :func:`_lanczos`; their
+    vectors expand back as [v; +-v[::-1]]/sqrt(2).
     Each sector converges ``k`` levels, so the lowest ``k`` of the merged
     levels are the block's lowest ``k``.  The probe singlet and triplet
     member fall in different sectors, so neither Krylov space has to resolve
     their splitting.
     """
-    from scipy.sparse import csr_matrix
-
-    half = h.shape[0] // 2
-    top = h[:half].tocoo()
-    right = top.col >= half
-    cols = np.where(right, h.shape[0] - 1 - top.col, top.col)
     ws, vs = [], []
-    for sign in (1.0, -1.0):
-        # (row, col) pairs that A and B share are summed by the CSR build
-        sector = csr_matrix((np.where(right, sign * top.data, top.data), (top.row, cols)),
-                            shape=(half, half))
-        w, v = _lanczos(sector, min(k, half - 1))
+    for sign, sector in zip((1.0, -1.0), sectors):
+        w, v = _lanczos(sector, min(k, sector.shape[0] - 1))
         ws.append(w)
         vs.append(np.vstack([v, sign * v[::-1]]) / math.sqrt(2.0))
     w = np.concatenate(ws)
@@ -329,7 +382,7 @@ def total_spin_expectation(n: int, m: int, vec: np.ndarray) -> float:
     for a singlet, 2 for a triplet), from the full O(n^2) pair operator: the
     oracle for :func:`_spin_squared`."""
     pairs = tuple((i, j, 2.0) for i in range(n) for j in range(i + 1, n))
-    op = _assemble(n, pairs, (m,))[m][1]  # 2 sum_{i<j} S_i.S_j
+    ((_, _, op),) = _assemble(n, pairs, (m,))  # 2 sum_{i<j} S_i.S_j
     return float(vec @ (op @ vec)) + 0.75 * n
 
 
@@ -373,7 +426,11 @@ def _probe_block(spec: LatticeSpec, spectrum: SpectrumResult | None):
             f"{spec.n_total} spins have half-integer total spin: no probe singlet")
     mid = spec.n_total // 2
     if spectrum is None:
-        ((sts, h),) = build_hamiltonian(spec, (mid,)).values()
+        # above the cap, the whole block's CSR is never built: only its
+        # two spin-flip sectors, from the first half of its rows
+        ((sts, diagonal, terms),) = _bond_pass(spec.n_total, spec.coupled_bonds(), (mid,)).values()
+        h = (_dense_block if len(sts) <= DENSE_BLOCK_CAP else _flip_sectors)(diagonal, terms)
+        del diagonal, terms
         w, v = np.linalg.eigh(h) if isinstance(h, np.ndarray) else _flip_sector_levels(h, 3)
         # order "K" keeps the sectors' column-major layout: the dot product
         # of a column rounds differently at another stride
@@ -469,7 +526,7 @@ def chi_lehman_and_phi(spec: LatticeSpec) -> tuple[float, float]:
         raise DegenerateSystemError("bath must have an even number of sites "
                                     "for a singlet ground state")
     m0 = spec.n_bath // 2
-    ((states, h),) = _assemble(spec.n_bath, spec.bonds, (m0,)).values()
+    ((_, states, h),) = _assemble(spec.n_bath, spec.bonds, (m0,))
     w, v = np.linalg.eigh(h)
     if w[1] - w[0] < DEGENERACY_TOL:
         raise DegenerateSystemError("degenerate bath ground state")

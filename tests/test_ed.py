@@ -37,6 +37,13 @@ from qcb.ed import (
 # boundary correction that leaves the perturbative window at alpha = 0.05
 ACCEPT = dict(length=8, probes=(1, 6))
 
+# 16 spins: a 14-site chain whose bond 5-6 is listed twice, plus a pair 3-5
+# whose two bonds cancel, so that its flip-flop entries and diagonal terms
+# sum to exactly zero; 1164 states of the S_z = 0 block have a zero diagonal
+REPEATED_BONDS = LatticeSpec(
+    14, tuple((i, i + 1, 1.0) for i in range(13)) + ((5, 6, 1.0), (3, 5, 0.5), (3, 5, -0.5)),
+    (1, 12), 0.05, "repeated bonds")
+
 
 def dense_hamiltonian(spec):
     n = spec.n_total
@@ -98,6 +105,40 @@ def sparse_block(bonds, states):
     h = csr_matrix((vals, (rows, cols)), shape=(dim, dim))
     h += csr_matrix((diag, (np.arange(dim), np.arange(dim))), shape=(dim, dim))
     return h
+
+
+def flip_sectors(h):
+    """A + B and A - B of an S_z = 0 block's CSR ``h``, with
+    A = H[:half, :half] and B = H[:half, half:][:, ::-1]: the first half of
+    rows through COO, B's columns mirrored, and the (row, col) pairs that A
+    and B share summed by the CSR build.  The oracle for the sectors that
+    :func:`ed._flip_sectors` builds without the whole block."""
+    from scipy.sparse import csr_matrix
+
+    half = h.shape[0] // 2
+    top = h[:half].tocoo()
+    right = top.col >= half
+    cols = np.where(right, h.shape[0] - 1 - top.col, top.col)
+    return tuple(csr_matrix((np.where(right, sign * top.data, top.data), (top.row, cols)),
+                            shape=(half, half)) for sign in (1.0, -1.0))
+
+
+def bond_pass_sectors(spec, m):
+    """The flip sectors of block ``m`` of ``spec``, as the probe route
+    builds them: from the bond pass, without the whole block."""
+    ((_, diagonal, terms),) = ed._bond_pass(spec.n_total, spec.coupled_bonds(), (m,)).values()
+    return ed._flip_sectors(diagonal, terms)
+
+
+def same_arrays(got, want):
+    """Whether two blocks hold the same bits: arrays of one dtype and shape,
+    or CSR matrices with the same ``indptr``, ``indices`` and ``data``."""
+    if isinstance(want, np.ndarray):
+        return (isinstance(got, np.ndarray) and got.shape == want.shape
+                and got.dtype == want.dtype and got.tobytes() == want.tobytes())
+    return all(getattr(got, part).dtype == getattr(want, part).dtype
+               and getattr(got, part).tobytes() == getattr(want, part).tobytes()
+               for part in ("indptr", "indices", "data"))
 
 
 def block_hamiltonian(bonds, states):
@@ -227,38 +268,40 @@ class TestHamiltonian:
     def test_one_pass_blocks_equal_per_block_oracle(self):
         # every block, or a subset in any order, equal to the bit to the same
         # block assembled on its own; the doubled bond adds up its flip-flop
-        # entries in bond order
+        # entries in bond order, as do those of REPEATED_BONDS (16 spins,
+        # whose blocks of at most 4 or at least 12 up spins are dense)
         doubled = LatticeSpec(n_bath=4, bonds=((0, 1, 1.0), (1, 2, 0.7), (1, 2, 0.3),
                                                (2, 3, 1.0)), probe_sites=(0, 3), alpha=0.05)
+        cases = [(REPEATED_BONDS, (3, 14, 1))]
         for spec in (chain(10, alpha=0.05, probes=(1, 8)), chain(8, alpha=0.05, probes=(1, 6)),
                      ladder(4, alpha=0.05), doubled):
-            bonds = spec.coupled_bonds()
             mid = spec.n_total // 2
-            for blocks in (None, (mid,), (mid + 1, 0, mid - 1)):
-                built = build_hamiltonian(spec, blocks)
-                assert list(built) == list(blocks or range(spec.n_total + 1))
-                for m, (sts, h) in built.items():
-                    assert np.array_equal(sts, block_states(spec.n_total, m))
-                    assert isinstance(h, np.ndarray)
-                    assert np.array_equal(h, dense_block(bonds, sts))
+            cases += [(spec, None), (spec, (mid,)), (spec, (mid + 1, 0, mid - 1))]
+        for spec, blocks in cases:
+            bonds = spec.coupled_bonds()
+            built = build_hamiltonian(spec, blocks)
+            assert list(built) == list(blocks or range(spec.n_total + 1))
+            for m, (sts, h) in built.items():
+                assert np.array_equal(sts, block_states(spec.n_total, m))
+                assert isinstance(h, np.ndarray)
+                assert np.array_equal(h, dense_block(bonds, sts))
 
     def test_one_pass_csr_blocks_equal_per_block_oracle(self):
         # 16 spins: two CSR blocks requested before two dense ones; the CSR
-        # blocks hold the same entries, in the same order, as the oracle's
-        spec = chain(14, alpha=0.05, probes=(1, 12))
-        bonds = spec.coupled_bonds()
-        built = build_hamiltonian(spec, (8, 7, 4, 3))
-        assert list(built) == [8, 7, 4, 3]
-        for m, (sts, h) in built.items():
-            want = block_hamiltonian(bonds, sts)
-            if len(sts) <= ed.DENSE_BLOCK_CAP:
-                assert isinstance(h, np.ndarray)
-                assert np.array_equal(h, want)
-            else:
-                assert not isinstance(h, np.ndarray)
-                for part in ("data", "indices", "indptr"):
-                    got, ref = getattr(h, part), getattr(want, part)
-                    assert got.dtype == ref.dtype and np.array_equal(got, ref), (m, part)
+        # blocks hold the same entries, in the same order, as the oracle's,
+        # so none where the cancelling bonds of REPEATED_BONDS or a zero
+        # diagonal leave an exact zero
+        for spec in (chain(14, alpha=0.05, probes=(1, 12)), ladder(7, alpha=0.05),
+                     REPEATED_BONDS):
+            bonds = spec.coupled_bonds()
+            built = build_hamiltonian(spec, (8, 7, 4, 3))
+            assert list(built) == [8, 7, 4, 3]
+            for m, (sts, h) in built.items():
+                assert np.array_equal(sts, block_states(spec.n_total, m))
+                assert isinstance(h, np.ndarray) == (len(sts) <= ed.DENSE_BLOCK_CAP)
+                assert same_arrays(h, block_hamiltonian(bonds, sts)), (spec.label, m)
+        h = built[8][1]  # REPEATED_BONDS' S_z = 0 block
+        assert np.count_nonzero(h.diagonal() == 0) == 1164 and not np.any(h.data == 0)
 
     def test_probe_correlator_gather_equals_sparse_product(self):
         for spec in (chain(10, alpha=0.05, probes=(1, 8)), chain(8, alpha=0.05, probes=(1, 6)),
@@ -371,12 +414,54 @@ class TestLowSpectrum:
         assert np.max(np.abs(h @ vecs - vecs * result.energies[mid])) < 1e-10
         # kept as the sectors return them, layout too, which the bits of the
         # ground correlator's dot product depend on
-        w, v = ed._flip_sector_levels(h, 3)
+        w, v = ed._flip_sector_levels(flip_sectors(h), 3)
         assert np.array_equal(vecs, v) and vecs.strides == v.strides
         # F mirrors the block onto itself: H = J H J entry for entry, J the
         # order reversal, which the sector split A +- B relies on
         rev = np.arange(len(sts))[::-1]
         assert (h - h[rev][:, rev]).count_nonzero() == 0
+
+    @pytest.mark.parametrize("spec", [chain(14, alpha=0.05, probes=(1, 12)),
+                                      ladder(7, alpha=0.05), REPEATED_BONDS],
+                             ids=["chain14", "ladder7", "repeated-bonds"])
+    def test_flip_sectors_equal_cut_from_whole_block(self, spec):
+        # 16 spins: the sectors built from the first half of the S_z = 0
+        # block's rows hold the arrays of those cut from the whole block's
+        # CSR, so Lanczos returns the same vectors, strides included, and the
+        # probe gap and ground correlator the same floats; the ladder's
+        # probes sit on one sublattice, and both routes find a ground state
+        # with <S^2> = 2 there
+        mid = spec.n_total // 2
+        sts = block_states(spec.n_total, mid)
+        want = flip_sectors(sparse_block(spec.coupled_bonds(), sts))
+        for sector, oracle in zip(bond_pass_sectors(spec, mid), want):
+            assert same_arrays(sector, oracle)
+        w, v = ed._flip_sector_levels(want, 3)
+        old = SpectrumResult(spec, {mid: w}, {}, {mid: v[:, :3].copy(order="K")}, {mid: sts})
+        new, _ = _probe_block(spec, None)
+        assert np.array_equal(new.energies[mid], old.energies[mid])
+        assert np.array_equal(new.vectors[mid], old.vectors[mid])
+        assert new.vectors[mid].strides == old.vectors[mid].strides
+        assert _spin_squared(new, mid, (0, 1, 2)) == _spin_squared(old, mid, (0, 1, 2))
+        assert ground_state_correlator(spec, new) == ground_state_correlator(spec, old)
+        if spec.label.startswith("ladder"):
+            with pytest.raises(SectorAmbiguityError, match="not a total-spin singlet"):
+                low_spectrum_jcan(spec)
+        else:
+            assert low_spectrum_jcan(spec) == low_spectrum_jcan(spec, old)
+
+    def test_flip_sectors_keep_cancelled_entries(self):
+        # 4 spins, the sectors of the S_z = 0 block: the probe bonds flip
+        # complementary spin pairs, so A and B share entries, and A - B
+        # keeps the two where they cancel, as the cut from the whole block
+        # does
+        spec = LatticeSpec(2, ((0, 1, 1.0),), (0, 1), 0.5)
+        got = bond_pass_sectors(spec, 2)
+        want = flip_sectors(sparse_block(spec.coupled_bonds(), block_states(4, 2)))
+        for sector, oracle in zip(got, want):
+            assert same_arrays(sector, oracle)
+        assert np.count_nonzero(got[0].data == 0) == 0
+        assert np.count_nonzero(got[1].data == 0) == 2
 
     def test_reduced_lanczos_route_matches_dense(self, monkeypatch):
         # a cap of 100 sends the 252-state S_z = 0 block of 10 spins through
@@ -469,6 +554,21 @@ class TestLowSpectrum:
         assert abs(j_can - 7.808983e-4) < 1e-9  # frozen from this solver
         assert gap > 5.0 * j_can
 
+    def test_probe_gap_builds_no_whole_block(self):
+        # 16 spins: the flip sectors come from the first half of the S_z = 0
+        # block's rows, and its whole CSR is never built; the peak, 4.3 MiB,
+        # is Lanczos on the sectors (7.8 MiB with the whole block first)
+        import scipy.sparse.linalg  # noqa: F401  (its import is not the route's)
+
+        spec = chain(14, alpha=0.05, probes=(1, 12))
+        tracemalloc.start()
+        try:
+            low_spectrum_jcan(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * (1 << 20)
+
 
 class TestThermalCorrelator:
     def test_infinite_temperature(self):
@@ -530,8 +630,9 @@ class TestThermalCorrelator:
 
     def test_spectrum_holds_no_eigenvector_blocks(self):
         # every vector of a 12-spin spectrum would hold 20.7 MiB, what is
-        # kept 0.1 MiB; the peak, 40.8 MiB (41.3 with every vector kept), is
-        # the one-pass H buffer plus the 924-state block's eigh
+        # kept 0.1 MiB; the peak, 20.5 MiB, is the 924-state block's vectors
+        # and probe diagonals, its H already dropped (40.8 MiB with every
+        # block's H in one buffer through every eigh)
         spec = chain(10, alpha=0.05, probes=(1, 8))
         tracemalloc.start()
         try:
@@ -541,7 +642,7 @@ class TestThermalCorrelator:
             tracemalloc.stop()
         assert spectrum.vectors[6].shape == (924, 3)
         assert held < 1 << 20
-        assert peak < 41.4 * (1 << 20)
+        assert peak < 30 * (1 << 20)
 
     def test_dense_oracle_agreement(self):
         spec = chain(6, alpha=0.1)  # 8 spins
