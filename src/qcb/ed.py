@@ -157,12 +157,17 @@ def _bond_pass(n: int, bonds, n_ups: tuple[int, ...] | None):
 
     ``states`` are the block's sorted basis states and ``diagonal`` its
     diagonal, summed bond by bond in bond order: its floats, and so the
-    printed eigenvalues, depend on that order.  ``terms`` holds, per bond in
-    bond order, its flip-flop entries in the block, (at, weight): the
-    ascending positions row * dim + column in the block, the column read
-    from a table of every state's rank in its block, and half the bond's
-    weight.
+    printed eigenvalues, depend on that order.  ``terms`` holds, per spin
+    pair in the order of its first bond, its flip-flop entries in the block,
+    (at, weight): the ascending positions row * dim + column in the block,
+    the column read from a table of every state's rank in its block, and
+    half the weights of the pair's bonds, summed in bond order.  So no entry
+    has two terms, and the dense and CSR builds give it the same bits.
     """
+    flip = {}  # (i, j) -> the weights of its bonds, summed in bond order
+    for i, j, w in bonds:
+        pair = (min(i, j), max(i, j))
+        flip[pair] = flip[pair] + w if pair in flip else w
     every = np.arange(1 << n, dtype=np.int64)
     pop = np.bitwise_count(every)
     blocks = {m: every[pop == m] for m in (range(n + 1) if n_ups is None else n_ups)}
@@ -178,11 +183,14 @@ def _bond_pass(n: int, bonds, n_ups: tuple[int, ...] | None):
     for i, j, w in bonds:
         differ = ((states >> i) ^ (states >> j)) & 1
         diagonal += np.where(differ, -0.25 * w, 0.25 * w)
+        weight = flip.pop((min(i, j), max(i, j)), None)
+        if weight is None:  # a later bond of a pair: its entries are in
+            continue
         k = np.flatnonzero(differ)
         ends = [0, *np.searchsorted(k, cuts).tolist(), len(k)]
         at = row_start[k] + rank[states[k] ^ (1 << i) ^ (1 << j)]
         for m, lo, hi in zip(blocks, ends, ends[1:]):
-            terms[m].append((at[lo:hi], 0.5 * w))
+            terms[m].append((at[lo:hi], 0.5 * weight))
     return {m: (sts, d, terms[m])
             for (m, sts), d in zip(blocks.items(), np.split(diagonal, cuts))}
 
@@ -204,8 +212,8 @@ def _assemble(n: int, bonds, n_ups: tuple[int, ...] | None = None):
 
 
 def _dense_block(diagonal: np.ndarray, terms) -> np.ndarray:
-    """One block as an array: each bond's flip-flop entries added in bond
-    order (a bond is one scatter, no entry twice), then the diagonal."""
+    """One block as an array: each pair's flip-flop entries scattered in
+    pair order (no entry twice), then the diagonal."""
     dim = len(diagonal)
     h = np.zeros((dim, dim))
     flat = h.reshape(-1)
@@ -217,8 +225,7 @@ def _dense_block(diagonal: np.ndarray, terms) -> np.ndarray:
 
 def _csr_rows(diagonal: np.ndarray, terms, n_rows: int | None = None) -> csr_matrix:
     """The first ``n_rows`` rows of a block (every row by default) as CSR:
-    the flip-flop entries in bond order, the terms of one entry (a bond
-    listed twice) summed by the CSR build, then the diagonal added, a sum
+    the flip-flop entries in pair order, then the diagonal added, a sum
     that drops entries that are exactly zero."""
     from scipy.sparse import csr_matrix
 

@@ -207,6 +207,40 @@ def leibniz_block_per_term(p: OptoUnitaryParams, rows, cols, mu_levels, nu_level
     return values.reshape(len(rows), len(cols), *log_mirror.shape).transpose(0, 2, 1, 3)
 
 
+def mp_leibniz_block(p, cav, mir, dps=50):
+    """The closed-form elements <n, mu| rho |m, nu> as direct Leibniz sums in
+    ``dps``-digit arithmetic, shape (len(cav), len(mir), len(cav), len(mir))."""
+    from mpmath import mp, mpc, mpf
+
+    with mp.workdps(dps):
+        k, nb, t = mpf(p.k), mpf(p.n_bar), mpf(p.t)
+        alpha = mpc(p.alpha)
+        x = nb / (nb + 1)
+        et = 1 - mp.exp(-1j * t)
+        y2 = k**2 * abs(et) ** 2
+
+        def phi(n):
+            return -k**2 * n**2 * (t - mp.sin(t))
+
+        out = np.empty((len(cav), len(mir), len(cav), len(mir)), dtype=complex)
+        for i, n in enumerate(cav):
+            for j, m in enumerate(cav):
+                theta = (mp.exp(-abs(alpha) ** 2) * alpha**n * mp.conj(alpha) ** m
+                         / mp.sqrt(mp.factorial(n) * mp.factorial(m)))
+                pre = (theta * mp.exp(-1j * (phi(n) - phi(m))) / (nb + 1)
+                       * mp.exp(y2 * (x * n * m - (n**2 + m**2) / mpf(2))))
+                big_p, big_q = k * et * (n - x * m), k * mp.conj(et) * (m - x * n)
+                for a, mu in enumerate(mir):
+                    for b, nu in enumerate(mir):
+                        acc = mp.fsum(x**jj * big_p ** (mu - jj) * big_q ** (nu - jj)
+                                      / (mp.factorial(jj) * mp.factorial(mu - jj)
+                                         * mp.factorial(nu - jj))
+                                      for jj in range(min(mu, nu) + 1))
+                        value = pre * acc * mp.sqrt(mp.factorial(mu) * mp.factorial(nu))
+                        out[i, a, j, b] = complex(value)
+        return out
+
+
 def renormalization_check(p: OptoUnitaryParams, s: int,
                           mirror_levels: tuple[int, ...] = (0, 1)) -> tuple[float, float]:
     """Both sides of the subspace rescaling identity; they agree exactly.

@@ -136,6 +136,8 @@ class TestExitCodes:
         ["ed", "report", "--lattice", "ladder", "--L", "1000000000"],
         ["optomech-unitary", "--quantity", "marker", "--n-bar", "1.3753913865555556",
          "--t", "1e-300"],
+        *(["optomech-unitary", "--quantity", q, "--alpha", "1e200", "--n-bar", "1"]
+          for q in ("entropies", "mi-average", "tangle", "marker")),
     ])
     def test_overflowing_inputs_are_domain_errors(self, capsys, argv):
         # finite flags whose derived quantities overflow (or, at r = 20,
@@ -143,10 +145,13 @@ class TestExitCodes:
         # entangled state printed as separable=1, and no numpy warning.
         # From r = 356 on, cosh(r)^2 overflows the covariance itself; a
         # lattice of 10^9 sites is refused before its bonds are built; at
-        # t = 1e-300 the marker block is singular and its det is not finite.
+        # t = 1e-300 the marker block is singular and its det is not finite;
+        # an |alpha| of 1e200 is named by its square.
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("qcb: error:") and err.count("\n") == 1
+        if argv[0] == "optomech-unitary" and "--alpha" in argv:
+            assert err == "qcb: error: derived |alpha|^2 is not finite; inputs out of range\n"
 
     def test_grid_failure_names_the_point(self, capsys):
         # det V is lost to rounding at r = 9, the 16th point of the 5 x 5 grid
@@ -211,20 +216,34 @@ def test_allocation_failure_is_a_domain_error():
     assert result.stderr.startswith("qcb: error:") and "Traceback" not in result.stderr
 
 
-def test_mi_at_alpha_1000_ends_in_bounded_time_and_memory():
-    """``mi`` at |alpha| = 1000 correlates only its Poisson window (about
-    22 |alpha| weights around |alpha|^2 = 1e6), so a fresh process ends
-    within 10 s and 300 MB."""
+def run_in_fresh_process(argv):
+    """``qcb`` on ``argv`` in a fresh process with a 10 s timeout: the
+    result, with the process's peak RSS in KiB as the last word of stderr."""
     code = ("import resource, sys; from qcb.cli import main; rc = main(sys.argv[1:]); "
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
             "sys.exit(rc)")
-    argv = ["optomech-unitary", "--quantity", "mi", "--k", "1", "--alpha", "1000",
-            "--n-bar", "10", "--t", "1"]
     src = str(Path(__file__).resolve().parents[1] / "src")
-    result = subprocess.run([sys.executable, "-c", code, *argv], timeout=10,
-                            env=os.environ | {"PYTHONPATH": src},
-                            capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code, *argv], timeout=10,
+                          env=os.environ | {"PYTHONPATH": src},
+                          capture_output=True, text=True)
+
+
+def test_mi_at_alpha_1000_ends_in_bounded_time_and_memory():
+    """``mi`` at |alpha| = 1000 sums over its Skellam lags (about 13 |alpha|,
+    from an O(|alpha|) recurrence), so a fresh process ends within 10 s and
+    300 MB."""
+    result = run_in_fresh_process(["optomech-unitary", "--quantity", "mi", "--k", "1",
+                                   "--alpha", "1000", "--n-bar", "10", "--t", "1"])
     assert result.returncode == 0 and result.stdout.startswith("MI="), result.stderr
+    assert int(result.stderr.split()[-1]) < 300 * 1024  # ru_maxrss in KiB
+
+
+def test_entropies_at_alpha_1e5_end_in_bounded_time_and_memory():
+    """``entropies`` at |alpha| = 1e5 (1.4 million Skellam lags) ends within
+    10 s and 300 MB in a fresh process."""
+    result = run_in_fresh_process(["optomech-unitary", "--quantity", "entropies", "--k", "1",
+                                   "--alpha", "1e5", "--n-bar", "1", "--t", "1"])
+    assert result.returncode == 0 and result.stdout.startswith("S_total="), result.stderr
     assert int(result.stderr.split()[-1]) < 300 * 1024  # ru_maxrss in KiB
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -264,6 +265,21 @@ class TestHamiltonian:
             for sts in (block_states(spec.n_total, m) for m in range(spec.n_total + 1)):
                 assert np.array_equal(dense_block(bonds, sts),
                                       sparse_block(bonds, sts).toarray())
+
+    def test_pair_listed_three_times_gives_one_set_of_bits(self):
+        # 10 spins, every bath pair bonded and 0-1 listed three times with
+        # weights 0.1, 0.2 and 0.3, whose sum depends on its order: the bond
+        # pass sums them once, in bond order, so the dense and CSR builds of
+        # the 252-state block hold the same bits, and those of the per-bond
+        # oracle
+        bonds = tuple((i, j, 0.1 if (i, j) == (0, 1) else 1.0)
+                      for i, j in itertools.combinations(range(8), 2))
+        spec = LatticeSpec(8, bonds + ((0, 1, 0.2), (1, 0, 0.3)), (1, 6), 0.05)
+        ((sts, diagonal, terms),) = ed._bond_pass(10, spec.coupled_bonds(), (5,)).values()
+        assert len(sts) == 252 and len(terms) == 28 + 2
+        dense = ed._dense_block(diagonal, terms)
+        assert same_arrays(ed._csr_rows(diagonal, terms).toarray(), dense)
+        assert same_arrays(dense, dense_block(spec.coupled_bonds(), sts))
 
     def test_one_pass_blocks_equal_per_block_oracle(self):
         # every block, or a subset in any order, equal to the bit to the same

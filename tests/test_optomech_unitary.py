@@ -10,21 +10,18 @@ from qcb.exceptions import (
     DomainError,
     EmptySubspaceError,
     PurityError,
+    ResourceError,
     TruncationError,
     UndefinedMutualInfoError,
 )
 from qcb.optomech_unitary import (
     OptoUnitaryParams,
     SubspaceSelector,
-    _check_tails,
     _leibniz_block,
     _lag_weights,
     _linear_entropies,
     _poisson_log_weight,
-    _poisson_tails,
-    _poisson_window,
     averaged_mi,
-    default_fock_cutoff,
     eta,
     linear_entropies_closed,
     marker_upsilon,
@@ -34,7 +31,8 @@ from qcb.optomech_unitary import (
 )
 from qcb.qstate import tangle
 
-from random_states import leibniz_block_per_term, renormalization_check, subspace_tangle_t0
+from random_states import (leibniz_block_per_term, mp_leibniz_block, renormalization_check,
+                           subspace_tangle_t0)
 
 LOWEST = SubspaceSelector((0, 1), (0, 1))
 
@@ -105,40 +103,6 @@ class TestRhoElement:
         p = OptoUnitaryParams(k=0.1, alpha=1.0, n_bar=0.0, t=1.0)
         with pytest.raises(DomainError):
             rho_element(p, -1, 0, 0, 0)
-
-
-def mp_leibniz_block(p, cav, mir, dps=50):
-    """The closed-form elements <n, mu| rho |m, nu> as direct Leibniz sums in
-    ``dps``-digit arithmetic, shape (len(cav), len(mir), len(cav), len(mir))."""
-    from mpmath import mp, mpc, mpf
-
-    with mp.workdps(dps):
-        k, nb, t = mpf(p.k), mpf(p.n_bar), mpf(p.t)
-        alpha = mpc(p.alpha)
-        x = nb / (nb + 1)
-        et = 1 - mp.exp(-1j * t)
-        y2 = k**2 * abs(et) ** 2
-
-        def phi(n):
-            return -k**2 * n**2 * (t - mp.sin(t))
-
-        out = np.empty((len(cav), len(mir), len(cav), len(mir)), dtype=complex)
-        for i, n in enumerate(cav):
-            for j, m in enumerate(cav):
-                theta = (mp.exp(-abs(alpha) ** 2) * alpha**n * mp.conj(alpha) ** m
-                         / mp.sqrt(mp.factorial(n) * mp.factorial(m)))
-                pre = (theta * mp.exp(-1j * (phi(n) - phi(m))) / (nb + 1)
-                       * mp.exp(y2 * (x * n * m - (n**2 + m**2) / mpf(2))))
-                big_p, big_q = k * et * (n - x * m), k * mp.conj(et) * (m - x * n)
-                for a, mu in enumerate(mir):
-                    for b, nu in enumerate(mir):
-                        acc = mp.fsum(x**jj * big_p ** (mu - jj) * big_q ** (nu - jj)
-                                      / (mp.factorial(jj) * mp.factorial(mu - jj)
-                                         * mp.factorial(nu - jj))
-                                      for jj in range(min(mu, nu) + 1))
-                        value = pre * acc * mp.sqrt(mp.factorial(mu) * mp.factorial(nu))
-                        out[i, a, j, b] = complex(value)
-        return out
 
 
 class TestLeibnizKernel:
@@ -450,58 +414,52 @@ class TestEntropies:
         assert abs(s_cav - (1 - np.trace(rho_cav @ rho_cav).real)) < 1e-8
         assert abs(s_mir - (1 - np.trace(rho_mir @ rho_mir).real)) < 1e-8
 
-    def test_cutoff_rule_and_truncation_error(self):
-        p = OptoUnitaryParams(k=0.5, alpha=3.0, n_bar=1.0, t=1.0)
-        assert default_fock_cutoff(p.alpha) >= abs(p.alpha) ** 2 + 10 * math.sqrt(
-            abs(p.alpha) ** 2 + 1) - 1
-        _check_tails(abs(p.alpha) ** 2, 0, default_fock_cutoff(p.alpha))
-        with pytest.raises(TruncationError, match="beyond cutoff 10"):
-            _check_tails(abs(p.alpha) ** 2, 0, 10)
+def skellam_lag_weights(alpha, lags):
+    """r[0] and 2 r[d] at ``lags`` to 40 digits, r[d] = e^(-x) I_d(x) with
+    x = 2 |alpha|^2: ``mpmath.besseli`` (oracle)."""
+    import mpmath
 
-    def test_window_lower_edge_has_its_own_tail_check(self):
-        # alpha = 100: the window starts 12 alpha below the mean; 1 alpha is
-        # not enough
-        a2, cutoff = 1e4, default_fock_cutoff(100.0)
-        _check_tails(a2, 8800, cutoff)
-        with pytest.raises(TruncationError, match="below 9900"):
-            _check_tails(a2, 9900, cutoff)
+    with mpmath.workdps(40):
+        x = 2 * mpmath.mpf(abs(alpha)) ** 2
+        return [(1 if d == 0 else 2) * mpmath.besseli(d, x) * mpmath.exp(-x) for d in lags]
 
-    def test_tails_match_scipy_pdtr(self):
-        from scipy.special import pdtr, pdtrc
 
-        for a2 in (0.0, 0.01, 1.0, 9.0, 100.0, 1e4):
-            sigma = math.sqrt(a2)
-            edges = {0, 1, 10, default_fock_cutoff(sigma)} | {
-                max(0, math.floor(a2 + z * sigma)) for z in (-14, -12, -5, -1, 0, 1, 5, 12)}
-            for c in sorted(edges):
-                got = _poisson_tails(a2, c)
-                for g, want in zip(got, (pdtr(c, a2), pdtrc(c, a2))):
-                    assert abs(g - want) <= 1e-10 * want, (a2, c)
-        assert _poisson_tails(9.0, 10)[1] > 1e-12  # the cutoff-10 refusal above
+class TestSkellamLagWeights:
+    @pytest.mark.parametrize("alpha", [0.0, 1e-30, 0.1, 1.0, 10.0, 30.0])
+    def test_every_lag_against_40_digits(self, alpha):
+        # with no numpy warning (an error here) at |alpha| = 1e-30, where the
+        # recurrence's factor 2d/x is about 1e60 d
+        got = _lag_weights(alpha)
+        want = skellam_lag_weights(alpha, range(got.size))
+        assert max(abs(float(g - w)) for g, w in zip(got.tolist(), want)) <= 1e-14 * got[0]
 
-    def test_window_weights_against_50_digits(self):
-        # the lgamma weights are no worse than the gammaln ones were
+    def test_more_lags_than_an_array_holds_are_refused(self):
+        with pytest.raises(ResourceError, match=r"\|alpha\| = 1e\+100 needs 3.31e\+101 lags"):
+            _lag_weights(1e100)
+
+    def test_spread_of_lags_at_alpha_1000_against_40_digits(self):
+        # e^(-x) I_d(x) = (1/pi) int_0^pi e^(-x (1 - cos u)) cos(d u) du, with
+        # u = v/sqrt(x): the integrand is below 1e-50 of its peak beyond v = 24
         import mpmath
-        from scipy.special import gammaln
 
-        for alpha in (10.0, 100.0):
-            a2 = alpha**2
-            w = _poisson_window(alpha)
-            n = np.arange(max(0, math.floor(a2 - 12 * alpha)), default_fock_cutoff(alpha) + 1)
-            assert w.size == n.size
-            old = np.exp(n * math.log(a2) - a2 - gammaln(n + 1))
-            with mpmath.workdps(50):
-                exact = [mpmath.exp(k * mpmath.log(a2) - a2 - mpmath.loggamma(k + 1))
-                         for k in n.tolist()]
-                errors = [max(abs(float((mpmath.mpf(float(x)) - e) / e))
-                              for x, e in zip(weights, exact)) for weights in (w, old)]
-            assert errors[0] <= errors[1]
+        got = _lag_weights(1000.0)
+        lags = [0, 1, 700, 1414, 2828, 5000, 8000, got.size - 1]
+        with mpmath.workdps(40):
+            x = mpmath.mpf(2e6)
+            s = mpmath.sqrt(x)
+            for d in lags:
+                f = lambda v: mpmath.exp(-x * (1 - mpmath.cos(v / s))) * mpmath.cos(d * v / s)
+                want = (1 if d == 0 else 2) * mpmath.quad(f, mpmath.linspace(0, 24, 49)) / (
+                    mpmath.pi * s)
+                assert abs(float(got[d] - want)) <= 1e-14 * got[0], d
 
 
 def double_sum_partial_entropies(p, t, cutoff):
-    """The O(T N^2) double Poisson sums of the partial purities (oracle)."""
-    w = _poisson_window(p.alpha)
-    idx = np.arange(cutoff + 1 - w.size, cutoff + 1)
+    """The O(T N^2) double Poisson sums of the partial purities over the
+    weights of Fock levels 0..cutoff (oracle)."""
+    a2 = abs(p.alpha) ** 2
+    w = np.exp([_poisson_log_weight(a2, n) for n in range(cutoff + 1)])
+    idx = np.arange(cutoff + 1)
     d2 = (idx[:, None] - idx[None, :]) ** 2
     ww = w[:, None] * w[None, :]
     y2 = p.k**2 * np.abs(eta(t)) ** 2
@@ -539,7 +497,7 @@ def averaged_mi_full_grids(p):
 class TestMutualInformation:
     def test_autocorrelation_matches_double_sum(self):
         alpha = 10.0
-        cutoff = default_fock_cutoff(alpha)
+        cutoff = math.ceil(alpha**2 + 10.0 * math.sqrt(alpha**2 + 1.0))  # 10 sigma above
         for n_bar in (10.0, 1.0, 0.3):
             p = OptoUnitaryParams(k=1.0, alpha=alpha, n_bar=n_bar, t=0.0)
             t = np.linspace(0.0, 2.0 * math.pi, 257)
@@ -585,22 +543,22 @@ class TestMutualInformation:
         assert abs(averaged_mi(p) - 0.52) <= 0.02
 
     def test_averaged_value_frozen_at_large_alpha(self):
-        # frozen on the windowed lgamma weights; the same pipeline fed with
-        # 50-digit weights gives 0.5218170409600509 (4.6e-14 away)
+        # frozen on the Skellam lag weights: the value that the same pipeline
+        # gives with 50-digit window weights (the correlated window's
+        # 0.521817040960005 was 4.6e-14 away)
         p = OptoUnitaryParams(k=1.0, alpha=100.0, n_bar=10.0, t=0.0)
-        assert averaged_mi(p) == 0.521817040960005
+        assert averaged_mi(p) == 0.5218170409600509
 
     def test_window_trim_and_chunks_leave_the_average(self, monkeypatch):
-        # against all weights 0..cutoff (exact zeros left out), one chunk
+        # against Skellam lags untrimmed down to a tail of 1e-300 r[0], from
+        # a later start of the recurrence, in one chunk
         for alpha in (10.0, 100.0):
             p = OptoUnitaryParams(k=1.0, alpha=alpha, n_bar=10.0, t=0.0)
             got = averaged_mi(p)
-            a2, cutoff = alpha**2, default_fock_cutoff(alpha)
-            w = np.exp([_poisson_log_weight(a2, n) for n in range(cutoff + 1)])
-            v = w[np.flatnonzero(w)[0]:]
-            r = np.concatenate((np.correlate(v, v, mode="full")[v.size - 1:],
-                                np.zeros(w.size - v.size)))
-            full = np.concatenate((r[:1], 2.0 * r[1:]))
+            with monkeypatch.context() as m:
+                m.setattr("qcb.optomech_unitary._LAG_TAIL", 1e-300)
+                full = _lag_weights(alpha)
+            assert full.size > _lag_weights(alpha).size
             with monkeypatch.context() as m:
                 m.setattr("qcb.optomech_unitary._lag_weights", lambda _: full)
                 m.setattr("qcb.optomech_unitary._CHUNK_ELEMENTS", 1 << 62)
@@ -617,12 +575,19 @@ class TestMutualInformation:
             assert np.max(np.abs(a - b)) <= 1e-15
 
     def test_lags_end_at_the_floor(self):
-        # |alpha|^2 = 1e-60: r[d] ~ 1e-60 d / d!^2, below 1e-300 r[0] from d = 5
-        w = _poisson_window(1e-30)
-        r = np.correlate(w, w, mode="full")[w.size - 1:]
-        lag_weight = _lag_weights(1e-30)
-        assert lag_weight.size == 5 < r.size
-        assert np.all(r[5:] <= 1e-300 * r[0]) and r[4] > 1e-300 * r[0]
+        # the last kept lag D is the first whose dropped tail sum_(d>D) r[d]
+        # is at most 1e-17 r[0] (40-digit sums); the tail after D - 1 is not
+        for alpha in (0.1, 1.0, 10.0):
+            got = _lag_weights(alpha)
+            r = skellam_lag_weights(alpha, range(got.size + 200))
+            tail = sum(r[got.size:]) / 2
+            assert tail <= 1e-17 * r[0] < tail + r[got.size - 1] / 2
+        # |alpha|^2 = 1e-60: r[1] = 1e-60 r[0] is the whole dropped tail, so
+        # lag 0 alone is kept, as at alpha = 0
+        assert _lag_weights(1e-30).tolist() == [1.0]
+        assert _lag_weights(0.0).tolist() == [1.0]
+        # about 13 |alpha| lags from alpha = 10 on
+        assert [_lag_weights(alpha).size for alpha in (10.0, 100.0, 1000.0)] == [129, 1295, 13289]
 
     def test_lag_sums_reach_the_gaussian_limit(self):
         # |alpha| = 1000: sum_pq w_p w_q e^(-c y^2 (p-q)^2) -> 1/sqrt(1 + 4 c alpha^2 y^2)
