@@ -10,18 +10,19 @@ Engine (after Sandvik, arXiv:1101.3281, sec. 4): basis states are bit
 strings and blocks are sorted arrays of equal popcount.  One pass of array
 bit operations over all states of the requested blocks keeps each block's
 diagonal and each bond's flip-flop entries in it; a block's H is built from
-those only when the block is reached, at or below ``DENSE_BLOCK_CAP``
-(dense ``eigh``) as an array of its own, one scatter per bond, above it as
-CSR.  Two routes diagonalize, one block at a time: :func:`full_spectrum`
-takes every block of a lattice of at most 12 spins by dense ``eigh``, and
-the probe route (:func:`_probe_block`) takes the S_z = 0 block alone, by
-dense ``eigh`` at or below the cap and above it by Lanczos from a fixed
-start vector on the two half-size sectors of the global spin flip
-F = prod sigma^x, built from the first half of the block's rows (the whole
-block is never built).  Dense blocks are not reduced, because the printed
-goldens pin the bits of their direct ``eigh``.  Importing this module
-loads no scipy, and neither does a dense block: only the Lanczos branch
-imports ``scipy.sparse`` and ``scipy.sparse.linalg``.
+those only when the block is reached, in one of two formats.  A whole block
+is a dense array of its own, one scatter per bond, and only up to
+``DENSE_BLOCK_CAP`` states: a larger one raises ResourceError.  Above the
+cap the S_z = 0 block is built only as the two half-size sectors of the
+global spin flip F = prod sigma^x, as CSR from the first half of its rows.
+Two routes diagonalize, one block at a time: :func:`full_spectrum` takes
+every block of a lattice of at most 12 spins by dense ``eigh``, and the
+probe route (:func:`_probe_block`) takes the S_z = 0 block alone, by dense
+``eigh`` at or below the cap and above it by Lanczos from a fixed start
+vector on its two flip sectors.  Dense blocks are not reduced, because the
+printed goldens pin the bits of their direct ``eigh``.  Importing this
+module loads no scipy, and neither does a dense block: only the Lanczos
+branch imports ``scipy.sparse`` and ``scipy.sparse.linalg``.
 A spectrum keeps no block's eigenvectors but the three lowest of the
 S_z = 0 block: right after its ``eigh``, :func:`full_spectrum` reduces each
 block to its levels and probe correlator diagonals.
@@ -150,10 +151,10 @@ def ladder(length: int, alpha: float, probes: str | tuple[int, int] = "ends") ->
 # ---------------------------------------------------------------------------
 
 
-def _bond_pass(n: int, bonds, n_ups: tuple[int, ...] | None):
+def _bond_pass(n: int, bonds, n_ups: tuple[int, ...]):
     """{n_up: (states, diagonal, terms)} of ``n`` spins and ``bonds``, for
-    every block or those in ``n_ups``, in that order, from one pass over all
-    their states.
+    the blocks in ``n_ups``, in that order, from one pass over all their
+    states.
 
     ``states`` are the block's sorted basis states and ``diagonal`` its
     diagonal, summed bond by bond in bond order: its floats, and so the
@@ -162,7 +163,8 @@ def _bond_pass(n: int, bonds, n_ups: tuple[int, ...] | None):
     (at, weight): the ascending positions row * dim + column in the block,
     the column read from a table of every state's rank in its block, and
     half the weights of the pair's bonds, summed in bond order.  So no entry
-    has two terms, and the dense and CSR builds give it the same bits.
+    has two terms, and a dense block and the flip sectors give it the same
+    bits.
     """
     flip = {}  # (i, j) -> the weights of its bonds, summed in bond order
     for i, j, w in bonds:
@@ -170,7 +172,7 @@ def _bond_pass(n: int, bonds, n_ups: tuple[int, ...] | None):
         flip[pair] = flip[pair] + w if pair in flip else w
     every = np.arange(1 << n, dtype=np.int64)
     pop = np.bitwise_count(every)
-    blocks = {m: every[pop == m] for m in (range(n + 1) if n_ups is None else n_ups)}
+    blocks = {m: every[pop == m] for m in n_ups}
     states = np.concatenate(list(blocks.values()))
     dims = [len(sts) for sts in blocks.values()]
     cuts = np.cumsum(dims)[:-1]
@@ -197,18 +199,21 @@ def _bond_pass(n: int, bonds, n_ups: tuple[int, ...] | None):
 
 def _assemble(n: int, bonds, n_ups: tuple[int, ...] | None = None):
     """Yield (n_up, states, H) of ``n`` spins and ``bonds`` block by block,
-    for every block or those in ``n_ups``, in that order.
+    for every block or those in ``n_ups``, in that order, each H a dense
+    array of its own (:func:`_dense_block`).
 
-    One :func:`_bond_pass` serves every block, and each H is built only when
-    its block is reached, so a caller that drops it holds one block at a
-    time.  A block at or below ``DENSE_BLOCK_CAP`` is an array of its own
-    (:func:`_dense_block`); a larger one is CSR (:func:`_csr_rows`).
+    A requested block of more than ``DENSE_BLOCK_CAP`` states raises
+    ResourceError before any is built.  One :func:`_bond_pass` serves every
+    block, and each H is built only when its block is reached, so a caller
+    that drops it holds one block at a time.
     """
+    n_ups = tuple(range(n + 1)) if n_ups is None else n_ups
+    for m in n_ups:
+        if math.comb(n, m) > DENSE_BLOCK_CAP:
+            raise ResourceError(f"the block of {m} up spins out of {n} has {math.comb(n, m)} "
+                                f"states; a dense block holds at most {DENSE_BLOCK_CAP}")
     for m, (sts, diagonal, terms) in _bond_pass(n, bonds, n_ups).items():
-        if len(sts) <= DENSE_BLOCK_CAP:
-            yield m, sts, _dense_block(diagonal, terms)
-        else:
-            yield m, sts, _csr_rows(diagonal, terms)
+        yield m, sts, _dense_block(diagonal, terms)
 
 
 def _dense_block(diagonal: np.ndarray, terms) -> np.ndarray:
@@ -223,27 +228,12 @@ def _dense_block(diagonal: np.ndarray, terms) -> np.ndarray:
     return h
 
 
-def _csr_rows(diagonal: np.ndarray, terms, n_rows: int | None = None) -> csr_matrix:
-    """The first ``n_rows`` rows of a block (every row by default) as CSR:
-    the flip-flop entries in pair order, then the diagonal added, a sum
-    that drops entries that are exactly zero."""
-    from scipy.sparse import csr_matrix
-
-    dim = len(diagonal)
-    n_rows = dim if n_rows is None else n_rows
-    tops = [np.searchsorted(at, n_rows * dim) for at, _ in terms]
-    rows_cols = np.divmod(np.concatenate([at[:top] for (at, _), top in zip(terms, tops)]), dim)
-    h = csr_matrix((np.repeat([weight for _, weight in terms], tops), rows_cols),
-                   shape=(n_rows, dim))
-    on = np.arange(n_rows)
-    h += csr_matrix((diagonal[:n_rows], (on, on)), shape=(n_rows, dim))
-    return h
-
-
 def _flip_sectors(diagonal: np.ndarray, terms) -> tuple[csr_matrix, csr_matrix]:
     """The F = +1 and F = -1 sectors A + B and A - B of an S_z = 0 block
-    (:func:`_flip_sector_levels`), as CSR, from the first half of its rows
-    alone (:func:`_csr_rows`).
+    (:func:`_flip_sector_levels`), each as CSR from one COO build, with
+    int32 indices, over the entries of the first half of its rows: the
+    flip-flop entries of every pair whose weight is not zero, then the
+    nonzero diagonal (the whole block is never built).
 
     F reverses the sorted basis, so A = H[:half, :half] and column c of B
     is column dim - 1 - c of the block.  The (row, col) pairs that A and B
@@ -254,24 +244,29 @@ def _flip_sectors(diagonal: np.ndarray, terms) -> tuple[csr_matrix, csr_matrix]:
 
     dim = len(diagonal)
     half = dim // 2
-    top = _csr_rows(diagonal, terms, half).tocoo()
-    right = top.col >= half
-    cols = np.where(right, dim - 1 - top.col, top.col)
-    return tuple(csr_matrix((np.where(right, sign * top.data, top.data), (top.row, cols)),
-                            shape=(half, half)) for sign in (1.0, -1.0))
+    on = np.flatnonzero(diagonal[:half])
+    kept = [(at[:np.searchsorted(at, half * dim)], weight) for at, weight in terms if weight]
+    # every position is below half * dim < 2**31 (at most 16 spins)
+    rows, cols = np.divmod(np.concatenate([at for at, _ in kept] + [on * (dim + 1)],
+                                          dtype=np.int32), dim)
+    data = np.concatenate([np.full(len(at), weight) for at, weight in kept] + [diagonal[on]])
+    right = cols >= half
+    cols[right] = dim - 1 - cols[right]
+    return tuple(csr_matrix((d, (rows, cols)), shape=(half, half))
+                 for d in (data, np.where(right, -data, data)))
 
 
 def build_hamiltonian(spec: LatticeSpec, blocks: tuple[int, ...] | None = None
-                      ) -> dict[int, tuple[np.ndarray, np.ndarray | csr_matrix]]:
+                      ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Per-S_z-block Hamiltonian of bath + probes, from one bond pass
     (:func:`_assemble`).
 
     Returns {n_up: (basis states, H_block)} for every block, or only for the
-    n_up values in ``blocks``: an array of its own at or below
-    ``DENSE_BLOCK_CAP`` states, CSR above it.  H commutes with total S_z by
-    construction (only flip-flop terms appear off the diagonal).  The
-    diagonalization routes do not hold every block at once: they take the
-    blocks one by one from :func:`_assemble`.
+    n_up values in ``blocks``, each H a dense array of its own; a block of
+    more than ``DENSE_BLOCK_CAP`` states raises ResourceError.  H commutes
+    with total S_z by construction (only flip-flop terms appear off the
+    diagonal).  The diagonalization routes do not hold every block at once:
+    they take the blocks one by one from :func:`_assemble`.
     """
     return {m: (sts, h) for m, sts, h in _assemble(spec.n_total, spec.coupled_bonds(), blocks)}
 
@@ -386,8 +381,9 @@ def _flip_sector_levels(sectors: tuple[csr_matrix, csr_matrix],
 
 def total_spin_expectation(n: int, m: int, vec: np.ndarray) -> float:
     """<S_tot^2> of a vector of the block of ``m`` up spins out of ``n`` (0
-    for a singlet, 2 for a triplet), from the full O(n^2) pair operator: the
-    oracle for :func:`_spin_squared`."""
+    for a singlet, 2 for a triplet), from the full O(n^2) pair operator as a
+    dense block (ResourceError above ``DENSE_BLOCK_CAP`` states): the oracle
+    for :func:`_spin_squared`."""
     pairs = tuple((i, j, 2.0) for i in range(n) for j in range(i + 1, n))
     ((_, _, op),) = _assemble(n, pairs, (m,))  # 2 sum_{i<j} S_i.S_j
     return float(vec @ (op @ vec)) + 0.75 * n
@@ -433,8 +429,8 @@ def _probe_block(spec: LatticeSpec, spectrum: SpectrumResult | None):
             f"{spec.n_total} spins have half-integer total spin: no probe singlet")
     mid = spec.n_total // 2
     if spectrum is None:
-        # above the cap, the whole block's CSR is never built: only its
-        # two spin-flip sectors, from the first half of its rows
+        # above the cap the whole block is never built: only its two
+        # spin-flip sectors, from the first half of its rows
         ((sts, diagonal, terms),) = _bond_pass(spec.n_total, spec.coupled_bonds(), (mid,)).values()
         h = (_dense_block if len(sts) <= DENSE_BLOCK_CAP else _flip_sectors)(diagonal, terms)
         del diagonal, terms

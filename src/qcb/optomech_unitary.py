@@ -274,13 +274,23 @@ def marker_upsilon(p: OptoUnitaryParams, sel: SubspaceSelector) -> float:
     show two.  Computed on the unnormalized projection so the subspace
     rescaling identity is exact; the sign is unaffected by normalization.
     A determinant that is not finite (the LU of a singular block with
-    subnormal entries divides by zero) is a DomainError.
+    subnormal entries divides by zero) is a DomainError, and so is one that
+    underflows to 0 while ``slogdet`` finds it nonzero: no 0 printed means
+    underflow.  A block with no nonzero entry is an EmptySubspaceError.
     """
     raw = projected_density(p, sel, normalize=False)
     dc, dm = len(sel.cavity_levels), len(sel.mirror_levels)
     pt = np.transpose(raw.reshape(dc, dm, dc, dm), (2, 1, 0, 3)).reshape(dc * dm, dc * dm)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         det = np.linalg.det(pt)
+        if det == 0:
+            sign, logdet = np.linalg.slogdet(pt)
+            if sign != 0:
+                raise DomainError(f"marker determinant underflows: log|det| = {logdet:.6g} "
+                                  f"at t = {p.t}")
+            if not raw.any():
+                raise EmptySubspaceError("projection onto the selected subspace is zero: "
+                                         "no marker")
     if not np.isfinite(det):
         raise DomainError(f"marker determinant is not finite ({det.real}) at t = {p.t}")
     return float(-det.real)

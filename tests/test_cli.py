@@ -138,6 +138,8 @@ class TestExitCodes:
          "--t", "1e-300"],
         *(["optomech-unitary", "--quantity", q, "--alpha", "1e200", "--n-bar", "1"]
           for q in ("entropies", "mi-average", "tangle", "marker")),
+        ["optomech-unitary", "--k", "0.4", "--n-bar", "2", "--t", "2.5",
+         "--cavity", "0,1,2,3,4,5", "--mirror", ",".join(map(str, range(40, 60)))],
     ])
     def test_overflowing_inputs_are_domain_errors(self, capsys, argv):
         # finite flags whose derived quantities overflow (or, at r = 20,
@@ -146,12 +148,17 @@ class TestExitCodes:
         # From r = 356 on, cosh(r)^2 overflows the covariance itself; a
         # lattice of 10^9 sites is refused before its bonds are built; at
         # t = 1e-300 the marker block is singular and its det is not finite;
-        # an |alpha| of 1e200 is named by its square.
+        # an |alpha| of 1e200 is named by its square; the det of the 6 x 20
+        # marker block at README command 6's couplings underflows to 0, and
+        # its log|det| is named instead of marker=-0.
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("qcb: error:") and err.count("\n") == 1
         if argv[0] == "optomech-unitary" and "--alpha" in argv:
             assert err == "qcb: error: derived |alpha|^2 is not finite; inputs out of range\n"
+        if "--cavity" in argv:
+            assert err == ("qcb: error: marker determinant underflows: log|det| = -2635.92"
+                           " at t = 2.5\n")
 
     def test_grid_failure_names_the_point(self, capsys):
         # det V is lost to rounding at r = 9, the 16th point of the 5 x 5 grid
@@ -218,10 +225,14 @@ def test_allocation_failure_is_a_domain_error():
 
 def run_in_fresh_process(argv):
     """``qcb`` on ``argv`` in a fresh process with a 10 s timeout: the
-    result, with the process's peak RSS in KiB as the last word of stderr."""
-    code = ("import resource, sys; from qcb.cli import main; rc = main(sys.argv[1:]); "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
-            "sys.exit(rc)")
+    result, with the process's peak RSS in KiB as the last word of stderr.
+
+    The peak is ``VmHWM`` of ``/proc/self/status`` (Linux), which starts
+    anew at exec; ``ru_maxrss`` would carry the parent's (pytest's) peak
+    across fork and exec."""
+    code = ("import sys; from qcb.cli import main; rc = main(sys.argv[1:]); "
+            "print(next(line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')), file=sys.stderr); sys.exit(rc)")
     src = str(Path(__file__).resolve().parents[1] / "src")
     return subprocess.run([sys.executable, "-c", code, *argv], timeout=10,
                           env=os.environ | {"PYTHONPATH": src},
@@ -235,7 +246,7 @@ def test_mi_at_alpha_1000_ends_in_bounded_time_and_memory():
     result = run_in_fresh_process(["optomech-unitary", "--quantity", "mi", "--k", "1",
                                    "--alpha", "1000", "--n-bar", "10", "--t", "1"])
     assert result.returncode == 0 and result.stdout.startswith("MI="), result.stderr
-    assert int(result.stderr.split()[-1]) < 300 * 1024  # ru_maxrss in KiB
+    assert int(result.stderr.split()[-1]) < 300 * 1024  # VmHWM in KiB
 
 
 def test_entropies_at_alpha_1e5_end_in_bounded_time_and_memory():
@@ -244,7 +255,7 @@ def test_entropies_at_alpha_1e5_end_in_bounded_time_and_memory():
     result = run_in_fresh_process(["optomech-unitary", "--quantity", "entropies", "--k", "1",
                                    "--alpha", "1e5", "--n-bar", "1", "--t", "1"])
     assert result.returncode == 0 and result.stdout.startswith("S_total="), result.stderr
-    assert int(result.stderr.split()[-1]) < 300 * 1024  # ru_maxrss in KiB
+    assert int(result.stderr.split()[-1]) < 300 * 1024  # VmHWM in KiB
 
 
 def test_cli_import_leaves_out_scipy_stats():

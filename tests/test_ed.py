@@ -95,7 +95,8 @@ def dense_block(bonds, states):
 
 def sparse_block(bonds, states):
     """One block as CSR, from the same terms as :func:`dense_block`: the
-    oracle for the CSR blocks of :func:`build_hamiltonian`."""
+    whole block that the flip sectors are cut from (:func:`flip_sectors`),
+    and the oracle's pair operator above ``DENSE_BLOCK_CAP`` states."""
     from scipy.sparse import csr_matrix
 
     dim = len(states)
@@ -142,11 +143,14 @@ def same_arrays(got, want):
                for part in ("indptr", "indices", "data"))
 
 
-def block_hamiltonian(bonds, states):
-    """Per-block oracle: dense at or below ``DENSE_BLOCK_CAP`` states, CSR
-    above it."""
-    build = dense_block if len(states) <= ed.DENSE_BLOCK_CAP else sparse_block
-    return build(bonds, states)
+def sparse_spin_squared(n, m, vec):
+    """<S_tot^2> of a vector of the block of ``m`` up spins out of ``n``,
+    from the O(n^2) pair operator as CSR (:func:`sparse_block`): the oracle
+    for :func:`_spin_squared` where :func:`total_spin_expectation` refuses
+    the block, above ``DENSE_BLOCK_CAP`` states."""
+    pairs = tuple((i, j, 2.0) for i in range(n) for j in range(i + 1, n))
+    op = sparse_block(pairs, block_states(n, m))  # 2 sum_{i<j} S_i.S_j
+    return float(vec @ (op @ vec)) + 0.75 * n
 
 
 def boltzmann_average_per_block(spectrum, betas):
@@ -197,7 +201,7 @@ def chi_resolvent(spec):
     oracle for :func:`chi_lehman_and_phi`."""
     m0 = spec.n_bath // 2
     states = block_states(spec.n_bath, m0)
-    h = block_hamiltonian(spec.bonds, states)
+    h = dense_block(spec.bonds, states)
     w, v = np.linalg.eigh(h)
     a, b = spec.probe_sites
     za = np.where((states >> a) & 1, 0.5, -0.5)
@@ -269,16 +273,18 @@ class TestHamiltonian:
     def test_pair_listed_three_times_gives_one_set_of_bits(self):
         # 10 spins, every bath pair bonded and 0-1 listed three times with
         # weights 0.1, 0.2 and 0.3, whose sum depends on its order: the bond
-        # pass sums them once, in bond order, so the dense and CSR builds of
-        # the 252-state block hold the same bits, and those of the per-bond
-        # oracle
+        # pass sums them once, in bond order, so the flip sectors of the
+        # 252-state block hold the bits of A +- B cut from its dense block,
+        # and that block those of the per-bond oracle
         bonds = tuple((i, j, 0.1 if (i, j) == (0, 1) else 1.0)
                       for i, j in itertools.combinations(range(8), 2))
         spec = LatticeSpec(8, bonds + ((0, 1, 0.2), (1, 0, 0.3)), (1, 6), 0.05)
         ((sts, diagonal, terms),) = ed._bond_pass(10, spec.coupled_bonds(), (5,)).values()
         assert len(sts) == 252 and len(terms) == 28 + 2
         dense = ed._dense_block(diagonal, terms)
-        assert same_arrays(ed._csr_rows(diagonal, terms).toarray(), dense)
+        a, b = dense[:126, :126], dense[:126, 126:][:, ::-1]
+        for sector, cut in zip(ed._flip_sectors(diagonal, terms), (a + b, a - b)):
+            assert same_arrays(sector.toarray(), cut)
         assert same_arrays(dense, dense_block(spec.coupled_bonds(), sts))
 
     def test_one_pass_blocks_equal_per_block_oracle(self):
@@ -302,22 +308,27 @@ class TestHamiltonian:
                 assert isinstance(h, np.ndarray)
                 assert np.array_equal(h, dense_block(bonds, sts))
 
-    def test_one_pass_csr_blocks_equal_per_block_oracle(self):
-        # 16 spins: two CSR blocks requested before two dense ones; the CSR
-        # blocks hold the same entries, in the same order, as the oracle's,
-        # so none where the cancelling bonds of REPEATED_BONDS or a zero
-        # diagonal leave an exact zero
+    def test_sixteen_spin_blocks_are_dense_or_refused(self):
+        # 16 spins: the blocks of 4 and 3 up spins (1820 and 560 states) are
+        # dense and hold the oracle's bits; a whole block above the cap (the
+        # 12,870 states of S_z = 0) is refused, for the pair operator too.
+        # The sectors drop the zero diagonal of REPEATED_BONDS' S_z = 0 block
+        # as the oracle's CSR does (test_flip_sectors_equal_cut_from_whole_block)
         for spec in (chain(14, alpha=0.05, probes=(1, 12)), ladder(7, alpha=0.05),
                      REPEATED_BONDS):
             bonds = spec.coupled_bonds()
-            built = build_hamiltonian(spec, (8, 7, 4, 3))
-            assert list(built) == [8, 7, 4, 3]
+            built = build_hamiltonian(spec, (4, 3))
+            assert list(built) == [4, 3]
             for m, (sts, h) in built.items():
                 assert np.array_equal(sts, block_states(spec.n_total, m))
-                assert isinstance(h, np.ndarray) == (len(sts) <= ed.DENSE_BLOCK_CAP)
-                assert same_arrays(h, block_hamiltonian(bonds, sts)), (spec.label, m)
-        h = built[8][1]  # REPEATED_BONDS' S_z = 0 block
-        assert np.count_nonzero(h.diagonal() == 0) == 1164 and not np.any(h.data == 0)
+                assert same_arrays(h, dense_block(bonds, sts)), (spec.label, m)
+            for blocks in ((8,), (4, 7), None):
+                with pytest.raises(ResourceError, match="up spins out of 16 has [0-9]+ states"):
+                    build_hamiltonian(spec, blocks)
+        with pytest.raises(ResourceError, match="12870 states"):
+            total_spin_expectation(16, 8, np.zeros(12870))
+        ((_, diagonal, _),) = ed._bond_pass(16, REPEATED_BONDS.coupled_bonds(), (8,)).values()
+        assert np.count_nonzero(diagonal == 0) == 1164
 
     def test_probe_correlator_gather_equals_sparse_product(self):
         for spec in (chain(10, alpha=0.05, probes=(1, 8)), chain(8, alpha=0.05, probes=(1, 6)),
@@ -398,7 +409,7 @@ class TestLowSpectrum:
         spec = chain(14, alpha=0.05, probes=(1, 12))
         result, mid = _probe_block(spec, None)
         s2 = [_spin_squared(result, mid, (k,))[0] for k in range(3)]
-        oracle = [total_spin_expectation(spec.n_total, mid, result.vectors[mid][:, k])
+        oracle = [sparse_spin_squared(spec.n_total, mid, result.vectors[mid][:, k])
                   for k in range(3)]
         assert np.max(np.abs(np.subtract(s2, oracle))) < 1e-9
         assert np.max(np.abs(np.subtract(s2[:2], [0.0, 2.0]))) < 1e-6
@@ -406,15 +417,17 @@ class TestLowSpectrum:
     def test_spin_check_of_several_levels_matches_pair_operator(self):
         # one call per block for all its stored levels: a 10-spin lattice
         # (dense, every block with every vector) and the 16-spin S_z = 0
-        # block (Lanczos)
-        for result in (every_vector_spectrum(chain(8, alpha=0.05, probes=(1, 6))),
-                       _probe_block(chain(14, alpha=0.05, probes=(1, 12)), None)[0]):
+        # block (Lanczos, its pair operator as CSR)
+        for result, oracle_of in (
+                (every_vector_spectrum(chain(8, alpha=0.05, probes=(1, 6))),
+                 total_spin_expectation),
+                (_probe_block(chain(14, alpha=0.05, probes=(1, 12)), None)[0],
+                 sparse_spin_squared)):
             spec = result.spec
             for m, energies in result.energies.items():
                 levels = tuple(range(min(len(energies), 6)))
                 s2 = _spin_squared(result, m, levels)
-                oracle = [total_spin_expectation(spec.n_total, m, result.vectors[m][:, k])
-                          for k in levels]
+                oracle = [oracle_of(spec.n_total, m, result.vectors[m][:, k]) for k in levels]
                 assert np.max(np.abs(np.subtract(s2, oracle))) < 1e-9, (spec.label, m)
 
     def test_flip_sectors_and_mirror_match_plain_lanczos(self):
@@ -422,7 +435,8 @@ class TestLowSpectrum:
         # of the whole block
         spec = chain(14, alpha=0.05, probes=(1, 12))
         result, mid = _probe_block(spec, None)
-        ((sts, h),) = build_hamiltonian(spec, (mid,)).values()
+        sts = block_states(spec.n_total, mid)
+        h = sparse_block(spec.coupled_bonds(), sts)
         assert np.array_equal(result.states[mid], sts)
         assert len(result.energies[mid]) == 3
         assert np.max(np.abs(result.energies[mid] - plain_lanczos(h)[:3])) < 1e-10

@@ -178,7 +178,9 @@ def test_phase_table_is_bit_identical_to_per_term_factors(args, cav, mir):
 
 def test_phase_table_is_bounded_by_the_terms(monkeypatch, capsys):
     """Far-apart mirror levels allocate nothing per level of the gap: the
-    phase table never holds more entries than the block has terms."""
+    phase table never holds more entries than the block has terms.  The
+    marker of the all-zero block at mirror levels 100000, 100001 is refused,
+    not printed as 0."""
     sizes = []
     table_of = optomech_unitary._phase_table
 
@@ -191,8 +193,9 @@ def test_phase_table_is_bounded_by_the_terms(monkeypatch, capsys):
     for n_bar in (0.0, 2.0):
         p = OptoUnitaryParams(k=0.4, alpha=1.0, n_bar=n_bar, t=2.5)
         projected_density(p, SubspaceSelector((0, 1), (3, 100000)), normalize=False)
-    assert cli.main(["optomech-unitary", "--mirror", "100000,100001"]) == 0
-    assert capsys.readouterr().out.startswith("marker=")
+    assert cli.main(["optomech-unitary", "--mirror", "100000,100001"]) == 3
+    assert capsys.readouterr().err == ("qcb: error: projection onto the selected subspace "
+                                       "is zero: no marker\n")
     assert all(size <= terms for size, terms in sizes)
     assert sizes[0][1] <= 16 and sizes[2][1] <= 16  # n_bar = 0: one term each
 
