@@ -302,40 +302,26 @@ def _symmetric_unknowns(n: int):
     return i, j, pos
 
 
-@functools.cache
-def _operator_terms(n: int):
-    """The terms w A_xy of the vectorized operator of n x n systems, as two
-    tuples of (row, column, w, x, y): every nonzero entry's first term, and
-    the second term of the entries that have two.
-
-    (A V + V A^T)_ij = sum_k A_ik V_kj + A_jk V_ik, so w counts how often
-    A_xy multiplies unknown c in equation r (once or twice), and no entry
-    has more than two distinct A_xy.
-    """
-    i, j, pos = _symmetric_unknowns(n)
-    r, k = np.arange(i.size)[:, None], np.arange(n)
-    tally = np.zeros((i.size, i.size, n, n))
-    np.add.at(tally, (r, pos[k, j[:, None]], i[:, None], k), 1.0)
-    np.add.at(tally, (r, pos[i[:, None], k], j[:, None], k), 1.0)
-    r, c, x, y = np.nonzero(tally)  # entry by entry
-    first = np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])]
-    terms = (r, c, tally[r, c, x, y], x, y)
-    return tuple(tuple(zip(*(t[s].tolist() for t in terms))) for s in (first, ~first))
-
-
 def _lyapunov_operator(a: np.ndarray) -> np.ndarray:
-    """The vectorized operator of V -> A V + V A^T for each A of the stack:
-    each entry's one or two terms written into zeros, the second added with
-    one ``+``, one term at a time over the stack (no temporary larger than
-    one entry's stack).  No absent term is read, so an entry without terms
-    stays +0 (a weight-0 term of a negative A_xy would write -0.0)."""
+    """The vectorized operator of V -> A V + V A^T for each A of the stack,
+    from (A V + V A^T)_ij = sum_k A_ik V_kj + A_jk V_ik: in equation (i, j),
+    A_ik multiplies unknown (k, j) and A_jk unknown (i, k).  An entry's
+    first term is written into zeros and a second (another A_xy, or the same
+    one again where i = j) added with one ``+``, one term at a time over the
+    stack.  No absent term is read, so an entry without terms stays +0, and
+    a term of -0.0 keeps its sign."""
     n = a.shape[-1]
-    first, second = _operator_terms(n)
-    op = np.zeros(a.shape[:-2] + (n * (n + 1) // 2,) * 2)
-    for r, c, w, x, y in first:
-        op[..., r, c] = w * a[..., x, y]
-    for r, c, w, x, y in second:
-        op[..., r, c] += w * a[..., x, y]
+    i, j, pos = _symmetric_unknowns(n)
+    op = np.zeros(a.shape[:-2] + (i.size,) * 2)
+    for r, (x, y) in enumerate(zip(i.tolist(), j.tolist())):
+        written = set()
+        for k in range(n):
+            for c, term in ((pos[k, y], a[..., x, k]), (pos[x, k], a[..., y, k])):
+                if c in written:
+                    op[..., r, c] += term
+                else:
+                    op[..., r, c] = term
+                    written.add(c)
     return op
 
 

@@ -23,7 +23,9 @@ AKLT_XI = 1.0 / math.log(3.0)    # correlation length
 
 @dataclass(frozen=True)
 class RingGeometry:
-    """Heisenberg ring of L sites with probes attached r sites apart."""
+    """Heisenberg ring of an even number L of sites with probes attached r
+    sites apart.  The staggered sign (-1)^r of the ring response exists only
+    on an even ring, where r and L - r have one parity."""
 
     L: int
     r: int
@@ -31,10 +33,15 @@ class RingGeometry:
     def __post_init__(self):
         if not 0 < self.r < self.L:
             raise DomainError("need 0 < r < L")
+        if self.L % 2:
+            raise DomainError(f"ring of L = {self.L} sites: the staggered sign "
+                              "(-1)^r needs an even L")
 
     @property
     def x(self) -> float:
-        return 2.0 * math.pi * self.r / self.L
+        """2 pi r / L along the shorter arc, in (0, pi], taken from the
+        integers so that r and L - r give one float."""
+        return 2.0 * math.pi * min(self.r, self.L - self.r) / self.L
 
 
 @dataclass(frozen=True)
@@ -59,15 +66,10 @@ def chi_ring(geom: RingGeometry) -> float:
     """Zero-frequency probe-probe response of the Heisenberg ring.
 
     C * integral_x^pi (tau/pi - 1)/sqrt(cos x - cos tau) dtau with
-    C = (-1)^r / sqrt(2) and x = 2 pi r / L; positive (favoring a probe
-    singlet) for odd separations.  The inverse-square-root endpoint
-    singularity is removed by tau = x + u^2 before adaptive quadrature.
+    C = (-1)^r / sqrt(2) and x = :attr:`RingGeometry.x`; positive (favoring
+    a probe singlet) for odd separations, and 0 on the half ring.
     """
     x = geom.x
-    if x > math.pi:
-        x = 2.0 * math.pi - x  # ring symmetry r -> L - r
-    if not 0.0 < x <= math.pi:
-        raise DomainError(f"2 pi r / L = {x} outside (0, pi]")
     if math.pi - x < 1e-15:
         return 0.0
     val, err = _ring_integral(x)
@@ -78,47 +80,26 @@ def chi_ring(geom: RingGeometry) -> float:
 
 
 def _ring_integral(x: float) -> tuple[float, float]:
-    """integral_x^pi (tau/pi - 1)/sqrt(cos x - cos tau) dtau with error estimate.
+    """integral_x^pi (tau/pi - 1)/sqrt(cos x - cos tau) dtau with error
+    estimate, for 0 < x < pi.
 
-    The endpoint singularity is removed by tau = x + u^2.  At small x the
-    integrand develops a second, logarithmic scale (tau - x ~ x), handled by
-    the substitution tau = x cosh v on [x, tau_split] which equidistributes it.
+    One adaptive quadrature under tau = x cosh v, v in [0, acosh(pi/x)]:
+    dtau = x sinh v dv cancels the inverse-square-root endpoint singularity,
+    and the logarithmic scale tau - x ~ x of small x is spread evenly in v.
+    cos x - cos tau = 2 sin((tau+x)/2) sin((tau-x)/2), each factor under its
+    own square root, so that the product cannot underflow at tiny x and
+    tau - x = 2 x sinh^2(v/2) suffers no cancellation.
     """
     from scipy.integrate import quad
 
-    def h(tau: float) -> float:
-        return tau / math.pi - 1.0
-
-    def gap(diff: float) -> float:
-        # cos x - cos tau = 2 sin((tau+x)/2) sin((tau-x)/2), diff = tau - x;
-        # the product form avoids cancellation for diff << x
-        return 2.0 * math.sin(x + 0.5 * diff) * math.sin(0.5 * diff)
-
-    if x >= 0.3:
-        def f_sqrt(u: float) -> float:
-            if u == 0.0:
-                return 2.0 * h(x) / math.sqrt(math.sin(x))
-            return 2.0 * u * h(x + u * u) / math.sqrt(gap(u * u))
-
-        return quad(f_sqrt, 0.0, math.sqrt(math.pi - x),
-                    epsabs=1e-11, epsrel=1e-11, limit=300)[:2]
-
-    tau_split = 0.3
-
-    def f_log(v: float) -> float:
+    def f(v: float) -> float:
         if v == 0.0:
-            return h(x) * math.sqrt(2.0 * x / math.sin(x))
+            return (x / math.pi - 1.0) * math.sqrt(2.0 * x / math.sin(x))
         diff = 2.0 * x * math.sinh(0.5 * v) ** 2  # x (cosh v - 1), stably
-        return h(x + diff) * x * math.sinh(v) / math.sqrt(gap(diff))
+        gap_root = math.sqrt(2.0 * math.sin(x + 0.5 * diff)) * math.sqrt(math.sin(0.5 * diff))
+        return ((x + diff) / math.pi - 1.0) * x * math.sinh(v) / gap_root
 
-    v_max = math.acosh(tau_split / x)
-    i1, e1 = quad(f_log, 0.0, v_max, epsabs=1e-11, epsrel=1e-11, limit=300)[:2]
-
-    def f_plain(tau: float) -> float:
-        return h(tau) / math.sqrt(gap(tau - x))
-
-    i2, e2 = quad(f_plain, tau_split, math.pi, epsabs=1e-11, epsrel=1e-11, limit=300)[:2]
-    return i1 + i2, e1 + e2
+    return quad(f, 0.0, math.acosh(math.pi / x), epsabs=1e-11, epsrel=1e-11, limit=300)[:2]
 
 
 def chi_aklt(r: int) -> float:

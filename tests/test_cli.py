@@ -353,6 +353,10 @@ class TestLde:
     def test_ring_requires_geometry(self, capsys):
         assert run(capsys, "lde", "chi", "--model", "ring")[0] == 2
 
+    def test_odd_ring_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "lde", "chi", "--model", "ring", "--L", "3", "--r", "1")
+        assert (code, out) == (3, "") and "needs an even L" in err
+
     def test_thermal_table(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         code, _, _ = run(capsys, "lde", "thermal", "--jcan", "1e-3",

@@ -358,11 +358,10 @@ def test_routh_hurwitz_stable_points_need_no_eigenvalue_check(power, steps):
     assert np.array_equal(cov, lyapunov_solve(a, d))
 
 
-def einsum_operator(a):
-    """The vectorized operator of V -> A V + V A^T as a contraction of A with
-    tally[r, c, x, y], how often A_xy multiplies unknown c in equation r: 16
-    products per entry, zeros included.  The oracle for the scatter build."""
-    n = a.shape[-1]
+def operator_tally(n):
+    """(i, j, tally): the unknowns V_ij, i <= j, of a symmetric n x n V, and
+    tally[r, c, x, y], how often A_xy multiplies unknown c in equation r of
+    A V + V A^T, from (A V + V A^T)_ij = sum_k A_ik V_kj + A_jk V_ik."""
     i, j = np.triu_indices(n)
     pos = np.empty((n, n), dtype=int)
     pos[i, j] = pos[j, i] = np.arange(i.size)
@@ -370,7 +369,54 @@ def einsum_operator(a):
     tally = np.zeros((i.size, i.size, n, n))
     np.add.at(tally, (r, pos[k, j[:, None]], i[:, None], k), 1.0)
     np.add.at(tally, (r, pos[i[:, None], k], j[:, None], k), 1.0)
-    return np.einsum("rcxy,...xy->...rc", tally, a)
+    return i, j, tally
+
+
+def einsum_operator(a):
+    """The vectorized operator of V -> A V + V A^T as a contraction of A with
+    the tally: 16 products per entry, zeros included.  The oracle for the
+    values of the equation build."""
+    return np.einsum("rcxy,...xy->...rc", operator_tally(a.shape[-1])[2], a)
+
+
+def operator_by_terms(a):
+    """The vectorized operator from the term table of the tally: each nonzero
+    entry's terms w A_xy in (x, y) order, the first written into zeros and
+    the second added with one ``+``.  The oracle for the signs of zeros,
+    which the contraction cannot give (its zero products make -0.0 +0)."""
+    i, _, tally = operator_tally(a.shape[-1])
+    op = np.zeros(a.shape[:-2] + (i.size, i.size))
+    r, c, x, y = np.nonzero(tally)
+    first = np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])]
+    for rr, cc, xx, yy, is_first in zip(r, c, x, y, first):
+        term = tally[rr, cc, xx, yy] * a[..., xx, yy]
+        if is_first:
+            op[..., rr, cc] = term
+        else:
+            op[..., rr, cc] += term
+    return op
+
+
+def signed_zero_stacks():
+    """Drift stacks for :func:`operator_by_terms`: the stable points of the
+    2810-point 50 mW sweep and one of its systems, A at Delta/omega_m in
+    {-1, 0, 1} and {0.0, -0.0} (where A holds -0.0), random 4 x 4 stacks
+    with +-0 entries, a 3 x 3 stack and one 6 x 6 system."""
+    p = fig_params()
+    sweep = detuning_sweep(p, np.linspace(0.2, 3.0, 2810))
+    stable = sweep["stable"] == 1
+    a, _ = drift_and_diffusion(p, sweep["Delta_over_wm"][stable] * p.omega_m,
+                               sweep["G"][stable], p.omega_m)
+    stacks = [a, a[0]]
+    for xs in ([-1.0, 0.0, 1.0], [0.0, -0.0]):
+        delta = np.array(xs) * p.omega_m
+        big_g = p.g * p.drive_E / np.sqrt(p.kappa**2 + delta**2) * math.sqrt(2.0)
+        stacks.append(drift_and_diffusion(p, delta, big_g, p.omega_m)[0])
+    rng = np.random.default_rng(5)
+    entries = np.array([-0.0, 0.0, 1.5, -2.25, 3.0])
+    for shape in ((40, 4, 4), (40, 4, 4), (20, 3, 3), (6, 6)):
+        stacks.append(rng.choice(entries, size=shape))
+    return stacks
 
 
 @pytest.mark.parametrize("power, steps", REAL_SWEEPS)
@@ -389,6 +435,19 @@ def test_scatter_operator_equals_einsum_oracle(power, steps):
         assert got.shape == want.shape == drift.shape[:-2] + (10, 10)
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
         assert got.flags.c_contiguous and want.flags.c_contiguous
+
+
+def test_operator_equals_term_table_to_the_bit():
+    """The equation build equals the term-table build in bytes, signs of
+    zeros and strides, also where A holds -0.0 (Delta = 0) and where the
+    contraction oracle would give +0.0."""
+    stacks = signed_zero_stacks()
+    assert any(np.signbit(s[s == 0]).any() for s in stacks)
+    for drift in stacks:
+        got, want = optomech_stationary._lyapunov_operator(drift), operator_by_terms(drift)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert got.strides == want.strides
 
 
 def test_si_constants_equal_scipy_constants():

@@ -7,8 +7,14 @@ number is within half a unit of its last printed digit.  The outputs are read
 from ``bench/golden/``, which ``test_golden.py`` keeps equal to what the
 commands print, and each test first checks that the README command is the
 one its oracle assumes.
+
+The tables are audited cell by cell on the double grids that the commands
+use.  :data:`KNOWN_OFF` lists the few cells known to miss their half unit,
+each with the ROADMAP item that is to mend it; the other tests assert every
+other cell, and one strict-xfail test asserts each listed cell.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -16,7 +22,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from qcb.optomech_stationary import derive_physical_params, detuning_sweep, drift_and_diffusion
 from qcb.optomech_unitary import OptoUnitaryParams, _lag_weights, _linear_entropies
+from qcb.spin_lde import RingGeometry
 from random_states import mp_leibniz_block
 from test_golden import GOLDEN, README_ARGVS
 
@@ -30,15 +38,236 @@ def printed(number, argv):
     return dict(cell.split("=", 1) if "=" in cell else (None, cell) for cell in line)
 
 
-def within_half_unit(text, oracle):
+def printed_table(number, argv):
+    """({key: text} of the ``# key=value`` headers, {column: texts}) of the
+    table that README command ``number`` writes to its ``--out`` file, after
+    checking that its argv is ``argv``."""
+    assert README_ARGVS[number - 1] == argv.split()
+    lines = (GOLDEN / argv.split()[-1]).read_text().splitlines()
+    header = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+    rows = [line.split(",") for line in lines if not line.startswith("# ")]
+    return header, dict(zip(rows[0], zip(*rows[1:])))
+
+
+def half_unit(text):
+    """Half a unit of the 12th significant digit of the %.12g text ``text``
+    (trailing zeros are not printed), as a 40-digit mpf."""
+    with mpmath.workdps(40):
+        return mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(abs(mpmath.mpf(text)))) - 11) / 2
+
+
+def within_half_unit(text, oracle, ulps=0):
     """Whether the %.12g text ``text`` is within half a unit of its 12th
-    significant digit (trailing zeros are not printed) of ``oracle``."""
+    significant digit, plus ``ulps`` units in the last place of its double,
+    of ``oracle``.  A printed zero (or -0) must be exact."""
     with mpmath.workdps(40):
         value = mpmath.mpf(text)
-        half_unit = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(abs(value))) - 11) / 2
         if isinstance(oracle, Fraction):
             oracle = mpmath.mpf(oracle.numerator) / oracle.denominator
-        return abs(value - oracle) <= half_unit
+        if value == 0:
+            return oracle == 0
+        tolerance = half_unit(text) + ulps * mpmath.mpf(float(np.spacing(abs(float(text)))))
+        return abs(value - oracle) <= tolerance
+
+
+# (output file, column, row) -> the ROADMAP item that is to mend the cell;
+# a row is named by the texts of its leading grid columns
+KNOWN_OFF = {
+    ("en_grid.csv", "EN", ("1.78947368421", "0.947368421053")):
+        "item 2: E_N from block determinants loses det V to cancellation",
+    ("sweep.csv", "EN", ("2.19",)):
+        "item 21: sweep E_N from block determinants is good to about 1e-13 relative",
+}
+
+
+def off_cells(name, cells):
+    """The (file, column, row) of each audited cell that is not within its
+    tolerance and not in :data:`KNOWN_OFF`."""
+    return [(name, column, row) for (column, row), (text, oracle, ulps) in cells.items()
+            if (name, column, row) not in KNOWN_OFF
+            and not within_half_unit(text, oracle, ulps)]
+
+
+def werner_cells():
+    # rho(f) = (1 + f sum sigma.sigma)/4 has the partial-transpose spectrum
+    # (1 + 3 f)/4 and (1 - f)/4 (three times): N = max(0, -(1 + 3 f)/4) and
+    # E_N = log2(2 N + 1), on the exact doubles of the grid
+    _, table = printed_table(2, "werner --grid 100 --out werner.csv")
+    fs = np.linspace(-1.0, 1.0 / 3.0, 100)
+    cells = {}
+    with mpmath.workdps(40):
+        for text_f, text_n, text_en, f in zip(table["f"], table["N"], table["EN"], fs.tolist()):
+            assert within_half_unit(text_f, Fraction(f))
+            n = max(Fraction(0), -(1 + 3 * Fraction(f)) / 4)
+            cells["N", (text_f,)] = (text_n, n, 0)
+            cells["EN", (text_f,)] = (text_en, mpmath.log(2 * mpmath.mpf(n.numerator)
+                                                           / n.denominator + 1, 2), 0)
+    return cells
+
+
+def test_werner_grid():
+    cells = werner_cells()
+    assert len(cells) == 200
+    assert off_cells("werner.csv", cells) == []
+
+
+@functools.cache
+def en_grid_cells():
+    # the two-mode squeezed thermal state: E_N = max(0, 2 r - ln(2 n_bar + 1))
+    header, table = printed_table(4, "gaussian --grid 20 --out en_grid.csv")
+    assert (header["r_max"], header["nbar_max"]) == ("2", "3")
+    rs = np.repeat(np.linspace(0.0, 2.0, 20), 20).tolist()
+    nbs = np.tile(np.linspace(0.0, 3.0, 20), 20).tolist()
+    cells = {}
+    with mpmath.workdps(40):
+        for text_r, text_nb, text_en, text_closed, r, nb in zip(
+                table["r"], table["n_bar"], table["EN"], table["EN_closed"], rs, nbs):
+            assert within_half_unit(text_r, Fraction(r)) and within_half_unit(text_nb, Fraction(nb))
+            en = max(mpmath.mpf(0), 2 * mpmath.mpf(r) - mpmath.log(2 * mpmath.mpf(nb) + 1))
+            cells["EN", (text_r, text_nb)] = (text_en, en, 0)
+            cells["EN_closed", (text_r, text_nb)] = (text_closed, en, 0)
+    return cells
+
+
+def test_squeezed_thermal_grid():
+    cells = en_grid_cells()
+    assert len(cells) == 800
+    assert off_cells("en_grid.csv", cells) == []
+
+
+def thermal_cells():
+    # the canonical model on the double grid of kT, with beta = 1/kT the
+    # double that the command divides; the cells are closed forms at 40 digits
+    argv = ("lde thermal --jcan 5.07e-4 --phi 1.03e-2 --eta 6.23e-4 --tmin 2e-5"
+            " --tmax 1e-2 --steps 24 --out thermal.csv")
+    header, table = printed_table(11, argv)
+    j, phi, eta = 5.07e-4, 1.03e-2, 6.23e-4
+    temps = np.geomspace(2e-5, 1e-2, 24).tolist()
+    with mpmath.workdps(40):
+        j_, phi_, eta_ = (mpmath.mpf(v) for v in (j, phi, eta))
+
+        def correlator(beta):
+            u = mpmath.exp(-beta * j_)
+            return eta_ + (1 - phi_) * (u - 1) / (u + mpmath.mpf(1) / 3)
+
+        cells = {}
+        for n, t in enumerate(temps):
+            row = (table["kT"][n],)
+            beta = mpmath.mpf(1.0 / t)
+            c = correlator(beta)
+            e = mpmath.exp(beta * j_)
+            jab = mpmath.log((3 * (phi_ - eta_) + (4 - 3 * phi_ - eta_) * e)
+                             / (4 - phi_ + eta_ + (phi_ + eta_ / 3) * e)) / (4 * beta)
+            for column, oracle in (("kT", mpmath.mpf(t)), ("beta", 1 / mpmath.mpf(t)),
+                                   ("correlator", c), ("J_ab", jab),
+                                   ("concurrence", max(mpmath.mpf(0), abs(c) / 3 - c / 6 - 0.5))):
+                cells[column, row] = (table[column][n], oracle, 0)
+        # the separability temperature: correlator = -1, in x = J_can / kT
+        # from the estimate
+        x = mpmath.findroot(lambda x: correlator(x / j_) + 1,
+                            j_ / mpmath.mpf(header["kT_star_estimate"]))
+        cells["kT_star_exact", ()] = (header["kT_star_exact"], j_ / x, 0)
+        cells["kT_star_estimate", ()] = (header["kT_star_estimate"],
+                                         mpmath.mpf("0.93") * j_ * (1 - phi_), 0)
+    return cells
+
+
+def test_canonical_thermal_table():
+    cells = thermal_cells()
+    assert len(cells) == 122
+    assert off_cells("thermal.csv", cells) == []
+
+
+def exact_lyapunov(a, d, dps=50):
+    """V of A V + V A^T = -D for the double matrices ``a`` and ``d``, from the
+    Kronecker system (I x A + A x I) vec V = -vec D solved in ``dps`` digits."""
+    n = a.shape[0]
+    with mpmath.workdps(dps):
+        k = mpmath.zeros(n * n)
+        for i in range(n):
+            for j in range(n):
+                for m in range(n):
+                    k[i * n + j, m * n + j] += a[i, m]  # A V
+                    k[i * n + j, i * n + m] += a[j, m]  # V A^T
+        rhs = mpmath.matrix([-d[i, j] for i in range(n) for j in range(n)])
+        vec = mpmath.lu_solve(k, rhs)
+        return [[vec[i * n + j] for j in range(n)] for i in range(n)]
+
+
+@functools.cache
+def sweep_cells():
+    # every 10th row and Delta/omega_m = 0.87 and 2.19: V and n_eff of the
+    # 50-digit solve for the double A and D that the command builds, within
+    # half a unit plus 4 ulps of the double; E_N of that V from its symplectic
+    # invariant.  V12 = V21 = 0 exactly (row 1 of A is (0, omega_m, 0, 0) and
+    # D11 = 0); they are checked against the 12th digit of the row's largest |V|.
+    argv = "optomech-steady --dmin 0.2 --dmax 3.0 --steps 281 --out sweep.csv"
+    header, table = printed_table(8, argv)
+    p = derive_physical_params(
+        length=float(header["length"]), mass=float(header["mass"]),
+        power=float(header["power"]), quality=float(header["quality"]),
+        temperature=float(header["temperature"]), wavelength=float(header["wavelength"]),
+        finesse=float(header["finesse"]), omega_m=2.0 * math.pi * float(header["fm"]))
+    sweep = detuning_sweep(p, np.linspace(0.2, 3.0, 281))
+    rows = sorted(set(range(0, 281, 10)) | {67, 199})
+    assert [table["Delta_over_wm"][n] for n in (67, 199)] == ["0.87", "2.19"]
+    names = [f"V{i}{j}" for i in range(1, 5) for j in range(1, 5)]
+    cells = {}
+    for n in rows:
+        row = (table["Delta_over_wm"][n],)
+        a, d = drift_and_diffusion(p, sweep["Delta_over_wm"][n] * p.omega_m,
+                                   sweep["G"][n], p.omega_m)
+        v = exact_lyapunov(a, d)
+        with mpmath.workdps(50):
+            for name in names:
+                i, j = int(name[1]) - 1, int(name[2]) - 1
+                if (i, j) not in ((0, 1), (1, 0)):
+                    cells[name, row] = (table[name][n], v[i][j], 4)
+            largest = max(names, key=lambda name: abs(mpmath.mpf(table[name][n])))
+            for name in ("V12", "V21"):
+                assert abs(v[int(name[1]) - 1][int(name[2]) - 1]) < mpmath.mpf(10) ** -40
+                assert abs(mpmath.mpf(table[name][n])) <= half_unit(table[largest][n])
+            cells["n_eff", row] = (table["n_eff"][n], (v[0][0] + v[1][1]) / 2 - 0.5, 4)
+            m = mpmath.matrix(v)
+            sigma = (mpmath.det(m[0:2, 0:2]) + mpmath.det(m[2:4, 2:4])
+                     - 2 * mpmath.det(m[0:2, 2:4]))
+            d_minus = mpmath.sqrt((sigma - mpmath.sqrt(sigma**2 - 4 * mpmath.det(m))) / 2)
+            cells["EN", row] = (table["EN"][n], max(mpmath.mpf(0), -mpmath.log(2 * d_minus)), 0)
+    return cells
+
+
+def test_detuning_sweep_against_50_digit_solves():
+    cells = sweep_cells()
+    assert len(cells) == 31 * 16
+    assert off_cells("sweep.csv", cells) == []
+
+
+def test_ring_response_against_40_digit_quadrature():
+    # tau = x + u^2 on the raw integrand, with cos x - cos tau as the product
+    # 2 sin(x + u^2/2) sin(u^2/2); r = 31 is odd, so the sign is -1
+    out = printed(10, "lde chi --model ring --L 100 --r 31")
+    x = RingGeometry(100, 31).x
+    with mpmath.workdps(40):
+        x_ = mpmath.mpf(x)
+
+        def f(u):
+            if u == 0:
+                return 2 * (x_ / mpmath.pi - 1) / mpmath.sqrt(mpmath.sin(x_))
+            return (2 * u * ((x_ + u * u) / mpmath.pi - 1)
+                    / mpmath.sqrt(2 * mpmath.sin(x_ + u * u / 2) * mpmath.sin(u * u / 2)))
+
+        integral = mpmath.quad(f, [0, mpmath.sqrt(x_), mpmath.sqrt(mpmath.pi - x_)])
+        assert within_half_unit(out[None], -integral / mpmath.sqrt(2))
+
+
+@pytest.mark.xfail(strict=True, reason="the cells of KNOWN_OFF, ROADMAP items 2 and 21")
+@pytest.mark.parametrize("name, column, row", sorted(KNOWN_OFF),
+                         ids=[f"{name}:{column}@{','.join(row)}"
+                              for name, column, row in sorted(KNOWN_OFF)])
+def test_known_off_cells(name, column, row):
+    cells = {"en_grid.csv": en_grid_cells, "sweep.csv": sweep_cells}[name]()
+    text, oracle, ulps = cells[column, row]
+    assert within_half_unit(text, oracle, ulps)
 
 
 def test_werner_singlet():

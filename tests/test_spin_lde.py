@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,10 +32,17 @@ class TestRingSusceptibility:
         assert chi_ring(RingGeometry(100, 50)) == 0.0
 
     def test_reflection_symmetry(self):
-        # same-parity pair r and L - r (L even keeps the staggered sign)
-        for L, r in ((100, 31), (64, 9), (200, 77)):
-            assert abs(chi_ring(RingGeometry(L, r))
-                       - chi_ring(RingGeometry(L, L - r))) < 1e-10
+        # same-parity pair r and L - r (L even keeps the staggered sign);
+        # x is taken from min(r, L - r), so the pair gives one float, also
+        # where 2 pi (L - 1) / L rounds to 2 pi
+        for L, r in ((100, 31), (64, 9), (200, 77), (10**17, 1)):
+            assert chi_ring(RingGeometry(L, r)) == chi_ring(RingGeometry(L, L - r))
+
+    def test_odd_ring_is_refused(self):
+        # (-1)^r would give r and L - r opposite signs on an odd ring
+        for L, r in ((3, 1), (3, 2), (101, 31), (101, 70)):
+            with pytest.raises(DomainError, match="even L"):
+                RingGeometry(L, r)
 
     def test_sign_follows_separation_parity(self):
         assert chi_ring(RingGeometry(60, 13)) > 0.0
@@ -50,18 +58,36 @@ class TestRingSusceptibility:
         inc1, inc2 = vals[1] - vals[0], vals[2] - vals[1]
         assert abs(inc1 - math.log(10)) < 0.01
         assert abs(inc2 - math.log(10)) < 0.01
+        # x = 2 pi / L from 1e-2 down to about 1e-307 on even rings: a finite
+        # value with no warning at every step, and below x = 1e-6 each step
+        # grows by ln(L_next / L), the slope of the log asymptote
+        rings = [2 * round(math.pi * 10.0**k) for k in range(2, 308)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = [chi_ring(RingGeometry(L, 1)) for L in rings]
+        assert all(math.isfinite(v) for v in vals)
+        for k in range(len(rings) - 1):
+            if RingGeometry(rings[k], 1).x <= 1e-6:
+                step = math.log(rings[k + 1]) - math.log(rings[k])
+                assert abs(vals[k + 1] - vals[k] - step) < 1e-9
 
     def test_quadrature_stability(self):
-        # independent tanh-sinh oracle on the raw singular integrand
+        # independent tanh-sinh oracle on the raw singular integrand,
+        # evaluated at 60 digits so that cos x - cos tau keeps its digits at
+        # the nodes next to tau = x; x = 0.3 is where the quadrature once
+        # changed substitution
         from mpmath import mp, mpf, quad as mpquad, cos as mpcos, sqrt as mpsqrt, pi as mppi
 
         mp.dps = 30
         from qcb.spin_lde import _ring_integral
 
-        for x in (0.05, 0.7, 2.0):
+        def f(tau, x):
+            with mp.workdps(60):
+                return (tau / mppi - 1) / mpsqrt(mpcos(mpf(x)) - mpcos(tau))
+
+        for x in (0.05, 0.7, 2.0, 0.3, 1e-6, 3.0):
             got, _ = _ring_integral(x)
-            f = lambda tau: (tau / mppi - 1) / mpsqrt(mpcos(mpf(x)) - mpcos(tau))
-            want = float(mpquad(f, [mpf(x), mppi]))
+            want = float(mpquad(lambda tau: f(tau, x), [mpf(x), mppi]))
             assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
     def test_domain(self):
