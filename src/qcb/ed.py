@@ -11,18 +11,19 @@ strings and blocks are sorted arrays of equal popcount.  One pass of array
 bit operations over all states of the requested blocks keeps each block's
 diagonal and each bond's flip-flop entries in it; a block's H is built from
 those only when the block is reached, in one of two formats.  A whole block
-is a dense array of its own, one scatter per bond, and only up to
-``DENSE_BLOCK_CAP`` states: a larger one raises ResourceError.  Above the
-cap the S_z = 0 block is built only as the two half-size sectors of the
-global spin flip F = prod sigma^x, as CSR from the first half of its rows.
-Two routes diagonalize, one block at a time: :func:`full_spectrum` takes
-every block of a lattice of at most 12 spins by dense ``eigh``, and the
-probe route (:func:`_probe_block`) takes the S_z = 0 block alone, by dense
-``eigh`` at or below the cap and above it by Lanczos from a fixed start
-vector on its two flip sectors.  Dense blocks are not reduced, because the
-printed goldens pin the bits of their direct ``eigh``.  Importing this
-module loads no scipy, and neither does a dense block: only the Lanczos
-branch imports ``scipy.sparse`` and ``scipy.sparse.linalg``.
+is a dense array of its own (:func:`_assemble`), one scatter per bond, and
+only up to ``DENSE_BLOCK_CAP`` states: a larger one raises ResourceError.
+The S_z = 0 block of a lattice above 12 spins is built only as the two
+half-size sectors of the global spin flip F = prod sigma^x, as CSR from the
+first half of its rows.  Two routes diagonalize, one block at a time, and
+the lattice picks the method: :func:`full_spectrum` takes every block of a
+lattice of at most 12 spins (2^n <= ``DENSE_BLOCK_CAP``) by dense ``eigh``,
+and the probe route (:func:`_probe_block`) takes the S_z = 0 block alone,
+by dense ``eigh`` on those same lattices and above them by Lanczos from a
+fixed start vector on its two flip sectors.  Dense blocks are not reduced,
+because the printed goldens pin the bits of their direct ``eigh``.
+Importing this module loads no scipy, and neither does a dense block: only
+the Lanczos branch imports ``scipy.sparse`` and ``scipy.sparse.linalg``.
 A spectrum keeps no block's eigenvectors but the three lowest of the
 S_z = 0 block: right after its ``eigh``, :func:`full_spectrum` reduces each
 block to its levels and probe correlator diagonals.
@@ -64,6 +65,8 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
 MAX_SPINS = 16
+# The most states of a dense block, and of a lattice diagonalized densely (at
+# most 12 spins); a larger lattice's S_z = 0 block goes through flip sectors.
 DENSE_BLOCK_CAP = 4096
 DEGENERACY_TOL = 1e-9
 
@@ -200,7 +203,8 @@ def _bond_pass(n: int, bonds, n_ups: tuple[int, ...]):
 def _assemble(n: int, bonds, n_ups: tuple[int, ...] | None = None):
     """Yield (n_up, states, H) of ``n`` spins and ``bonds`` block by block,
     for every block or those in ``n_ups``, in that order, each H a dense
-    array of its own (:func:`_dense_block`).
+    array of its own: each pair's flip-flop entries scattered in pair order
+    (no entry twice), then the diagonal.
 
     A requested block of more than ``DENSE_BLOCK_CAP`` states raises
     ResourceError before any is built.  One :func:`_bond_pass` serves every
@@ -213,19 +217,15 @@ def _assemble(n: int, bonds, n_ups: tuple[int, ...] | None = None):
             raise ResourceError(f"the block of {m} up spins out of {n} has {math.comb(n, m)} "
                                 f"states; a dense block holds at most {DENSE_BLOCK_CAP}")
     for m, (sts, diagonal, terms) in _bond_pass(n, bonds, n_ups).items():
-        yield m, sts, _dense_block(diagonal, terms)
-
-
-def _dense_block(diagonal: np.ndarray, terms) -> np.ndarray:
-    """One block as an array: each pair's flip-flop entries scattered in
-    pair order (no entry twice), then the diagonal."""
-    dim = len(diagonal)
-    h = np.zeros((dim, dim))
-    flat = h.reshape(-1)
-    for at, weight in terms:
-        flat[at] += weight
-    np.fill_diagonal(h, diagonal)
-    return h
+        block = [np.zeros((len(sts), len(sts)))]
+        flat = block[0].reshape(-1)
+        for at, weight in terms:
+            flat[at] += weight
+        np.fill_diagonal(block[0], diagonal)
+        del flat
+        # popped, so that this frame holds no reference to H while the
+        # caller has it: the caller's ``del`` releases it
+        yield m, sts, block.pop()
 
 
 def _flip_sectors(diagonal: np.ndarray, terms) -> tuple[csr_matrix, csr_matrix]:
@@ -291,13 +291,14 @@ def _apply_probe_correlator(spec: LatticeSpec, states: np.ndarray,
 class SpectrumResult:
     """Levels of some S_z blocks, keyed by the number of up spins.
 
-    A block at or below ``DENSE_BLOCK_CAP`` holds every level; a larger one,
-    the S_z = 0 block of the probe route, holds its lowest three, merged from
-    its two spin-flip sectors.  ``probe_diagonals`` holds <k|tau_a . tau_b|k>
-    of every level of every block of :func:`full_spectrum` (none on the probe
-    route).  ``vectors`` and ``states`` hold the S_z = 0 block alone: its
-    three lowest eigenvectors and its basis, which the T = 0 quantities read
-    (nothing for an odd spin count).  The Boltzmann terms (the shifted
+    A block of :func:`full_spectrum` holds every level; the S_z = 0 block of
+    the probe route (:func:`_probe_block`) holds its lowest three, of a dense
+    ``eigh`` or merged from its two spin-flip sectors.  ``probe_diagonals``
+    holds <k|tau_a . tau_b|k> of every level of every block of
+    :func:`full_spectrum` (none on the probe route).  ``vectors`` and
+    ``states`` hold the S_z = 0 block alone: its three lowest eigenvectors
+    and its basis, which the T = 0 quantities read (nothing for an odd spin
+    count).  The Boltzmann terms (the shifted
     levels of all blocks, concatenated, and each block's slice) are computed
     on first use and kept.
     """
@@ -340,21 +341,6 @@ def full_spectrum(spec: LatticeSpec) -> SpectrumResult:
     return SpectrumResult(spec, energies, diagonals, vectors, states)
 
 
-def _lanczos(h: csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest ``k`` levels of a sparse block, sorted, by ``eigsh``.
-
-    Lanczos starts from a fixed-seed vector, so repeated calls return the
-    same floats.  (A constant start vector would not do: in every block it is
-    the fully polarized S = n/2 eigenstate.)
-    """
-    from scipy.sparse.linalg import eigsh
-
-    v0 = np.random.default_rng(0).standard_normal(h.shape[0])
-    w, v = eigsh(h, k=k, which="SA", tol=1e-12, v0=v0)
-    order = np.argsort(w)
-    return w[order], v[:, order]
-
-
 def _flip_sector_levels(sectors: tuple[csr_matrix, csr_matrix],
                         k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest ``k`` levels of an S_z = 0 block from its two F sectors.
@@ -362,16 +348,22 @@ def _flip_sector_levels(sectors: tuple[csr_matrix, csr_matrix],
     F = prod sigma^x commutes with H and reverses the sorted basis of the
     block, so with A = H[:half, :half] and B = H[:half, half:][:, ::-1] the
     F = +1 and F = -1 sectors are A + B and A - B (``sectors``, from
-    :func:`_flip_sectors`), each diagonalized by :func:`_lanczos`; their
-    vectors expand back as [v; +-v[::-1]]/sqrt(2).
+    :func:`_flip_sectors`), each diagonalized by ``eigsh``; their vectors
+    expand back as [v; +-v[::-1]]/sqrt(2).
     Each sector converges ``k`` levels, so the lowest ``k`` of the merged
     levels are the block's lowest ``k``.  The probe singlet and triplet
     member fall in different sectors, so neither Krylov space has to resolve
     their splitting.
     """
+    from scipy.sparse.linalg import eigsh
+
     ws, vs = [], []
     for sign, sector in zip((1.0, -1.0), sectors):
-        w, v = _lanczos(sector, min(k, sector.shape[0] - 1))
+        # Lanczos starts from a fixed-seed vector, so repeated calls return
+        # the same floats.  (A constant start vector would not do: in every
+        # block it is the fully polarized S = n/2 eigenstate.)
+        v0 = np.random.default_rng(0).standard_normal(sector.shape[0])
+        w, v = eigsh(sector, k=min(k, sector.shape[0] - 1), which="SA", tol=1e-12, v0=v0)
         ws.append(w)
         vs.append(np.vstack([v, sign * v[::-1]]) / math.sqrt(2.0))
     w = np.concatenate(ws)
@@ -419,25 +411,29 @@ def _probe_block(spec: LatticeSpec, spectrum: SpectrumResult | None):
     Every integer-spin multiplet has exactly one member at S_z = 0 (SU(2)),
     so the levels of that block alone are the distinct levels of the
     lattice: the ground singlet, the probe triplet and the next level are
-    its three lowest.  A new diagonalization builds only this block: at or
-    below ``DENSE_BLOCK_CAP`` it keeps every level of a dense ``eigh``, above
-    it the three lowest of its spin-flip sectors (:func:`_flip_sector_levels`),
-    and either way three vectors.
+    its three lowest.  A new diagonalization builds only this block and
+    keeps those three levels and their vectors: by dense ``eigh`` where
+    :func:`full_spectrum` would hold the lattice (at most 12 spins), above
+    it from its spin-flip sectors (:func:`_flip_sector_levels`).
     """
     if spec.n_total % 2:
         raise SectorAmbiguityError(
             f"{spec.n_total} spins have half-integer total spin: no probe singlet")
     mid = spec.n_total // 2
     if spectrum is None:
-        # above the cap the whole block is never built: only its two
-        # spin-flip sectors, from the first half of its rows
-        ((sts, diagonal, terms),) = _bond_pass(spec.n_total, spec.coupled_bonds(), (mid,)).values()
-        h = (_dense_block if len(sts) <= DENSE_BLOCK_CAP else _flip_sectors)(diagonal, terms)
-        del diagonal, terms
-        w, v = np.linalg.eigh(h) if isinstance(h, np.ndarray) else _flip_sector_levels(h, 3)
+        bonds = spec.coupled_bonds()
+        if 1 << spec.n_total <= DENSE_BLOCK_CAP:
+            ((_, sts, h),) = _assemble(spec.n_total, bonds, (mid,))
+            w, v = np.linalg.eigh(h)
+        else:  # the whole block is never built, only its two flip sectors
+            ((sts, diagonal, terms),) = _bond_pass(spec.n_total, bonds, (mid,)).values()
+            sectors = _flip_sectors(diagonal, terms)
+            del diagonal, terms  # released before Lanczos: 0.9 MiB at 16 spins
+            w, v = _flip_sector_levels(sectors, 3)
         # order "K" keeps the sectors' column-major layout: the dot product
         # of a column rounds differently at another stride
-        spectrum = SpectrumResult(spec, {mid: w}, {}, {mid: v[:, :3].copy(order="K")}, {mid: sts})
+        spectrum = SpectrumResult(spec, {mid: w[:3]}, {}, {mid: v[:, :3].copy(order="K")},
+                                  {mid: sts})
     return spectrum, mid
 
 

@@ -75,6 +75,8 @@ class OptoUnitaryParams:
             raise DomainError("thermal occupancy n_bar must be >= 0")
         if not math.isfinite(abs(self.alpha) * abs(self.alpha)):
             raise DomainError("derived |alpha|^2 is not finite; inputs out of range")
+        if not math.isfinite(self.k * self.k):
+            raise DomainError(f"coupling k = {self.k}: k^2 is not finite")
 
     @property
     def x(self) -> float:
@@ -131,7 +133,7 @@ def _leibniz_block(p: OptoUnitaryParams, rows, cols, mu_levels, nu_levels) -> np
     """
     x = p.x
     et = eta(p.t)
-    abs_eta2 = abs(et) ** 2
+    abs_eta2 = float(abs(et) ** 2)  # a float: a weight that overflows is refused, unwarned
     k = p.k
     a2 = abs(p.alpha) ** 2
     log_x = math.log(x) if x > 0.0 else 0.0  # x = 0 keeps only j = 0
@@ -148,8 +150,15 @@ def _leibniz_block(p: OptoUnitaryParams, rows, cols, mu_levels, nu_levels) -> np
     log_mag, phase, factors, lo, hi = [], [], [], [], []
     for n in rows:
         for m in cols:
+            weight = k**2 * abs_eta2 * (x * n * m - 0.5 * (n**2 + m**2))
+            pair_phase = (n - m) * np.angle(p.alpha) - (_free_phase(p, n) - _free_phase(p, m))
+            for name, value in (("log weight k^2 |eta|^2 (x n m - (n^2 + m^2)/2)", weight),
+                                ("phase k^2 (n^2 - m^2) (t - sin t)", pair_phase)):
+                if not math.isfinite(value):
+                    raise DomainError(f"the {name} of cavity pair (n, m) = ({n}, {m}) "
+                                      f"is not finite at k = {k}, t = {p.t}")
             base = 0.5 * (_poisson_log_weight(a2, n) + _poisson_log_weight(a2, m))
-            base += k**2 * abs_eta2 * (x * n * m - 0.5 * (n**2 + m**2))
+            base += weight
             base -= math.log1p(p.n_bar)
             big_p = k * et * (n - x * m)
             big_q = k * np.conj(et) * (m - x * n)
@@ -161,7 +170,7 @@ def _leibniz_block(p: OptoUnitaryParams, rows, cols, mu_levels, nu_levels) -> np
             if a2 == 0.0 and n + m > 0:
                 j_hi = j_lo - 1  # no coherent-state weight: no terms
             log_mag.append(base + log_mirror)
-            phase.append((n - m) * np.angle(p.alpha) - (_free_phase(p, n) - _free_phase(p, m)))
+            phase.append(pair_phase)
             factors.append((math.log(abs(big_p)) if big_p != 0.0 else 0.0, np.angle(big_p),
                             math.log(abs(big_q)) if big_q != 0.0 else 0.0, np.angle(big_q)))
             lo.append(j_lo)
@@ -368,9 +377,14 @@ def _linear_entropies(p: OptoUnitaryParams, t: np.ndarray, lag_weight: np.ndarra
     chunks of times of at most _CHUNK_ELEMENTS matrix elements.
     """
     d2 = np.arange(lag_weight.size) ** 2
-    y2 = (p.k**2) * np.abs(eta(t)) ** 2  # |k eta(t)|^2, shape of t
     c_cav = 1.0 + 2.0 * p.n_bar
     c_mir = 1.0 / (1.0 + 2.0 * p.n_bar)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        y2 = (p.k**2) * np.abs(eta(t)) ** 2  # |k eta(t)|^2, shape of t
+        wide = ~np.isfinite(y2 * c_cav)
+    if wide.any():
+        raise DomainError(f"k^2 |eta(t)|^2 (1 + 2 n_bar) is not finite at k = {p.k}, "
+                          f"n_bar = {p.n_bar}, t = {t[wide][0]}")
     s_cav, s_mir = np.empty_like(y2), np.empty_like(y2)
     rows = max(1, _CHUNK_ELEMENTS // lag_weight.size)
     for i in range(0, y2.size, rows):

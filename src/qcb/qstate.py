@@ -93,7 +93,11 @@ def _flat(m: np.ndarray) -> np.ndarray:
 
 def _checked_spectrum(m: np.ndarray) -> np.ndarray:
     """Ascending spectra of a (k, d, d) stack that passes the checks of
-    :class:`DensityMatrix`; a failure carries ``index``."""
+    :class:`DensityMatrix`; a failure carries ``index``.  Finiteness comes
+    first: NaN fails no comparison, so it would pass every later check."""
+    bad = ~np.isfinite(m).all(axis=(-2, -1))
+    if bad.any():
+        raise at_first(DomainError("density matrix not finite: its entries overflow"), bad)
     bad = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1)) > HERMITICITY_TOL
     if bad.any():
         raise at_first(DomainError("matrix is not Hermitian within 1e-12"), bad)

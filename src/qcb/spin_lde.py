@@ -33,6 +33,7 @@ class RingGeometry:
     def __post_init__(self):
         if not 0 < self.r < self.L:
             raise DomainError("need 0 < r < L")
+        _check_double("ring size L", self.L)
         if self.L % 2:
             raise DomainError(f"ring of L = {self.L} sites: the staggered sign "
                               "(-1)^r needs an even L")
@@ -102,13 +103,31 @@ def _ring_integral(x: float) -> tuple[float, float]:
     return quad(f, 0.0, math.acosh(math.pi / x), epsabs=1e-11, epsrel=1e-11, limit=300)[:2]
 
 
+def _check_double(name: str, n: int) -> None:
+    """Refuse an integer ``n`` >= 1 that does not convert to a double."""
+    try:
+        float(n)
+    except OverflowError:
+        raise DomainError(f"{name} = 10^{math.log10(n):.6g} does not convert to a double"
+                          ) from None
+
+
 def chi_aklt(r: int) -> float:
     """Probe-probe response of the biquadratic spin-1 chain at separation r,
-    in closed form: (1/gap) (-1)^(r+1) (1 + 4r/3) exp(-r/xi)."""
+    in closed form: (1/gap) (-1)^(r+1) (1 + 4r/3) exp(-r/xi).
+
+    A |chi| below the smallest normal double (from r = 652) is a
+    DomainError naming log10|chi|: a subnormal keeps fewer than 12 digits.
+    """
     if r < 1:
         raise DomainError("separation r must be >= 1")
-    return (1.0 / AKLT_GAP) * (-1.0) ** (r + 1) * (1.0 + 4.0 * r / 3.0) \
+    _check_double("separation r", r)
+    chi = (1.0 / AKLT_GAP) * (-1.0) ** (r + 1) * (1.0 + 4.0 * r / 3.0) \
         * math.exp(-r / AKLT_XI)
+    if abs(chi) < np.finfo(float).tiny:
+        log10_chi = math.log10((1.0 + 4.0 * r / 3.0) / AKLT_GAP) - r / AKLT_XI / math.log(10.0)
+        raise DomainError(f"AKLT chi underflows: log10|chi| = {log10_chi:.6g} at r = {r}")
+    return chi
 
 
 def canonical_correlator(j_can: float, beta: float) -> float:
@@ -139,22 +158,27 @@ def jab_of_beta(cp: CanonicalParams, beta: float) -> float:
     a_num, b_num = 3.0 * (cp.Phi - cp.eta), 4.0 - 3.0 * cp.Phi - cp.eta
     a_den, b_den = 4.0 - cp.Phi + cp.eta, cp.Phi + cp.eta / 3.0
 
-    def log_lin_exp(a: float, b: float) -> float:
-        # log(a + b e^bj), stable for large bj (b >= 0 there by the constraint);
-        # b = 0 never forms e^bj, which overflows beyond bj = 709
+    def log_lin_exp(a: float, b: float) -> tuple[int, float]:
+        # (c, rest) with log(a + b e^bj) = c bj + rest: c = 1 where bj > 50
+        # (b >= 0 there by the constraint), so that no c bj is formed; b = 0
+        # never forms e^bj, which overflows beyond bj = 709
         if b == 0.0:
             arg = a
         elif bj > 50.0:
             if b < 0.0:
                 raise DomainError("canonical parameterization leaves log argument <= 0")
-            return bj + math.log(b + a * math.exp(-bj))
+            return 1, math.log(b + a * math.exp(-bj))
         else:
             arg = a + b * math.exp(bj)
         if arg <= 0.0:
             raise DomainError("canonical parameterization leaves log argument <= 0")
-        return math.log(arg)
+        return 0, math.log(arg)
 
-    return (log_lin_exp(a_num, b_num) - log_lin_exp(a_den, b_den)) / (4.0 * beta)
+    # the bj terms of numerator and denominator cancel: what is left of
+    # them is 0 or +-bj, that is +-J_can/4 in J_ab
+    (c_num, rest_num), (c_den, rest_den) = log_lin_exp(a_num, b_num), log_lin_exp(a_den, b_den)
+    j_ab = (rest_num - rest_den) / (4.0 * beta)
+    return j_ab if c_num == c_den else j_ab + (c_num - c_den) * cp.J_can / 4.0
 
 
 def correlator_from_jab(j_ab: float, beta: float) -> float:

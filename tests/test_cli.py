@@ -160,6 +160,36 @@ class TestExitCodes:
             assert err == ("qcb: error: marker determinant underflows: log|det| = -2635.92"
                            " at t = 2.5\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv, named", [
+        (["optomech-unitary", "--quantity", "tangle", "--k", "1e154"], "log weight"),
+        (["optomech-unitary", "--quantity", "negativity", "--k", "1e100", "--t", "1e300"],
+         "phase"),
+        (["optomech-unitary", "--quantity", "mi", "--k", "1e154", "--t", "2", "--n-bar", "1"],
+         "k^2 |eta(t)|^2 (1 + 2 n_bar)"),
+        (["optomech-unitary", "--quantity", "mi-average", "--k", "1e154", "--n-bar", "1"],
+         "k^2 |eta(t)|^2 (1 + 2 n_bar)"),
+        (["optomech-unitary", "--quantity", "marker", "--k", "1e154", "--t", "2"],
+         "log weight"),
+        (["optomech-unitary", "--quantity", "marker", "--k", "1e150", "--t", "1e10",
+          "--mirror", "3,4,5"], "phase"),
+        (["optomech-unitary", "--quantity", "entropies", "--k", "1e200", "--n-bar", "1"],
+         "k^2 is not finite"),
+        *((["lde", "chi", "--model", "aklt", "--r", r], "log10|chi|")
+          for r in ("652", "670", "679", "680")),
+        (["lde", "chi", "--model", "ring", "--L", "1" + "0" * 400, "--r", "1"],
+         "ring size L = 10^400"),
+        (["lde", "chi", "--model", "aklt", "--r", "1" + "0" * 400], "separation r = 10^400"),
+    ], ids=lambda v: " ".join(v)[:60] if isinstance(v, list) else None)
+    def test_overflow_is_named_not_printed(self, capsys, argv, named):
+        # a coupling whose square, weight or phase overflows, or an AKLT chi
+        # below the smallest normal double, once printed nan, -0, a subnormal
+        # or an errno tuple, or ended in a traceback
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("qcb: error:") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err
+
     def test_grid_failure_names_the_point(self, capsys):
         # det V is lost to rounding at r = 9, the 16th point of the 5 x 5 grid
         code, out, err = run(capsys, "gaussian", "--grid", "5", "--r-max", "12",
@@ -852,6 +882,11 @@ MALFORMED_TABLES = {
 }
 # An ed lattice of 10^9 sites, to be refused before its bonds are built.
 HUGE_L = st.just("1000000000")
+# Couplings and times where k^2, the cavity-pair weights and phases, or
+# k^2 |eta(t)|^2 (1 + 2 n_bar) overflow.
+OVERFLOW_EDGE = st.sampled_from(["1e100", "1e154", "1e160"])
+# An integer that no double holds, for lde chi --L and --r.
+NO_DOUBLE = st.just("1" + "0" * 400)
 # command: (flags always given, optional flags); sizes stay tiny.
 
 FUZZ_COMMANDS = {
@@ -862,7 +897,7 @@ FUZZ_COMMANDS = {
     "optomech-unitary": ({"--quantity": st.sampled_from(
         ["marker", "tangle", "negativity", "entropies", "mi", "mi-average"]),
         "--n-bar": SMALL},
-        {"--k": SMALL, "--t": SMALL,
+        {"--k": st.one_of(SMALL, OVERFLOW_EDGE), "--t": st.one_of(SMALL, OVERFLOW_EDGE),
          "--alpha": st.floats(-3.0, 3.0).map(repr), "--cavity": LEVELS,
          "--mirror": LEVELS, "--sweep-t": st.integers(0, 5).map(str)}),
     "optomech-steady": ({}, {**{f"--{name}": NUMBER for name in (
@@ -879,7 +914,7 @@ FUZZ_COMMANDS = {
                   {"--alpha": NUMBER,
                    "--probes": st.sampled_from(["ends", "1,2", "0,9", "a,b"])}),
     "lde chi": ({"--model": st.sampled_from(["ring", "aklt", "x"])},
-                {"--L": COUNT, "--r": COUNT}),
+                {"--L": st.one_of(COUNT, NO_DOUBLE), "--r": st.one_of(COUNT, NO_DOUBLE)}),
     # --in names a file of fuzz_inputs (missing.csv does not exist)
     "lde fit": ({"--in": st.sampled_from(["thermal.csv", "short.csv", "werner.csv",
                                           "text.csv", "missing.csv",

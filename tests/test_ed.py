@@ -281,7 +281,7 @@ class TestHamiltonian:
         spec = LatticeSpec(8, bonds + ((0, 1, 0.2), (1, 0, 0.3)), (1, 6), 0.05)
         ((sts, diagonal, terms),) = ed._bond_pass(10, spec.coupled_bonds(), (5,)).values()
         assert len(sts) == 252 and len(terms) == 28 + 2
-        dense = ed._dense_block(diagonal, terms)
+        ((_, _, dense),) = ed._assemble(10, spec.coupled_bonds(), (5,))
         a, b = dense[:126, :126], dense[:126, 126:][:, ::-1]
         for sector, cut in zip(ed._flip_sectors(diagonal, terms), (a + b, a - b)):
             assert same_arrays(sector.toarray(), cut)
@@ -570,11 +570,27 @@ class TestLowSpectrum:
         monkeypatch.setattr(ed, "DENSE_BLOCK_CAP", cap)
         for spec, reason in cases:
             mid = spec.n_total // 2
-            stored = _probe_block(spec, None)[0].energies[mid]
-            assert len(stored) == (3 if math.comb(spec.n_total, mid) > cap else
-                                   math.comb(spec.n_total, mid))
+            assert len(_probe_block(spec, None)[0].energies[mid]) == 3
             with pytest.raises(SectorAmbiguityError, match=reason):
                 low_spectrum_jcan(spec)
+
+    def test_fourteen_spin_probe_gap_takes_the_sectors(self):
+        # 14 spins exceed full_spectrum's lattice, so the 3432-state S_z = 0
+        # block goes through its flip sectors, not a dense eigh (180 MiB)
+        import scipy.sparse.linalg  # noqa: F401  (its import is not the route's)
+
+        spec = chain(12, alpha=0.05, probes=(1, 10))
+        tracemalloc.start()
+        try:
+            result, mid = _probe_block(spec, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.energies[mid]) == 3
+        h = sparse_block(spec.coupled_bonds(), block_states(spec.n_total, mid))
+        assert h.shape == (3432, 3432)
+        assert np.max(np.abs(result.energies[mid] - plain_lanczos(h)[:3])) < 1e-10
+        assert peak < 10 * (1 << 20)
 
     def test_desk_scale_cap_uses_lanczos_blocks(self):
         # 16 spins: the S_z = 0 block exceeds the dense cap and goes through
@@ -672,7 +688,7 @@ class TestThermalCorrelator:
             tracemalloc.stop()
         assert spectrum.vectors[6].shape == (924, 3)
         assert held < 1 << 20
-        assert peak < 30 * (1 << 20)
+        assert peak < 24 * (1 << 20)  # an H held through the diagonals: 27 MiB
 
     def test_dense_oracle_agreement(self):
         spec = chain(6, alpha=0.1)  # 8 spins

@@ -382,6 +382,16 @@ class TestStacks:
                 DensityMatrix(stack)
             assert info.value.index == 3
 
+    def test_non_finite_member_carries_index(self):
+        # NaN fails no comparison: without the finiteness check it passes the
+        # Hermitian, trace and PSD checks and reaches eigvalsh
+        stack = np.array([np.eye(4) / 4] * 5, dtype=complex)
+        for bad in (np.nan, np.inf):
+            stack[3, 1, 2] = stack[3, 2, 1] = bad
+            with pytest.raises(DomainError, match="not finite") as info:
+                DensityMatrix(stack, split=(2, 2))
+            assert info.value.index == 3
+
     def test_one_matrix_measures_refuse_stacks(self):
         rho = werner_state(np.array([-1.0, 0.0]))
         for fn in (entropies, tangle, concurrence, partial_trace, normalized_mutual_info):

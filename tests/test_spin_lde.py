@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -118,6 +119,16 @@ class TestAkltSusceptibility:
         with pytest.raises(DomainError):
             chi_aklt(0)
 
+    def test_below_the_smallest_normal_double_is_refused(self):
+        # r = 651 is the last separation whose |chi| is a normal double
+        assert abs(chi_aklt(651)) >= sys.float_info.min
+        with pytest.raises(DomainError, match=r"log10\|chi\| = -307.712 at r = 652"):
+            chi_aklt(652)
+        with pytest.raises(DomainError, match=r"r = 10\^400 does not convert"):
+            chi_aklt(10**400)
+        with pytest.raises(DomainError, match=r"L = 10\^400 does not convert"):
+            RingGeometry(10**400, 1)
+
 
 class TestEffectiveCoupling:
     """The second-order probe-probe exchange J_eff = J_p^2 chi."""
@@ -195,6 +206,15 @@ class TestCanonicalModel:
         betas = np.geomspace(1e-3, 1e3, 200)
         vals = [correlator_of_beta(cp, b) for b in betas]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_overflowing_beta_jcan_leaves_the_limits(self):
+        # beta J_can = 1e600 is not formed: J_can/4 where only the numerator
+        # grows as e^(beta J), ln(b_num/b_den)/(4 beta) where both do
+        assert jab_of_beta(CanonicalParams(1e300, 0.0, 0.0), 1e300) == 2.5e299
+        cp = CanonicalParams(1e300, 0.5, 0.1)
+        want = math.log((4.0 - 1.5 - 0.1) / (0.5 + 0.1 / 3.0)) / 4e300
+        assert abs(jab_of_beta(cp, 1e300) - want) < 1e-15 * want
+        assert abs(jab_of_beta(cp, 1.0) - want * 1e300) < 1e-15
 
     def test_log_domain_error(self):
         cp = CanonicalParams(1.0, 1.2, 0.3)
