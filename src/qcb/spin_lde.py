@@ -4,12 +4,14 @@ three-parameter canonical model of the probe pair at all temperatures.
 Probe operators are Pauli matrices (correlator <tau_a . tau_b> in [-3, 1]);
 bath spins are spin-1/2.  Ring susceptibilities are quoted in units of the
 non-universal bosonization amplitude over the Fermi velocity (both set to 1),
-and the ring formula is asymptotic in the probe separation.  The AKLT
-susceptibility is the closed form of the single-mode approximation.
+and the ring formula is asymptotic in the probe separation; its integral is
+a numpy Gauss-Legendre rule, so that only the canonical fit loads scipy.  The
+AKLT susceptibility is the closed form of the single-mode approximation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +21,8 @@ from .exceptions import DomainError, FitError, QcbError
 
 AKLT_GAP = 10.0 / 27.0           # single-mode-approximation gap at q = pi
 AKLT_XI = 1.0 / math.log(3.0)    # correlation length
+_RING_NODES = tuple(16 << k for k in range(7))  # Gauss-Legendre rules 16, 32, ..., 1024
+_legendre_rule = functools.cache(np.polynomial.legendre.leggauss)
 
 
 @dataclass(frozen=True)
@@ -73,34 +77,34 @@ def chi_ring(geom: RingGeometry) -> float:
     x = geom.x
     if math.pi - x < 1e-15:
         return 0.0
-    val, err = _ring_integral(x)
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise QcbError(f"ring susceptibility quadrature error estimate {err:.2e}")
     sign = -1.0 if geom.r % 2 else 1.0
-    return sign / math.sqrt(2.0) * val
+    return sign / math.sqrt(2.0) * _ring_integral(x)[0]
 
 
 def _ring_integral(x: float) -> tuple[float, float]:
-    """integral_x^pi (tau/pi - 1)/sqrt(cos x - cos tau) dtau with error
-    estimate, for 0 < x < pi.
-
-    One adaptive quadrature under tau = x cosh v, v in [0, acosh(pi/x)]:
-    dtau = x sinh v dv cancels the inverse-square-root endpoint singularity,
-    and the logarithmic scale tau - x ~ x of small x is spread evenly in v.
-    cos x - cos tau = 2 sin((tau+x)/2) sin((tau-x)/2), each factor under its
+    """integral_x^pi (tau/pi - 1)/sqrt(cos x - cos tau) dtau for 0 < x < pi,
+    and its difference from the rule before, under tau = x cosh v, v in
+    [0, acosh(pi/x)]: the first Gauss-Legendre rule of 16, 32, ..., 1024
+    nodes within 1e-13 max(1, |value|) of the one before, or a QcbError.
+    dtau = x sinh v dv cancels the inverse-square-root endpoint singularity
+    and spreads the logarithmic scale tau - x ~ x of small x evenly in v.
+    Each factor of cos x - cos tau = 2 sin((tau+x)/2) sin((tau-x)/2) has its
     own square root, so that the product cannot underflow at tiny x and
     tau - x = 2 x sinh^2(v/2) suffers no cancellation.
     """
-    from scipy.integrate import quad
-
-    def f(v: float) -> float:
-        if v == 0.0:
-            return (x / math.pi - 1.0) * math.sqrt(2.0 * x / math.sin(x))
-        diff = 2.0 * x * math.sinh(0.5 * v) ** 2  # x (cosh v - 1), stably
-        gap_root = math.sqrt(2.0 * math.sin(x + 0.5 * diff)) * math.sqrt(math.sin(0.5 * diff))
-        return ((x + diff) / math.pi - 1.0) * x * math.sinh(v) / gap_root
-
-    return quad(f, 0.0, math.acosh(math.pi / x), epsabs=1e-11, epsrel=1e-11, limit=300)[:2]
+    half = 0.5 * math.acosh(math.pi / x)
+    val = math.inf
+    for n in _RING_NODES:
+        t, w = _legendre_rule(n)
+        v = half * (t + 1.0)                  # every node interior: v > 0
+        gap = 2.0 * x * np.sinh(0.5 * v) ** 2  # x (cosh v - 1), stably
+        f = ((x + gap) / math.pi - 1.0) * x * np.sinh(v) \
+            / (np.sqrt(2.0 * np.sin(x + 0.5 * gap)) * np.sqrt(np.sin(0.5 * gap)))
+        val, prev = half * float(np.sum(w * f)), val
+        if abs(val - prev) <= 1e-13 * max(1.0, abs(val)):
+            return val, abs(val - prev)
+    raise QcbError(f"ring susceptibility quadrature has not converged at {n} nodes: "
+                   f"last difference {abs(val - prev):.2e}")
 
 
 def _check_double(name: str, n: int) -> None:
@@ -122,8 +126,7 @@ def chi_aklt(r: int) -> float:
     if r < 1:
         raise DomainError("separation r must be >= 1")
     _check_double("separation r", r)
-    chi = (1.0 / AKLT_GAP) * (-1.0) ** (r + 1) * (1.0 + 4.0 * r / 3.0) \
-        * math.exp(-r / AKLT_XI)
+    chi = (1.0 / AKLT_GAP) * (-1.0) ** (r + 1) * (1.0 + 4.0 * r / 3.0) * math.exp(-r / AKLT_XI)
     if abs(chi) < np.finfo(float).tiny:
         log10_chi = math.log10((1.0 + 4.0 * r / 3.0) / AKLT_GAP) - r / AKLT_XI / math.log(10.0)
         raise DomainError(f"AKLT chi underflows: log10|chi| = {log10_chi:.6g} at r = {r}")
@@ -151,6 +154,7 @@ def jab_of_beta(cp: CanonicalParams, beta: float) -> float:
     J_ab(beta) = (1/4 beta) ln[(3(Phi - eta) + (4 - 3 Phi - eta) e^(b J)) /
     (4 - Phi + eta + (Phi + eta/3) e^(b J))]; consistent with the correlator
     through the Gibbs relation <tau.tau> = (e^(-4 b J_ab) - 1)/(e^(-4 b J_ab) + 1/3).
+    A nonzero |J_ab| below the smallest normal double is a DomainError.
     """
     if beta <= 0:
         raise DomainError("beta must be > 0")
@@ -160,25 +164,24 @@ def jab_of_beta(cp: CanonicalParams, beta: float) -> float:
 
     def log_lin_exp(a: float, b: float) -> tuple[int, float]:
         # (c, rest) with log(a + b e^bj) = c bj + rest: c = 1 where bj > 50
-        # (b >= 0 there by the constraint), so that no c bj is formed; b = 0
-        # never forms e^bj, which overflows beyond bj = 709
-        if b == 0.0:
-            arg = a
-        elif bj > 50.0:
-            if b < 0.0:
-                raise DomainError("canonical parameterization leaves log argument <= 0")
-            return 1, math.log(b + a * math.exp(-bj))
-        else:
-            arg = a + b * math.exp(bj)
-        if arg <= 0.0:
+        # and b != 0 (b > 0 there by the constraint), so that no c bj is
+        # formed; b = 0 never forms e^bj, which overflows beyond bj = 709
+        c = int(b != 0.0 and bj > 50.0)
+        arg = b + a * math.exp(-bj) if c else a + b * math.exp(bj) if b else a
+        if arg <= 0.0 or c and b < 0.0:
             raise DomainError("canonical parameterization leaves log argument <= 0")
-        return 0, math.log(arg)
+        return c, math.log(arg)
 
     # the bj terms of numerator and denominator cancel: what is left of
     # them is 0 or +-bj, that is +-J_can/4 in J_ab
     (c_num, rest_num), (c_den, rest_den) = log_lin_exp(a_num, b_num), log_lin_exp(a_den, b_den)
-    j_ab = (rest_num - rest_den) / (4.0 * beta)
-    return j_ab if c_num == c_den else j_ab + (c_num - c_den) * cp.J_can / 4.0
+    j_ab = (rest_num - rest_den) / 4.0 / beta  # 4 beta overflows from beta = 4.5e307
+    if c_num != c_den:
+        return j_ab + (c_num - c_den) * cp.J_can / 4.0
+    if rest_num != rest_den and abs(j_ab) < np.finfo(float).tiny:
+        log10_jab = math.log10(abs(rest_num - rest_den) / 4.0) - math.log10(beta)
+        raise DomainError(f"J_ab underflows: log10|J_ab| = {log10_jab:.6g} at beta = {beta:.6g}")
+    return j_ab
 
 
 def correlator_from_jab(j_ab: float, beta: float) -> float:
@@ -208,10 +211,7 @@ def separability_beta(f, lo: float, hi: float) -> float:
         mid = math.sqrt(lo * hi)
         if mid == lo or mid == hi:
             break
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
     return math.sqrt(lo * hi)
 
 
@@ -236,8 +236,7 @@ def critical_temperature(cp: CanonicalParams) -> CriticalTemperature:
     if f(hi) >= 0.0:
         return CriticalTemperature(None, estimate, True)
     if f(lo) <= 0.0:
-        raise DomainError(f"eta = {cp.eta} <= -1: the pair is entangled at every "
-                          "temperature")
+        raise DomainError(f"eta = {cp.eta} <= -1: the pair is entangled at every temperature")
     return CriticalTemperature(cp.J_can / separability_beta(f, lo, hi), estimate, False)
 
 
@@ -301,7 +300,7 @@ def fit_canonical_params(samples, kind: str = "correlator") -> FitResult:
     x0 = np.clip(x0, lower + 1e-12, np.where(np.isfinite(upper), upper - 1e-12, x0))
     res = least_squares(residuals, x0, bounds=(lower, upper), xtol=1e-15,
                         ftol=1e-15, gtol=1e-15, max_nfev=2000)
-    if not res.success and np.sqrt(np.mean(res.fun**2)) > 1e-6:
-        raise FitError(f"canonical fit did not converge: {res.message}")
     rms = float(np.sqrt(np.mean(res.fun**2)))
+    if not res.success and rms > 1e-6:
+        raise FitError(f"canonical fit did not converge: {res.message}")
     return FitResult(unpack(res.x), rms, int(res.nfev))

@@ -125,6 +125,23 @@ def chi_aklt_sma(r: int) -> float:
     return -2.0 * val
 
 
+def ring_integral_quad(x: float) -> float:
+    """integral_x^pi (tau/pi - 1)/sqrt(cos x - cos tau) dtau for 0 < x < pi by
+    adaptive quadrature of the scalar integrand under tau = x cosh v, the
+    route ``spin_lde._ring_integral`` took before its Gauss-Legendre rule:
+    the reference for that rule."""
+    from scipy.integrate import quad
+
+    def f(v: float) -> float:
+        if v == 0.0:
+            return (x / math.pi - 1.0) * math.sqrt(2.0 * x / math.sin(x))
+        gap = 2.0 * x * math.sinh(0.5 * v) ** 2  # x (cosh v - 1), stably
+        gap_root = math.sqrt(2.0 * math.sin(x + 0.5 * gap)) * math.sqrt(math.sin(0.5 * gap))
+        return ((x + gap) / math.pi - 1.0) * x * math.sinh(v) / gap_root
+
+    return quad(f, 0.0, math.acosh(math.pi / x), epsabs=1e-11, epsrel=1e-11, limit=300)[0]
+
+
 def leibniz_block_per_term(p: OptoUnitaryParams, rows, cols, mu_levels, nu_levels
                            ) -> np.ndarray:
     """The Leibniz kernel of :mod:`qcb.optomech_unitary` with exp(i phase)

@@ -180,11 +180,14 @@ class TestExitCodes:
         (["lde", "chi", "--model", "ring", "--L", "1" + "0" * 400, "--r", "1"],
          "ring size L = 10^400"),
         (["lde", "chi", "--model", "aklt", "--r", "1" + "0" * 400], "separation r = 10^400"),
+        *((["lde", "thermal", "--jcan", "1", "--phi", phi, "--eta", eta, "--tmin", "6e-309",
+            "--tmax", "1", "--steps", "2"], "log10|J_ab|")
+          for phi, eta in (("1.2", "0.3"), ("0.5", "0.1"))),
     ], ids=lambda v: " ".join(v)[:60] if isinstance(v, list) else None)
     def test_overflow_is_named_not_printed(self, capsys, argv, named):
         # a coupling whose square, weight or phase overflows, or an AKLT chi
-        # below the smallest normal double, once printed nan, -0, a subnormal
-        # or an errno tuple, or ended in a traceback
+        # or a J_ab below the smallest normal double, once printed nan, -0, 0,
+        # a subnormal or an errno tuple, or ended in a traceback
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("qcb: error:") and err.count("\n") == 1

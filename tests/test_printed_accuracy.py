@@ -22,6 +22,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from qcb.cli import main
 from qcb.optomech_stationary import derive_physical_params, detuning_sweep, drift_and_diffusion
 from qcb.optomech_unitary import OptoUnitaryParams, _lag_weights, _linear_entropies
 from qcb.spin_lde import RingGeometry
@@ -268,6 +269,30 @@ def test_known_off_cells(name, column, row):
     cells = {"en_grid.csv": en_grid_cells, "sweep.csv": sweep_cells}[name]()
     text, oracle, ulps = cells[column, row]
     assert within_half_unit(text, oracle, ulps)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 21: x = 2 pi r / L arrives as a rounded"
+                                        " double, so pi - x keeps about 8 digits next to the"
+                                        " half ring")
+def test_ring_response_next_to_the_half_ring(capsys):
+    # pi - x = 2 pi / L at the exact x = 2 pi r / L: chi = 2/L (1 + O((2 pi/L)^2))
+    # = 2.00000000000e-08.  The command prints 2.00000001366e-08 (adaptive
+    # quadrature printed 2.00000001293e-08); the exact integral at the rounded
+    # double x is 2.0000000175e-08
+    assert main(["lde", "chi", "--model", "ring", "--L", "100000000", "--r", "49999999"]) == 0
+    text = capsys.readouterr().out.strip()
+    with mpmath.workdps(40):
+        x = 2 * mpmath.pi * 49999999 / 100000000
+
+        def f(u):  # tau = x + u^2, as for README command 10
+            if u == 0:
+                return 2 * (x / mpmath.pi - 1) / mpmath.sqrt(mpmath.sin(x))
+            return (2 * u * ((x + u * u) / mpmath.pi - 1)
+                    / mpmath.sqrt(2 * mpmath.sin(x + u * u / 2) * mpmath.sin(u * u / 2)))
+
+        integral = mpmath.quad(f, [0, mpmath.sqrt(mpmath.pi - x)])
+        assert abs(-integral / mpmath.sqrt(2) * 50000000 - 1) < mpmath.mpf(10) ** -14
+        assert within_half_unit(text, -integral / mpmath.sqrt(2))
 
 
 def test_werner_singlet():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcb import ed, spin_lde
-from qcb.exceptions import DomainError, FitError
+from qcb.exceptions import DomainError, FitError, QcbError
 from qcb.qstate import PAULI_DOT, concurrence, concurrence_from_correlator
 from qcb.spin_lde import (
     AKLT_GAP,
@@ -22,7 +22,7 @@ from qcb.spin_lde import (
     jab_of_beta,
 )
 
-from random_states import chi_aklt_sma, probe_state_thermal
+from random_states import chi_aklt_sma, probe_state_thermal, ring_integral_quad
 
 CHAIN_ROW = CanonicalParams(5.07e-4, 1.03e-2, 6.23e-4)       # table: spin chain
 SQUARE_ROW = CanonicalParams(3.04e-3, 1.46e-1, -1.34e-2)     # table: square lattice
@@ -90,6 +90,33 @@ class TestRingSusceptibility:
             got, _ = _ring_integral(x)
             want = float(mpquad(lambda tau: f(tau, x), [mpf(x), mppi]))
             assert abs(got - want) < 1e-8 * max(1.0, abs(want))
+
+    def test_rule_against_adaptive_quadrature(self):
+        # the Gauss-Legendre rule within 1e-13 max(1, |value|) of scipy's quad
+        # on the same integrand: the 306 rings of the log-asymptote walk, 300
+        # x across (0, pi) and x = pi - 2 pi / L next to the half ring
+        xs = [RingGeometry(2 * round(math.pi * 10.0**k), 1).x for k in range(2, 308)]
+        xs += np.linspace(0.0, math.pi, 302)[1:-1].tolist()
+        xs += [math.pi - 2.0 * math.pi / L for L in (*np.geomspace(4.0, 1e15, 40), 2e15)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in xs:
+                got, diff = spin_lde._ring_integral(x)
+                want = ring_integral_quad(x)
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), x
+                assert diff <= 1e-13 * max(1.0, abs(got))
+
+    def test_rule_that_does_not_converge_is_refused(self, monkeypatch, capsys):
+        # capped at its first rule of 16 nodes, no two values can agree
+        from qcb.cli import main
+
+        monkeypatch.setattr(spin_lde, "_RING_NODES", (16,))
+        with pytest.raises(QcbError, match="not converged at 16 nodes: last difference inf"):
+            chi_ring(RingGeometry(100, 31))
+        assert main(["lde", "chi", "--model", "ring", "--L", "100", "--r", "31"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("qcb: error: ring susceptibility quadrature")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -215,6 +242,22 @@ class TestCanonicalModel:
         want = math.log((4.0 - 1.5 - 0.1) / (0.5 + 0.1 / 3.0)) / 4e300
         assert abs(jab_of_beta(cp, 1e300) - want) < 1e-15 * want
         assert abs(jab_of_beta(cp, 1.0) - want * 1e300) < 1e-15
+
+    def test_subnormal_jab_is_refused(self):
+        # 4 beta overflows from beta = 4.5e307: J_ab = (ln b_num - ln b_den)/4/beta
+        # is formed without it and kept while it is a normal double (phi =
+        # 1e-6 at beta = 1e308), and a subnormal one is named by its log10
+        # (kT = 6e-309: -3.8e-309 and 2.3e-309)
+        for phi, eta, betas in ((1.2, 0.3, (1e300, 1e307)), (0.5, 0.1, (1e300, 1e307)),
+                                (1e-6, 0.0, (1e300, 1e307, 1e308))):
+            cp = CanonicalParams(1.0, phi, eta)
+            want = math.log(4.0 - 3.0 * phi - eta) - math.log(phi + eta / 3.0)
+            for beta in betas:
+                got = jab_of_beta(cp, beta)
+                assert got == want / 4.0 / beta and abs(got) >= sys.float_info.min
+        for phi, eta, log10_jab in ((1.2, 0.3, "-308.415"), (0.5, 0.1, "-308.647")):
+            with pytest.raises(DomainError, match=rf"log10\|J_ab\| = {log10_jab} at beta"):
+                jab_of_beta(CanonicalParams(1.0, phi, eta), 1.0 / 6e-309)
 
     def test_log_domain_error(self):
         cp = CanonicalParams(1.0, 1.2, 0.3)
