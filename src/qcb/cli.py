@@ -286,15 +286,14 @@ def _make_lattice(args) -> ed_mod.LatticeSpec:
 
 
 def _cmd_ed_run(args) -> str:
-    spec = _make_lattice(args)
-    spectrum = ed_mod.full_spectrum(spec)
-    j_can, gap = ed_mod.low_spectrum_jcan(spec, spectrum=spectrum)
+    spectrum = ed_mod.full_spectrum(_make_lattice(args))
+    j_can, gap = ed_mod.low_spectrum_jcan(spectrum)
     if args.temps == "auto":
         temps = ed_mod.default_temperature_grid(j_can)
     else:
         temps = np.array([float(t) for t in args.temps.split(",")])
     betas = 1.0 / temps
-    corrs = ed_mod.thermal_correlator_exact(spec, betas, spectrum=spectrum)
+    corrs = ed_mod.thermal_correlator_exact(spectrum, betas)
     table = {"kT": temps, "beta": betas, "correlator": corrs,
              "concurrence": [qstate.concurrence_from_correlator(c) for c in corrs.tolist()]}
     return _table(args, table, ["lattice", "L", "alpha", "probes", "temps"],

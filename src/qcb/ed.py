@@ -27,14 +27,15 @@ the Lanczos branch imports ``scipy.sparse`` and ``scipy.sparse.linalg``.
 A spectrum keeps no block's eigenvectors but the three lowest of the
 S_z = 0 block: right after its ``eigh``, :func:`full_spectrum` reduces each
 block to its levels and probe correlator diagonals.
-The T = 0 quantities read the S_z = 0 block alone, where every
-integer-spin multiplet has one member (SU(2)), of a given spectrum or of
-its own diagonalization, and total spin is verified through
-<S^2> = S_z^2 + S_z + ||S^+ v||^2.  The probe correlator is applied as a
-two-term gather, exact to the bit.  One Boltzmann average serves every
-thermal correlator: one exponential over the levels of every block,
-concatenated once per spectrum, summed block by block.  It refuses a
-spectrum that does not store every level.
+Each reader takes one argument, a lattice: a LatticeSpec, which it
+diagonalizes itself, or a SpectrumResult, which it reads with that
+spectrum's own spec.  The T = 0 readers take the S_z = 0 block alone,
+where every integer-spin multiplet has one member (SU(2)), and total spin
+is verified through <S^2> = S_z^2 + S_z + ||S^+ v||^2.  The probe
+correlator is applied as a two-term gather, exact to the bit.  The thermal
+correlator is one Boltzmann average: one exponential over the levels of
+every block, concatenated once per spectrum, summed block by block.  It
+refuses a spectrum that does not store every level.
 
 Units and normalization: energies are in units of the bath exchange J = 1;
 bath spins are S = sigma/2; probe operators tau are full Pauli matrices
@@ -311,9 +312,9 @@ class SpectrumResult:
 
     @cached_property
     def boltzmann_terms(self) -> tuple[np.ndarray, list[tuple[slice, np.ndarray]]]:
-        """What :func:`_boltzmann_average` reads at every beta: the levels of
-        every block minus the ground energy, concatenated in stored order,
-        and per block its slice of them with its probe diagonals."""
+        """What :func:`thermal_correlator_exact` reads at every beta: the
+        levels of every block minus the ground energy, concatenated in stored
+        order, and per block its slice of them with its probe diagonals."""
         e0 = min(float(e[0]) for e in self.energies.values())
         levels = np.concatenate(list(self.energies.values())) - e0
         ends = np.cumsum([len(es) for es in self.energies.values()]).tolist()
@@ -404,9 +405,9 @@ def _spin_squared(result: SpectrumResult, m: int, levels: tuple[int, ...]) -> li
     return out
 
 
-def _probe_block(spec: LatticeSpec, spectrum: SpectrumResult | None):
-    """``spectrum`` (diagonalized now if None) and the n_up of its S_z = 0
-    block.
+def _probe_block(lattice: LatticeSpec | SpectrumResult) -> SpectrumResult:
+    """``lattice`` itself if it is a spectrum, else a new diagonalization of
+    its S_z = 0 block, whose n_up is always ``spec.n_total // 2``.
 
     Every integer-spin multiplet has exactly one member at S_z = 0 (SU(2)),
     so the levels of that block alone are the distinct levels of the
@@ -416,41 +417,42 @@ def _probe_block(spec: LatticeSpec, spectrum: SpectrumResult | None):
     :func:`full_spectrum` would hold the lattice (at most 12 spins), above
     it from its spin-flip sectors (:func:`_flip_sector_levels`).
     """
+    spec = lattice.spec if isinstance(lattice, SpectrumResult) else lattice
     if spec.n_total % 2:
         raise SectorAmbiguityError(
             f"{spec.n_total} spins have half-integer total spin: no probe singlet")
+    if isinstance(lattice, SpectrumResult):
+        return lattice
     mid = spec.n_total // 2
-    if spectrum is None:
-        bonds = spec.coupled_bonds()
-        if 1 << spec.n_total <= DENSE_BLOCK_CAP:
-            ((_, sts, h),) = _assemble(spec.n_total, bonds, (mid,))
-            w, v = np.linalg.eigh(h)
-        else:  # the whole block is never built, only its two flip sectors
-            ((sts, diagonal, terms),) = _bond_pass(spec.n_total, bonds, (mid,)).values()
-            sectors = _flip_sectors(diagonal, terms)
-            del diagonal, terms  # released before Lanczos: 0.9 MiB at 16 spins
-            w, v = _flip_sector_levels(sectors, 3)
-        # order "K" keeps the sectors' column-major layout: the dot product
-        # of a column rounds differently at another stride
-        spectrum = SpectrumResult(spec, {mid: w[:3]}, {}, {mid: v[:, :3].copy(order="K")},
-                                  {mid: sts})
-    return spectrum, mid
+    bonds = spec.coupled_bonds()
+    if 1 << spec.n_total <= DENSE_BLOCK_CAP:
+        ((_, sts, h),) = _assemble(spec.n_total, bonds, (mid,))
+        w, v = np.linalg.eigh(h)
+    else:  # the whole block is never built, only its two flip sectors
+        ((sts, diagonal, terms),) = _bond_pass(spec.n_total, bonds, (mid,)).values()
+        sectors = _flip_sectors(diagonal, terms)
+        del diagonal, terms  # released before Lanczos: 0.9 MiB at 16 spins
+        w, v = _flip_sector_levels(sectors, 3)
+    # order "K" keeps the sectors' column-major layout: the dot product of a
+    # column rounds differently at another stride
+    return SpectrumResult(spec, {mid: w[:3]}, {}, {mid: v[:, :3].copy(order="K")}, {mid: sts})
 
 
-def low_spectrum_jcan(spec: LatticeSpec,
-                      spectrum: SpectrumResult | None = None) -> tuple[float, float]:
+def low_spectrum_jcan(lattice: LatticeSpec | SpectrumResult) -> tuple[float, float]:
     """(J_can_exact, robust gap): singlet-triplet splitting and the gap from
     the triplet to the first level outside the 4-dimensional probe sector.
 
-    Levels come from the S_z = 0 block of ``spectrum`` when given, else of
-    a new diagonalization of that block alone (:func:`_probe_block`).  Its
-    lowest level must be a singlet (<S_tot^2> = 0) and its next a triplet
-    (<S_tot^2> = 2), each apart from its neighbours by more than
-    ``DEGENERACY_TOL``; the third gives the robust gap.
+    Levels come from the S_z = 0 block of ``lattice``, a spectrum read with
+    its own spec or a lattice whose block alone is diagonalized
+    (:func:`_probe_block`).  Its lowest level must be a singlet
+    (<S_tot^2> = 0) and its next a triplet (<S_tot^2> = 2), each apart from
+    its neighbours by more than ``DEGENERACY_TOL``; the third gives the
+    robust gap.
     """
+    spec = lattice.spec if isinstance(lattice, SpectrumResult) else lattice
     if spec.alpha <= 0:
         raise DomainError("probe coupling alpha must be > 0 for the probe gap")
-    spectrum, m0 = _probe_block(spec, spectrum)
+    spectrum, m0 = _probe_block(lattice), spec.n_total // 2
     e0, e_t, e_rest = map(float, spectrum.energies[m0][:3])
     s2_ground, s2 = _spin_squared(spectrum, m0, (0, 1))
     if abs(s2_ground) > 1e-6:
@@ -464,28 +466,32 @@ def low_spectrum_jcan(spec: LatticeSpec,
     return e_t - e0, e_rest - e_t
 
 
-def ground_state_correlator(spec: LatticeSpec,
-                            spectrum: SpectrumResult | None = None) -> float:
-    """<tau_a . tau_b> in the lowest level of the S_z = 0 block (of
-    ``spectrum`` if given), as in :func:`low_spectrum_jcan`."""
-    spectrum, m0 = _probe_block(spec, spectrum)
+def ground_state_correlator(lattice: LatticeSpec | SpectrumResult) -> float:
+    """<tau_a . tau_b> in the lowest level of the S_z = 0 block of
+    ``lattice``, as in :func:`low_spectrum_jcan`."""
+    spectrum = _probe_block(lattice)
+    m0 = spectrum.spec.n_total // 2
     vec = spectrum.vectors[m0][:, 0]
-    return float(vec @ _apply_probe_correlator(spec, spectrum.states[m0], vec))
+    return float(vec @ _apply_probe_correlator(spectrum.spec, spectrum.states[m0], vec))
 
 
-def _boltzmann_average(spectrum: SpectrumResult, betas) -> np.ndarray:
-    """Probe correlator averaged over every level of every block: one
-    exponential over all levels, whose slices are summed block by block in
-    stored order, as one exponential per block would be.
+def thermal_correlator_exact(lattice: LatticeSpec | SpectrumResult, betas) -> np.ndarray:
+    """<tau_a . tau_b>(beta) averaged over every level of every block of
+    ``lattice``: a spectrum, whose Boltzmann terms are kept across calls, or
+    a lattice, whose :func:`full_spectrum` is taken.  One exponential over
+    all levels, shifted by the ground energy so that any finite beta >= 0 is
+    safe, whose slices are summed block by block in stored order, as one
+    exponential per block would be.
 
-    A beta that is NaN, infinite or negative raises DomainError; a spectrum
-    that does not store all 2^n levels (the probe route's, or one missing a
-    block) raises TruncationError.
+    A beta that is NaN, infinite or negative raises DomainError before any
+    spectrum is built; a spectrum that does not store all 2^n levels (the
+    probe route's, or one missing a block) raises TruncationError.
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     bad = betas[~(np.isfinite(betas) & (betas >= 0.0))]
     if bad.size:
         raise DomainError(f"beta must be finite and >= 0; got {bad[0]}")
+    spectrum = lattice if isinstance(lattice, SpectrumResult) else full_spectrum(lattice)
     stored = sum(len(es) for es in spectrum.energies.values())
     if stored < 1 << spectrum.spec.n_total:
         raise TruncationError(f"thermal average needs all {1 << spectrum.spec.n_total} "
@@ -497,14 +503,6 @@ def _boltzmann_average(spectrum: SpectrumResult, betas) -> np.ndarray:
         num += w[:, sl] @ diagonals
         den += w[:, sl].sum(axis=1)
     return num / den
-
-
-def thermal_correlator_exact(spec: LatticeSpec, betas,
-                             spectrum: SpectrumResult | None = None) -> np.ndarray:
-    """<tau_a . tau_b>(beta) from the full blockwise spectrum (``spectrum``,
-    whose Boltzmann terms are kept across calls, or a new one).  Energies
-    are shifted by the ground energy, so any finite beta >= 0 is safe."""
-    return _boltzmann_average(full_spectrum(spec) if spectrum is None else spectrum, betas)
 
 
 # ---------------------------------------------------------------------------
@@ -563,22 +561,22 @@ def theory_consistency_report(spec: LatticeSpec) -> dict:
     (iv) the exact separability temperature against 0.93 J_can (1 - Phi).
     """
     spectrum = full_spectrum(spec)
-    j_can, gap = low_spectrum_jcan(spec, spectrum=spectrum)
+    j_can, gap = low_spectrum_jcan(spectrum)
     chi, phi_coeff = chi_lehman_and_phi(spec)
     j_can_pert = 4.0 * spec.alpha ** 2 * chi
 
     temps = default_temperature_grid(j_can)
     betas = 1.0 / temps
-    corrs = thermal_correlator_exact(spec, betas, spectrum=spectrum)
+    corrs = thermal_correlator_exact(spectrum, betas)
     fit = fit_canonical_params(list(zip(betas, corrs)))
     cp = fit.params
 
-    c0_exact = ground_state_correlator(spec, spectrum=spectrum)
+    c0_exact = ground_state_correlator(spectrum)
     c0_model = -3.0 + cp.eta + 3.0 * cp.Phi
 
     # exact separability temperature from the ED correlator itself
     def f(beta):
-        return float(thermal_correlator_exact(spec, [beta], spectrum=spectrum)[0]) + 1.0
+        return float(thermal_correlator_exact(spectrum, [beta])[0]) + 1.0
 
     lo, hi = 1e-3 / j_can, 1e3 / j_can  # betas: high-T (corr ~ 0) to low-T
     t_star = None

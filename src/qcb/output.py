@@ -44,13 +44,12 @@ def fmt_value(v) -> str:
 
 
 def _convert(spec: str, cells: list) -> list[str]:
-    """The texts of ``cells`` under the one conversion ``spec``: one ``%``
-    call over all of them, split at the newlines.  ``%s`` is ``str`` of each
-    cell, since a string cell may hold a newline."""
+    """The texts of ``cells`` (at least one: :func:`_chunks` yields no empty
+    run) under the one conversion ``spec``: one ``%`` call over all of them,
+    split at the newlines.  ``%s`` is ``str`` of each cell, since a string
+    cell may hold a newline."""
     if spec == "%s":
         return list(map(str, cells))
-    if not cells:
-        return []
     return ("\n".join([spec] * len(cells)) % tuple(cells)).split("\n")
 
 

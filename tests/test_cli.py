@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import row_template_writer
-from qcb import cli, optomech_stationary, output
+from qcb import cli, ed, optomech_stationary, optomech_unitary, output
 from qcb.cli import MAX_TABLE_CELLS, _parser, main
 from qcb.exceptions import QcbError
 from qcb.output import export_table, fmt_value, read_table, write_text
@@ -459,6 +459,18 @@ class TestEd:
         payload = json.loads(rep)
         assert float(payload["gap_over_jcan"]) > 5.0
 
+    def test_run_at_given_temperatures(self, capsys):
+        # --temps gives the kT column as written, and each correlator cell
+        # is the library's Boltzmann average at beta = 1/kT
+        code, out, _ = run(capsys, "ed", "run", "--L", "4", "--alpha", "0.1",
+                           "--temps", "0.05,0.5")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+        assert rows[0] == ["kT", "beta", "correlator", "concurrence"]
+        assert [row[0] for row in rows[1:]] == ["0.05", "0.5"]
+        want = ed.thermal_correlator_exact(ed.chain(4, 0.1), 1.0 / np.array([0.05, 0.5]))
+        assert [row[2] for row in rows[1:]] == [fmt_value(c) for c in want.tolist()]
+
 
 class TestOptomechUnitary:
     def test_marker_sweep(self, tmp_path, capsys):
@@ -478,6 +490,17 @@ class TestOptomechUnitary:
                            "mi-average", "--k", "1", "--alpha", "3",
                            "--n-bar", "2")
         assert code == 0 and out.startswith("MI_av=")
+
+    def test_entropies_print(self, capsys):
+        code, out, _ = run(capsys, "optomech-unitary", "--quantity", "entropies",
+                           "--k", "0.5", "--alpha", "1.5", "--n-bar", "0.7", "--t", "2")
+        assert code == 0
+        s_tot, s_cav, s_mir = optomech_unitary.linear_entropies_closed(
+            optomech_unitary.OptoUnitaryParams(k=0.5, alpha=1.5, n_bar=0.7, t=2.0))
+        assert out == (f"S_total={fmt_value(s_tot)} S_cav={fmt_value(s_cav)} "
+                       f"S_mir={fmt_value(s_mir)}\n")
+        # the unitary keeps the purity of the initial thermal mirror
+        assert abs(s_tot - (1.0 - 1.0 / (2.0 * 0.7 + 1.0))) < 1e-15
 
 
 class TestOptomechSteady:
@@ -650,6 +673,13 @@ class TestConfigFile:
         code, out, _ = run(capsys, *argv, "--config", str(cfg))
         assert code == 0 and "# steps=3" in out
         assert run(capsys, *argv) == (0, fresh.stdout, "")
+
+    def test_config_skips_blank_comment_and_bare_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\nr = 0.5\n# r = 2\nn-bar\n")
+        want = run(capsys, "gaussian", "--r", "0.5")
+        assert want[0] == 0 and "EN=1" in want[1]
+        assert run(capsys, "gaussian", "--config", str(cfg)) == want
 
     def test_missing_config_file(self, capsys):
         assert run(capsys, "gaussian", "--config", "/nonexistent")[0] == 3

@@ -17,7 +17,6 @@ from qcb.ed import (
     LatticeSpec,
     SpectrumResult,
     _apply_probe_correlator,
-    _boltzmann_average,
     _probe_block,
     _spin_squared,
     build_hamiltonian,
@@ -32,6 +31,7 @@ from qcb.ed import (
     thermal_correlator_exact,
     total_spin_expectation,
 )
+from qcb.output import fmt_value
 
 # reference geometry: probes on the boundary-adjacent sites of an 8-site
 # chain; probes dangling off the raw chain ends pick up a large third-order
@@ -156,7 +156,7 @@ def sparse_spin_squared(n, m, vec):
 def boltzmann_average_per_block(spectrum, betas):
     """The probe correlator averaged with one exponential per block, summed
     block by block in stored order: the oracle for
-    :func:`_boltzmann_average`."""
+    :func:`thermal_correlator_exact`."""
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     e0 = min(float(e[0]) for e in spectrum.energies.values())
     num, den = np.zeros_like(betas), np.zeros_like(betas)
@@ -395,19 +395,26 @@ class TestLowSpectrum:
         assert abs(total_spin_expectation(n, m1, result.vectors[m1][:, k1]) - 2.0) < 1e-8
 
     def test_given_spectrum_matches_central_blocks(self):
-        # both routes read the same central blocks, so the floats agree exactly
+        # both routes read the same central blocks, so the floats agree
+        # exactly; a spectrum is read with its own lattice, and the thermal
+        # reader takes the same full spectrum either way
         for spec in (chain(10, alpha=0.05, probes=(1, 8)), chain(**ACCEPT, alpha=0.05),
                      chain(8, alpha=0.05), chain(6, alpha=0.1, probes=(1, 4)),
                      ladder(4, alpha=0.05)):
             spectrum = full_spectrum(spec)
-            assert low_spectrum_jcan(spec) == low_spectrum_jcan(spec, spectrum=spectrum)
-            assert ground_state_correlator(spec) == ground_state_correlator(spec, spectrum)
+            assert low_spectrum_jcan(spec) == low_spectrum_jcan(spectrum)
+            assert ground_state_correlator(spec) == ground_state_correlator(spectrum)
+            betas = 1.0 / default_temperature_grid(low_spectrum_jcan(spec)[0])
+            assert np.array_equal(thermal_correlator_exact(spec, betas),
+                                  thermal_correlator_exact(spectrum, betas))
+        spectrum = full_spectrum(chain(8, alpha=0.05))
+        assert fmt_value(ground_state_correlator(spectrum)) == "-2.91060871834"
 
     def test_raising_operator_spin_check_matches_pair_operator(self):
         # 16 spins, the S_z = 0 block through Lanczos: the ground singlet,
         # the probe triplet member and the next level, one call each
         spec = chain(14, alpha=0.05, probes=(1, 12))
-        result, mid = _probe_block(spec, None)
+        result, mid = _probe_block(spec), spec.n_total // 2
         s2 = [_spin_squared(result, mid, (k,))[0] for k in range(3)]
         oracle = [sparse_spin_squared(spec.n_total, mid, result.vectors[mid][:, k])
                   for k in range(3)]
@@ -421,7 +428,7 @@ class TestLowSpectrum:
         for result, oracle_of in (
                 (every_vector_spectrum(chain(8, alpha=0.05, probes=(1, 6))),
                  total_spin_expectation),
-                (_probe_block(chain(14, alpha=0.05, probes=(1, 12)), None)[0],
+                (_probe_block(chain(14, alpha=0.05, probes=(1, 12))),
                  sparse_spin_squared)):
             spec = result.spec
             for m, energies in result.energies.items():
@@ -434,7 +441,7 @@ class TestLowSpectrum:
         # 16 spins: the S_z = 0 block through its two F sectors against eigsh
         # of the whole block
         spec = chain(14, alpha=0.05, probes=(1, 12))
-        result, mid = _probe_block(spec, None)
+        result, mid = _probe_block(spec), spec.n_total // 2
         sts = block_states(spec.n_total, mid)
         h = sparse_block(spec.coupled_bonds(), sts)
         assert np.array_equal(result.states[mid], sts)
@@ -468,17 +475,17 @@ class TestLowSpectrum:
             assert same_arrays(sector, oracle)
         w, v = ed._flip_sector_levels(want, 3)
         old = SpectrumResult(spec, {mid: w}, {}, {mid: v[:, :3].copy(order="K")}, {mid: sts})
-        new, _ = _probe_block(spec, None)
+        new = _probe_block(spec)
         assert np.array_equal(new.energies[mid], old.energies[mid])
         assert np.array_equal(new.vectors[mid], old.vectors[mid])
         assert new.vectors[mid].strides == old.vectors[mid].strides
         assert _spin_squared(new, mid, (0, 1, 2)) == _spin_squared(old, mid, (0, 1, 2))
-        assert ground_state_correlator(spec, new) == ground_state_correlator(spec, old)
+        assert ground_state_correlator(new) == ground_state_correlator(old)
         if spec.label.startswith("ladder"):
             with pytest.raises(SectorAmbiguityError, match="not a total-spin singlet"):
                 low_spectrum_jcan(spec)
         else:
-            assert low_spectrum_jcan(spec) == low_spectrum_jcan(spec, old)
+            assert low_spectrum_jcan(spec) == low_spectrum_jcan(old)
 
     def test_flip_sectors_keep_cancelled_entries(self):
         # 4 spins, the sectors of the S_z = 0 block: the probe bonds flip
@@ -503,7 +510,7 @@ class TestLowSpectrum:
         j_can, gap = low_spectrum_jcan(even)
         assert abs(j_can - want[0][0]) < 1e-10 and abs(gap - want[0][1]) < 1e-10
         assert abs(ground_state_correlator(even) - want[1]) < 1e-10
-        reduced, mid = _probe_block(even, None)
+        reduced, mid = _probe_block(even), even.n_total // 2
         assert list(reduced.energies) == [mid]
         assert np.array_equal(reduced.states[mid], full.states[mid])
         assert len(reduced.energies[mid]) == 3
@@ -534,9 +541,18 @@ class TestLowSpectrum:
         assert abs(j_can - 3.642852318216594e-3) < 1e-12  # frozen golden value
         assert abs(j_can / (4 * 0.05**2 * chi) - 1.348) < 0.01
 
-    def test_requires_positive_alpha(self):
-        with pytest.raises(DomainError):
-            low_spectrum_jcan(chain(4, alpha=0.0))
+    def test_requires_positive_alpha(self, monkeypatch):
+        # refused before anything is diagonalized, and from a spectrum too
+        spectrum = full_spectrum(chain(4, alpha=0.0))
+
+        def refuse(*args):
+            raise AssertionError("diagonalized before alpha was checked")
+
+        for name in ("_assemble", "_bond_pass", "full_spectrum"):
+            monkeypatch.setattr(ed, name, refuse)
+        for lattice in (chain(4, alpha=0.0), spectrum):
+            with pytest.raises(DomainError, match="alpha must be > 0"):
+                low_spectrum_jcan(lattice)
 
     def test_odd_total_spin_has_no_singlet(self):
         # 13-site bath + 2 probes = 15 spins: half-integer total spin, so the
@@ -545,9 +561,9 @@ class TestLowSpectrum:
             low_spectrum_jcan(chain(13, alpha=0.05, probes=(1, 11)))
         spec = chain(5, alpha=0.05)  # 7 spins, on the given-spectrum route too
         for quantity in (low_spectrum_jcan, ground_state_correlator):
-            for spectrum in (None, full_spectrum(spec)):
+            for lattice in (spec, full_spectrum(spec)):
                 with pytest.raises(SectorAmbiguityError):
-                    quantity(spec, spectrum)
+                    quantity(lattice)
 
     @pytest.mark.parametrize("cap", [ed.DENSE_BLOCK_CAP, 50], ids=["dense", "lanczos"])
     def test_probe_sector_refusals(self, monkeypatch, cap):
@@ -570,7 +586,7 @@ class TestLowSpectrum:
         monkeypatch.setattr(ed, "DENSE_BLOCK_CAP", cap)
         for spec, reason in cases:
             mid = spec.n_total // 2
-            assert len(_probe_block(spec, None)[0].energies[mid]) == 3
+            assert len(_probe_block(spec).energies[mid]) == 3
             with pytest.raises(SectorAmbiguityError, match=reason):
                 low_spectrum_jcan(spec)
 
@@ -582,7 +598,7 @@ class TestLowSpectrum:
         spec = chain(12, alpha=0.05, probes=(1, 10))
         tracemalloc.start()
         try:
-            result, mid = _probe_block(spec, None)
+            result, mid = _probe_block(spec), spec.n_total // 2
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -639,9 +655,9 @@ class TestThermalCorrelator:
         # bit for bit, at every batch size
         rng = np.random.default_rng(batch)
         for spectrum in spectra:
-            j_can, _ = low_spectrum_jcan(spectrum.spec, spectrum=spectrum)
+            j_can, _ = low_spectrum_jcan(spectrum)
             betas = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), batch)) / j_can
-            assert np.array_equal(_boltzmann_average(spectrum, betas),
+            assert np.array_equal(thermal_correlator_exact(spectrum, betas),
                                   boltzmann_average_per_block(spectrum, betas))
 
     @pytest.mark.parametrize("spec", [chain(8, alpha=0.05, probes=(1, 6)),
@@ -666,13 +682,12 @@ class TestThermalCorrelator:
             mid = spec.n_total // 2
             assert list(got.vectors) == list(got.states) == [mid]
             assert np.array_equal(got.vectors[mid], want.vectors[mid][:, :3])
-            j_can, gap = low_spectrum_jcan(spec, spectrum=want)
-            assert low_spectrum_jcan(spec, spectrum=got) == (j_can, gap)
-            assert (ground_state_correlator(spec, spectrum=got)
-                    == ground_state_correlator(spec, spectrum=want))
+            j_can, gap = low_spectrum_jcan(want)
+            assert low_spectrum_jcan(got) == (j_can, gap)
+            assert ground_state_correlator(got) == ground_state_correlator(want)
         betas = 1.0 / default_temperature_grid(j_can)
-        assert np.array_equal(thermal_correlator_exact(spec, betas, spectrum=got),
-                              thermal_correlator_exact(spec, betas, spectrum=want))
+        assert np.array_equal(thermal_correlator_exact(got, betas),
+                              thermal_correlator_exact(want, betas))
 
     def test_spectrum_holds_no_eigenvector_blocks(self):
         # every vector of a 12-spin spectrum would hold 20.7 MiB, what is
@@ -719,9 +734,15 @@ class TestThermalCorrelator:
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -1e3])
-    def test_beta_outside_domain_is_refused(self, beta):
-        # refused before any exponential, so no overflow warning either
+    def test_beta_outside_domain_is_refused(self, monkeypatch, beta):
+        # refused before any spectrum is built or exponential taken, so no
+        # overflow warning either
         spec = chain(4, alpha=0.1)
+
+        def refuse(*args):
+            raise AssertionError("spectrum built before beta was checked")
+
+        monkeypatch.setattr(ed, "full_spectrum", refuse)
         for betas in ([beta], [1.0, beta]):
             with pytest.raises(DomainError, match="beta must be finite and >= 0"):
                 thermal_correlator_exact(spec, betas)
@@ -729,10 +750,10 @@ class TestThermalCorrelator:
     def test_spectrum_missing_a_block_is_refused(self):
         # the probe route stores the S_z = 0 block alone
         spec = chain(**ACCEPT, alpha=0.05)
-        probe, _ = _probe_block(spec, None)
-        assert low_spectrum_jcan(spec, spectrum=probe) == low_spectrum_jcan(spec)
+        probe = _probe_block(spec)
+        assert low_spectrum_jcan(probe) == low_spectrum_jcan(spec)
         with pytest.raises(TruncationError):
-            thermal_correlator_exact(spec, [1e3], spectrum=probe)
+            thermal_correlator_exact(probe, [1e3])
 
 
 class TestLehmann:

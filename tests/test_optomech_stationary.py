@@ -105,6 +105,14 @@ class TestSteadyState:
         assert abs(branch.alpha_s**2 - 4.0 / (0.25 + 0.49)) < 1e-12
         assert branch.p_s == 0.0
 
+    def test_zero_drive_one_empty_branch(self):
+        p = StationaryParams(omega_m=1.0, gamma_m=1e-3, kappa=0.5, Delta0=0.7,
+                             g=0.2, drive_E=0.0, n_bar=0.0)
+        (branch,) = steady_state(p)
+        assert branch.alpha_s == 0.0 and branch.G == 0.0
+        assert branch.Delta_eff == p.Delta0
+        assert branch.stable and stability_check(p, branch)[0]
+
     def test_zero_bare_detuning_unique_root(self):
         p = StationaryParams(omega_m=1.0, gamma_m=1e-3, kappa=0.3, Delta0=0.0,
                              g=0.2, drive_E=1.5, n_bar=0.0)

@@ -13,6 +13,7 @@ from qcb.spin_lde import (
     AKLT_XI,
     CanonicalParams,
     RingGeometry,
+    canonical_correlator,
     chi_aklt,
     chi_ring,
     correlator_from_jab,
@@ -233,6 +234,17 @@ class TestCanonicalModel:
         betas = np.geomspace(1e-3, 1e3, 200)
         vals = [correlator_of_beta(cp, b) for b in betas]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("x", [-1.0, -800.0])
+    def test_negative_beta_jcan_against_mpmath(self, x):
+        # beta J_can < 0 divides through by e^(-x), which overflows at -800
+        import mpmath
+
+        with mpmath.workdps(40):
+            u = mpmath.exp(-mpmath.mpf(x))
+            want = float((u - 1) / (u + mpmath.mpf(1) / 3))
+        got = canonical_correlator(1.0, x)
+        assert abs(got - want) <= math.ulp(want)
 
     def test_overflowing_beta_jcan_leaves_the_limits(self):
         # beta J_can = 1e600 is not formed: J_can/4 where only the numerator
