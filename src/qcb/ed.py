@@ -29,10 +29,10 @@ S_z = 0 block: right after its ``eigh``, :func:`full_spectrum` reduces each
 block to its levels and probe correlator diagonals.
 Each reader takes one argument, a lattice: a LatticeSpec, which it
 diagonalizes itself, or a SpectrumResult, which it reads with that
-spectrum's own spec.  The T = 0 readers take the S_z = 0 block alone,
-where every integer-spin multiplet has one member (SU(2)), and total spin
-is verified through <S^2> = S_z^2 + S_z + ||S^+ v||^2.  The probe
-correlator is applied as a two-term gather, exact to the bit.  The thermal
+spectrum's own spec.  The T = 0 readers take the S_z = 0 block alone, where
+every integer-spin multiplet has one member (SU(2)), and refuse a degenerate
+lowest level; total spin is checked by :func:`total_spin_expectation`.
+The probe correlator is a two-term gather, exact to the bit.  The thermal
 correlator is one Boltzmann average: one exponential over the levels of
 every block, concatenated once per spectrum, summed block by block.  It
 refuses a spectrum that does not store every level.
@@ -372,42 +372,29 @@ def _flip_sector_levels(sectors: tuple[csr_matrix, csr_matrix],
     return w[order], np.hstack(vs)[:, order]
 
 
-def total_spin_expectation(n: int, m: int, vec: np.ndarray) -> float:
-    """<S_tot^2> of a vector of the block of ``m`` up spins out of ``n`` (0
-    for a singlet, 2 for a triplet), from the full O(n^2) pair operator as a
-    dense block (ResourceError above ``DENSE_BLOCK_CAP`` states): the oracle
-    for :func:`_spin_squared`."""
-    pairs = tuple((i, j, 2.0) for i in range(n) for j in range(i + 1, n))
-    ((_, _, op),) = _assemble(n, pairs, (m,))  # 2 sum_{i<j} S_i.S_j
-    return float(vec @ (op @ vec)) + 0.75 * n
+def total_spin_expectation(n: int, states: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """<S_tot^2> = S_z^2 + S_z + ||S^+ v||^2 of each column v of the 2-D
+    ``vectors`` (0 for a singlet, 2 for a triplet), in the block of ``n``
+    spins whose sorted basis is ``states``; S_z is read off that basis.
 
-
-def _spin_squared(result: SpectrumResult, m: int, levels: tuple[int, ...]) -> list[float]:
-    """<S_tot^2> = S_z^2 + S_z + ||S^+ v||^2 of the eigenvectors ``levels``
-    of block m.
-
-    S^+ = sum_i S_i^+ maps block m into block m + 1 with unit amplitudes:
+    S^+ = sum_i S_i^+ maps the block into the next one with unit amplitudes:
     n vectorized bit flips instead of the n(n-1)/2 pair bonds.  S^+ v is
-    indexed by the raised state itself (at most 2^n entries), so block
-    m + 1 is neither enumerated nor searched.  The flips are worked out once
-    for all ``levels``; each level is then one scatter.
+    indexed by the raised state itself (at most 2^n entries), so the next
+    block is neither enumerated nor searched.  The flips are worked out once
+    for all columns; each is then one scatter.
     """
-    n = result.spec.n_total
-    sts = result.states[m]
-    source = [np.flatnonzero(((sts >> i) & 1) == 0) for i in range(n)]
-    target = np.concatenate([sts[down] | (1 << i) for i, down in enumerate(source)])
+    source = [np.flatnonzero(((states >> i) & 1) == 0) for i in range(n)]
+    target = np.concatenate([states[down] | (1 << i) for i, down in enumerate(source)])
     source = np.concatenate(source)
-    sz = m - 0.5 * n
-    out = []
-    for level in levels:
-        raised = np.bincount(target, weights=result.vectors[m][:, level][source])
-        out.append(sz * sz + sz + float(raised @ raised))
-    return out
+    sz = int(np.bitwise_count(states[0])) - 0.5 * n
+    raised = (np.bincount(target, weights=v[source]) for v in vectors.T)
+    return np.array([sz * sz + sz + float(r @ r) for r in raised])
 
 
 def _probe_block(lattice: LatticeSpec | SpectrumResult) -> SpectrumResult:
     """``lattice`` itself if it is a spectrum, else a new diagonalization of
-    its S_z = 0 block, whose n_up is always ``spec.n_total // 2``.
+    its S_z = 0 block, whose n_up is always ``spec.n_total // 2``; either way
+    refused if that block's two lowest levels lie within ``DEGENERACY_TOL``.
 
     Every integer-spin multiplet has exactly one member at S_z = 0 (SU(2)),
     so the levels of that block alone are the distinct levels of the
@@ -421,21 +408,25 @@ def _probe_block(lattice: LatticeSpec | SpectrumResult) -> SpectrumResult:
     if spec.n_total % 2:
         raise SectorAmbiguityError(
             f"{spec.n_total} spins have half-integer total spin: no probe singlet")
-    if isinstance(lattice, SpectrumResult):
-        return lattice
     mid = spec.n_total // 2
-    bonds = spec.coupled_bonds()
-    if 1 << spec.n_total <= DENSE_BLOCK_CAP:
-        ((_, sts, h),) = _assemble(spec.n_total, bonds, (mid,))
-        w, v = np.linalg.eigh(h)
-    else:  # the whole block is never built, only its two flip sectors
-        ((sts, diagonal, terms),) = _bond_pass(spec.n_total, bonds, (mid,)).values()
-        sectors = _flip_sectors(diagonal, terms)
-        del diagonal, terms  # released before Lanczos: 0.9 MiB at 16 spins
-        w, v = _flip_sector_levels(sectors, 3)
-    # order "K" keeps the sectors' column-major layout: the dot product of a
-    # column rounds differently at another stride
-    return SpectrumResult(spec, {mid: w[:3]}, {}, {mid: v[:, :3].copy(order="K")}, {mid: sts})
+    if isinstance(lattice, LatticeSpec):
+        bonds = spec.coupled_bonds()
+        if 1 << spec.n_total <= DENSE_BLOCK_CAP:
+            ((_, sts, h),) = _assemble(spec.n_total, bonds, (mid,))
+            w, v = np.linalg.eigh(h)
+        else:  # the whole block is never built, only its two flip sectors
+            ((sts, diagonal, terms),) = _bond_pass(spec.n_total, bonds, (mid,)).values()
+            sectors = _flip_sectors(diagonal, terms)
+            del diagonal, terms  # released before Lanczos: 0.9 MiB at 16 spins
+            w, v = _flip_sector_levels(sectors, 3)
+        # order "K" keeps the sectors' column-major layout: the dot product of
+        # a column rounds differently at another stride
+        lattice = SpectrumResult(spec, {mid: w[:3]}, {}, {mid: v[:, :3].copy(order="K")},
+                                 {mid: sts})
+    e0, e1 = lattice.energies[mid][:2]
+    if e1 - e0 < DEGENERACY_TOL:
+        raise SectorAmbiguityError("degenerate ground state")
+    return lattice
 
 
 def low_spectrum_jcan(lattice: LatticeSpec | SpectrumResult) -> tuple[float, float]:
@@ -454,11 +445,10 @@ def low_spectrum_jcan(lattice: LatticeSpec | SpectrumResult) -> tuple[float, flo
         raise DomainError("probe coupling alpha must be > 0 for the probe gap")
     spectrum, m0 = _probe_block(lattice), spec.n_total // 2
     e0, e_t, e_rest = map(float, spectrum.energies[m0][:3])
-    s2_ground, s2 = _spin_squared(spectrum, m0, (0, 1))
+    s2_ground, s2 = total_spin_expectation(spec.n_total, spectrum.states[m0],
+                                           spectrum.vectors[m0][:, :2])
     if abs(s2_ground) > 1e-6:
         raise SectorAmbiguityError("ground state is not a total-spin singlet")
-    if e_t - e0 < DEGENERACY_TOL:
-        raise SectorAmbiguityError("degenerate ground state")
     if abs(s2 - 2.0) > 1e-6:
         raise SectorAmbiguityError(f"first excited level is not a triplet: <S^2> = {s2}")
     if e_rest - e_t < DEGENERACY_TOL:

@@ -105,6 +105,25 @@ def mirror_variances_zero_detuning(p: StationaryParams, big_g: float
     return v11, v22
 
 
+def exact_lyapunov(a, d, dps=50):
+    """V of A V + V A^T = -D for the double matrices ``a`` and ``d``, from the
+    Kronecker system (I x A + A x I) vec V = -vec D solved in ``dps`` digits,
+    independent of the library's vectorization: V as rows of mpf."""
+    import mpmath
+
+    n = a.shape[0]
+    with mpmath.workdps(dps):
+        k = mpmath.zeros(n * n)
+        for i in range(n):
+            for j in range(n):
+                for m in range(n):
+                    k[i * n + j, m * n + j] += a[i, m]  # A V
+                    k[i * n + j, i * n + m] += a[j, m]  # V A^T
+        rhs = mpmath.matrix([-d[i, j] for i in range(n) for j in range(n)])
+        vec = mpmath.lu_solve(k, rhs)
+        return [[vec[i * n + j] for j in range(n)] for i in range(n)]
+
+
 def chi_aklt_sma(r: int) -> float:
     """AKLT probe-probe response at separation r as the single-mode-approximation
     integral over the magnon band w_q = 5(5 + 3 cos q)/27 with weights

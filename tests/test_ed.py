@@ -18,7 +18,6 @@ from qcb.ed import (
     SpectrumResult,
     _apply_probe_correlator,
     _probe_block,
-    _spin_squared,
     build_hamiltonian,
     chain,
     chi_lehman_and_phi,
@@ -143,14 +142,13 @@ def same_arrays(got, want):
                for part in ("indptr", "indices", "data"))
 
 
-def sparse_spin_squared(n, m, vec):
-    """<S_tot^2> of a vector of the block of ``m`` up spins out of ``n``,
-    from the O(n^2) pair operator as CSR (:func:`sparse_block`): the oracle
-    for :func:`_spin_squared` where :func:`total_spin_expectation` refuses
-    the block, above ``DENSE_BLOCK_CAP`` states."""
+def sparse_spin_squared(n, m, vectors):
+    """<S_tot^2> of each column of ``vectors`` in the block of ``m`` up spins
+    out of ``n``, from the O(n^2) pair operator as CSR (:func:`sparse_block`)
+    at any block size: the oracle for :func:`total_spin_expectation`."""
     pairs = tuple((i, j, 2.0) for i in range(n) for j in range(i + 1, n))
     op = sparse_block(pairs, block_states(n, m))  # 2 sum_{i<j} S_i.S_j
-    return float(vec @ (op @ vec)) + 0.75 * n
+    return np.einsum("ik,ik->k", vectors, op @ vectors) + 0.75 * n
 
 
 def boltzmann_average_per_block(spectrum, betas):
@@ -311,7 +309,7 @@ class TestHamiltonian:
     def test_sixteen_spin_blocks_are_dense_or_refused(self):
         # 16 spins: the blocks of 4 and 3 up spins (1820 and 560 states) are
         # dense and hold the oracle's bits; a whole block above the cap (the
-        # 12,870 states of S_z = 0) is refused, for the pair operator too.
+        # 12,870 states of S_z = 0) is refused.
         # The sectors drop the zero diagonal of REPEATED_BONDS' S_z = 0 block
         # as the oracle's CSR does (test_flip_sectors_equal_cut_from_whole_block)
         for spec in (chain(14, alpha=0.05, probes=(1, 12)), ladder(7, alpha=0.05),
@@ -325,8 +323,6 @@ class TestHamiltonian:
             for blocks in ((8,), (4, 7), None):
                 with pytest.raises(ResourceError, match="up spins out of 16 has [0-9]+ states"):
                     build_hamiltonian(spec, blocks)
-        with pytest.raises(ResourceError, match="12870 states"):
-            total_spin_expectation(16, 8, np.zeros(12870))
         ((_, diagonal, _),) = ed._bond_pass(16, REPEATED_BONDS.coupled_bonds(), (8,)).values()
         assert np.count_nonzero(diagonal == 0) == 1164
 
@@ -391,8 +387,8 @@ class TestLowSpectrum:
         result = every_vector_spectrum(spec)
         (_, m0, k0), (_, m1, k1) = all_levels(result)[:2]
         n = spec.n_total
-        assert abs(total_spin_expectation(n, m0, result.vectors[m0][:, k0])) < 1e-8
-        assert abs(total_spin_expectation(n, m1, result.vectors[m1][:, k1]) - 2.0) < 1e-8
+        assert abs(sparse_spin_squared(n, m0, result.vectors[m0][:, [k0]])[0]) < 1e-8
+        assert abs(sparse_spin_squared(n, m1, result.vectors[m1][:, [k1]])[0] - 2.0) < 1e-8
 
     def test_given_spectrum_matches_central_blocks(self):
         # both routes read the same central blocks, so the floats agree
@@ -415,27 +411,37 @@ class TestLowSpectrum:
         # the probe triplet member and the next level, one call each
         spec = chain(14, alpha=0.05, probes=(1, 12))
         result, mid = _probe_block(spec), spec.n_total // 2
-        s2 = [_spin_squared(result, mid, (k,))[0] for k in range(3)]
-        oracle = [sparse_spin_squared(spec.n_total, mid, result.vectors[mid][:, k])
-                  for k in range(3)]
+        vecs = result.vectors[mid]
+        s2 = [total_spin_expectation(spec.n_total, result.states[mid], vecs[:, [k]])[0]
+              for k in range(3)]
+        oracle = [sparse_spin_squared(spec.n_total, mid, vecs[:, [k]])[0] for k in range(3)]
         assert np.max(np.abs(np.subtract(s2, oracle))) < 1e-9
         assert np.max(np.abs(np.subtract(s2[:2], [0.0, 2.0]))) < 1e-6
 
     def test_spin_check_of_several_levels_matches_pair_operator(self):
-        # one call per block for all its stored levels: a 10-spin lattice
+        # one call per block for all its stored vectors: a 10-spin lattice
         # (dense, every block with every vector) and the 16-spin S_z = 0
-        # block (Lanczos, its pair operator as CSR)
-        for result, oracle_of in (
-                (every_vector_spectrum(chain(8, alpha=0.05, probes=(1, 6))),
-                 total_spin_expectation),
-                (_probe_block(chain(14, alpha=0.05, probes=(1, 12))),
-                 sparse_spin_squared)):
-            spec = result.spec
-            for m, energies in result.energies.items():
-                levels = tuple(range(min(len(energies), 6)))
-                s2 = _spin_squared(result, m, levels)
-                oracle = [oracle_of(spec.n_total, m, result.vectors[m][:, k]) for k in levels]
-                assert np.max(np.abs(np.subtract(s2, oracle))) < 1e-9, (spec.label, m)
+        # block (Lanczos), against the pair operator as CSR
+        for result in (every_vector_spectrum(chain(8, alpha=0.05, probes=(1, 6))),
+                       _probe_block(chain(14, alpha=0.05, probes=(1, 12)))):
+            n = result.spec.n_total
+            for m, vecs in result.vectors.items():
+                s2 = total_spin_expectation(n, result.states[m], vecs)
+                assert s2.shape == (vecs.shape[1],)
+                oracle = sparse_spin_squared(n, m, vecs)
+                assert np.max(np.abs(s2 - oracle)) < 1e-9, (result.spec.label, m)
+
+    def test_probe_gap_runs_the_spin_check(self, monkeypatch):
+        # the singlet and triplet checks of the probe gap are
+        # total_spin_expectation's, on every route
+        def refuse(*args):
+            raise AssertionError("spin check reached")
+
+        monkeypatch.setattr(ed, "total_spin_expectation", refuse)
+        spec = chain(**ACCEPT, alpha=0.05)
+        for lattice in (spec, full_spectrum(spec), chain(14, alpha=0.05, probes=(1, 12))):
+            with pytest.raises(AssertionError, match="spin check reached"):
+                low_spectrum_jcan(lattice)
 
     def test_flip_sectors_and_mirror_match_plain_lanczos(self):
         # 16 spins: the S_z = 0 block through its two F sectors against eigsh
@@ -479,7 +485,9 @@ class TestLowSpectrum:
         assert np.array_equal(new.energies[mid], old.energies[mid])
         assert np.array_equal(new.vectors[mid], old.vectors[mid])
         assert new.vectors[mid].strides == old.vectors[mid].strides
-        assert _spin_squared(new, mid, (0, 1, 2)) == _spin_squared(old, mid, (0, 1, 2))
+        assert np.array_equal(
+            total_spin_expectation(spec.n_total, new.states[mid], new.vectors[mid]),
+            total_spin_expectation(spec.n_total, old.states[mid], old.vectors[mid]))
         assert ground_state_correlator(new) == ground_state_correlator(old)
         if spec.label.startswith("ladder"):
             with pytest.raises(SectorAmbiguityError, match="not a total-spin singlet"):
@@ -589,6 +597,27 @@ class TestLowSpectrum:
             assert len(_probe_block(spec).energies[mid]) == 3
             with pytest.raises(SectorAmbiguityError, match=reason):
                 low_spectrum_jcan(spec)
+
+    @pytest.mark.parametrize("cap", [ed.DENSE_BLOCK_CAP, 50], ids=["dense", "lanczos"])
+    def test_degenerate_ground_level_is_refused(self, monkeypatch, cap):
+        # at alpha = 0 the probe singlet and a triplet member share the
+        # lowest level of the S_z = 0 block (at alpha = 1e-5 they are 1e-10
+        # apart), and eigh may return any mix of the two: both T = 0 readers
+        # refuse it before they read a vector, from a lattice or a spectrum
+        def refuse(*args):
+            raise AssertionError("a vector was read")
+
+        cases = [(reader, chain(length, alpha=alpha)) for length in (4, 6, 8)
+                 for reader, alpha in ((ground_state_correlator, 0.0),
+                                       (ground_state_correlator, 1e-5),
+                                       (low_spectrum_jcan, 1e-5))]
+        cases += [(reader, full_spectrum(spec)) for reader, spec in cases]
+        monkeypatch.setattr(ed, "DENSE_BLOCK_CAP", cap)
+        for name in ("total_spin_expectation", "_apply_probe_correlator"):
+            monkeypatch.setattr(ed, name, refuse)
+        for reader, lattice in cases:
+            with pytest.raises(SectorAmbiguityError, match="^degenerate ground state$"):
+                reader(lattice)
 
     def test_fourteen_spin_probe_gap_takes_the_sectors(self):
         # 14 spins exceed full_spectrum's lattice, so the 3432-state S_z = 0

@@ -21,7 +21,7 @@ from qcb.optomech_stationary import (
     thermal_occupancy,
 )
 
-from random_states import mirror_variances_zero_detuning
+from random_states import exact_lyapunov, mirror_variances_zero_detuning
 
 
 def fig_params(**overrides):
@@ -475,24 +475,6 @@ def test_passing_systems_take_no_compensated_steps(monkeypatch, power, steps):
     detuning_sweep(fig_params(power=power), np.linspace(0.2, 3.0, steps))
 
 
-def exact_lyapunov(a, d):
-    """V of A V + V A^T = -D from a 50-digit solve of the 16 x 16 Kronecker
-    system, independent of the library's vectorization."""
-    import mpmath
-
-    with mpmath.workdps(50):
-        n = a.shape[0]
-        m = mpmath.zeros(n * n, n * n)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    m[n * i + j, n * k + j] += mpmath.mpf(a[i, k])
-                    m[n * i + j, n * i + k] += mpmath.mpf(a[j, k])
-        rhs = mpmath.matrix([-mpmath.mpf(x) for x in d.ravel().tolist()])
-        sol = mpmath.lu_solve(m, rhs)
-        return np.array([float(sol[r]) for r in range(n * n)]).reshape(n, n)
-
-
 @pytest.mark.parametrize("power, x", [(0.0797, 1.65233179067), (0.0684, 1.45496618014)])
 def test_marginal_systems_refined_to_the_last_bit(power, x):
     """At the two points of the 79.7 and 68.4 mW maps (2810 steps) that
@@ -509,7 +491,7 @@ def test_marginal_systems_refined_to_the_last_bit(power, x):
     big_g = p.g * alpha_s * math.sqrt(2.0)
     a, d = drift_and_diffusion(p, delta, big_g, p.omega_m)
     v, residual, failed = optomech_stationary._refined_solution(a, d)
-    exact = exact_lyapunov(a, d)
+    exact = np.array(exact_lyapunov(a, d), dtype=float)  # rounded to double
     # V_qp = <dq dp + dp dq>/2 vanishes; the 50-digit solve leaves it ~1e-48
     assert np.all(np.abs(v - exact) <= np.maximum(np.spacing(np.abs(exact)), 1e-40))
     assert optomech_stationary._gate(a, d, exact)[1]

@@ -26,7 +26,7 @@ from qcb.cli import main
 from qcb.optomech_stationary import derive_physical_params, detuning_sweep, drift_and_diffusion
 from qcb.optomech_unitary import OptoUnitaryParams, _lag_weights, _linear_entropies
 from qcb.spin_lde import RingGeometry
-from random_states import mp_leibniz_block
+from random_states import exact_lyapunov, mp_leibniz_block
 from test_golden import GOLDEN, README_ARGVS
 
 
@@ -177,22 +177,6 @@ def test_canonical_thermal_table():
     cells = thermal_cells()
     assert len(cells) == 122
     assert off_cells("thermal.csv", cells) == []
-
-
-def exact_lyapunov(a, d, dps=50):
-    """V of A V + V A^T = -D for the double matrices ``a`` and ``d``, from the
-    Kronecker system (I x A + A x I) vec V = -vec D solved in ``dps`` digits."""
-    n = a.shape[0]
-    with mpmath.workdps(dps):
-        k = mpmath.zeros(n * n)
-        for i in range(n):
-            for j in range(n):
-                for m in range(n):
-                    k[i * n + j, m * n + j] += a[i, m]  # A V
-                    k[i * n + j, i * n + m] += a[j, m]  # V A^T
-        rhs = mpmath.matrix([-d[i, j] for i in range(n) for j in range(n)])
-        vec = mpmath.lu_solve(k, rhs)
-        return [[vec[i * n + j] for j in range(n)] for i in range(n)]
 
 
 @functools.cache

@@ -85,6 +85,10 @@ def test_refusal_names_its_input(name):
     (["ed", "run", "--L", "11"], "full spectrum needs total dim <= 4096; got 8192"),
     (["lde", "thermal", "--jcan", "0", "--tmin", "1", "--tmax", "2"],
      "critical temperature defined for J_can > 0"),
+    # probe splittings of 9.6e-13 and 1.1e-10: refused as degenerate, whichever
+    # vector of the pair eigh returns first
+    (["ed", "report", "--L", "10", "--alpha", "1e-6"], "degenerate ground state"),
+    (["ed", "run", "--L", "8", "--alpha", "1e-5"], "degenerate ground state"),
 ])
 def test_refusal_reached_from_the_command_line(capsys, argv, message):
     code = main(argv)
