@@ -25,8 +25,9 @@ because the printed goldens pin the bits of their direct ``eigh``.
 Importing this module loads no scipy, and neither does a dense block: only
 the Lanczos branch imports ``scipy.sparse`` and ``scipy.sparse.linalg``.
 A spectrum keeps no block's eigenvectors but the three lowest of the
-S_z = 0 block: right after its ``eigh``, :func:`full_spectrum` reduces each
-block to its levels and probe correlator diagonals.
+S_z = 0 block, as one array beside that block's basis: right after its
+``eigh``, :func:`full_spectrum` reduces each block to its levels and probe
+correlator diagonals.
 Each reader takes one argument, a lattice: a LatticeSpec, which it
 diagonalizes itself, or a SpectrumResult, which it reads with that
 spectrum's own spec.  The T = 0 readers take the S_z = 0 block alone, where
@@ -231,10 +232,11 @@ def _assemble(n: int, bonds, n_ups: tuple[int, ...] | None = None):
 
 def _flip_sectors(diagonal: np.ndarray, terms) -> tuple[csr_matrix, csr_matrix]:
     """The F = +1 and F = -1 sectors A + B and A - B of an S_z = 0 block
-    (:func:`_flip_sector_levels`), each as CSR from one COO build, with
-    int32 indices, over the entries of the first half of its rows: the
-    flip-flop entries of every pair whose weight is not zero, then the
-    nonzero diagonal (the whole block is never built).
+    (:func:`_flip_sector_levels`), each as CSR from one COO build over the
+    entries of the first half of its rows: the flip-flop entries of every
+    pair whose weight is not zero, then the nonzero diagonal (the whole
+    block is never built).  Positions stay in the bond pass's int64, and
+    scipy picks the index type of each sector.
 
     F reverses the sorted basis, so A = H[:half, :half] and column c of B
     is column dim - 1 - c of the block.  The (row, col) pairs that A and B
@@ -247,9 +249,7 @@ def _flip_sectors(diagonal: np.ndarray, terms) -> tuple[csr_matrix, csr_matrix]:
     half = dim // 2
     on = np.flatnonzero(diagonal[:half])
     kept = [(at[:np.searchsorted(at, half * dim)], weight) for at, weight in terms if weight]
-    # every position is below half * dim < 2**31 (at most 16 spins)
-    rows, cols = np.divmod(np.concatenate([at for at, _ in kept] + [on * (dim + 1)],
-                                          dtype=np.int32), dim)
+    rows, cols = np.divmod(np.concatenate([at for at, _ in kept] + [on * (dim + 1)]), dim)
     data = np.concatenate([np.full(len(at), weight) for at, weight in kept] + [diagonal[on]])
     right = cols >= half
     cols[right] = dim - 1 - cols[right]
@@ -297,18 +297,18 @@ class SpectrumResult:
     ``eigh`` or merged from its two spin-flip sectors.  ``probe_diagonals``
     holds <k|tau_a . tau_b|k> of every level of every block of
     :func:`full_spectrum` (none on the probe route).  ``vectors`` and
-    ``states`` hold the S_z = 0 block alone: its three lowest eigenvectors
-    and its basis, which the T = 0 quantities read (nothing for an odd spin
-    count).  The Boltzmann terms (the shifted
-    levels of all blocks, concatenated, and each block's slice) are computed
-    on first use and kept.
+    ``states`` are the S_z = 0 block's three lowest eigenvectors, as columns,
+    and its sorted basis, which the T = 0 quantities read; both are None for
+    an odd spin count, which has no such block.  The Boltzmann terms (the
+    shifted levels of all blocks, concatenated, and each block's slice) are
+    computed on first use and kept.
     """
 
     spec: LatticeSpec
     energies: dict[int, np.ndarray]
     probe_diagonals: dict[int, np.ndarray]
-    vectors: dict[int, np.ndarray]
-    states: dict[int, np.ndarray]
+    vectors: np.ndarray | None
+    states: np.ndarray | None
 
     @cached_property
     def boltzmann_terms(self) -> tuple[np.ndarray, list[tuple[slice, np.ndarray]]]:
@@ -332,27 +332,28 @@ def full_spectrum(spec: LatticeSpec) -> SpectrumResult:
         raise ResourceError(
             f"full spectrum needs total dim <= {DENSE_BLOCK_CAP}; "
             f"got {1 << spec.n_total}")
-    energies, diagonals, vectors, states = {}, {}, {}, {}
+    energies, diagonals, vectors, states = {}, {}, None, None
     for m, sts, h in _assemble(spec.n_total, spec.coupled_bonds()):
         energies[m], v = np.linalg.eigh(h)
         del h  # gone before the next block is built
         diagonals[m] = np.einsum("ik,ik->k", v, _apply_probe_correlator(spec, sts, v))
         if 2 * m == spec.n_total:
-            vectors[m], states[m] = v[:, :3].copy(order="K"), sts
+            vectors, states = v[:, :3].copy(order="K"), sts
     return SpectrumResult(spec, energies, diagonals, vectors, states)
 
 
-def _flip_sector_levels(sectors: tuple[csr_matrix, csr_matrix],
-                        k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest ``k`` levels of an S_z = 0 block from its two F sectors.
+def _flip_sector_levels(sectors: tuple[csr_matrix, csr_matrix]
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest three levels of an S_z = 0 block, and their vectors, from its
+    two F sectors.
 
     F = prod sigma^x commutes with H and reverses the sorted basis of the
     block, so with A = H[:half, :half] and B = H[:half, half:][:, ::-1] the
     F = +1 and F = -1 sectors are A + B and A - B (``sectors``, from
     :func:`_flip_sectors`), each diagonalized by ``eigsh``; their vectors
     expand back as [v; +-v[::-1]]/sqrt(2).
-    Each sector converges ``k`` levels, so the lowest ``k`` of the merged
-    levels are the block's lowest ``k``.  The probe singlet and triplet
+    Each sector converges three levels, so the lowest three of the merged
+    levels are the block's lowest three.  The probe singlet and triplet
     member fall in different sectors, so neither Krylov space has to resolve
     their splitting.
     """
@@ -364,11 +365,11 @@ def _flip_sector_levels(sectors: tuple[csr_matrix, csr_matrix],
         # the same floats.  (A constant start vector would not do: in every
         # block it is the fully polarized S = n/2 eigenstate.)
         v0 = np.random.default_rng(0).standard_normal(sector.shape[0])
-        w, v = eigsh(sector, k=min(k, sector.shape[0] - 1), which="SA", tol=1e-12, v0=v0)
+        w, v = eigsh(sector, k=min(3, sector.shape[0] - 1), which="SA", tol=1e-12, v0=v0)
         ws.append(w)
         vs.append(np.vstack([v, sign * v[::-1]]) / math.sqrt(2.0))
     w = np.concatenate(ws)
-    order = np.argsort(w, kind="stable")[:k]
+    order = np.argsort(w, kind="stable")[:3]
     return w[order], np.hstack(vs)[:, order]
 
 
@@ -418,11 +419,10 @@ def _probe_block(lattice: LatticeSpec | SpectrumResult) -> SpectrumResult:
             ((sts, diagonal, terms),) = _bond_pass(spec.n_total, bonds, (mid,)).values()
             sectors = _flip_sectors(diagonal, terms)
             del diagonal, terms  # released before Lanczos: 0.9 MiB at 16 spins
-            w, v = _flip_sector_levels(sectors, 3)
+            w, v = _flip_sector_levels(sectors)
         # order "K" keeps the sectors' column-major layout: the dot product of
         # a column rounds differently at another stride
-        lattice = SpectrumResult(spec, {mid: w[:3]}, {}, {mid: v[:, :3].copy(order="K")},
-                                 {mid: sts})
+        lattice = SpectrumResult(spec, {mid: w[:3]}, {}, v[:, :3].copy(order="K"), sts)
     e0, e1 = lattice.energies[mid][:2]
     if e1 - e0 < DEGENERACY_TOL:
         raise SectorAmbiguityError("degenerate ground state")
@@ -445,8 +445,8 @@ def low_spectrum_jcan(lattice: LatticeSpec | SpectrumResult) -> tuple[float, flo
         raise DomainError("probe coupling alpha must be > 0 for the probe gap")
     spectrum, m0 = _probe_block(lattice), spec.n_total // 2
     e0, e_t, e_rest = map(float, spectrum.energies[m0][:3])
-    s2_ground, s2 = total_spin_expectation(spec.n_total, spectrum.states[m0],
-                                           spectrum.vectors[m0][:, :2])
+    s2_ground, s2 = total_spin_expectation(spec.n_total, spectrum.states,
+                                           spectrum.vectors[:, :2])
     if abs(s2_ground) > 1e-6:
         raise SectorAmbiguityError("ground state is not a total-spin singlet")
     if abs(s2 - 2.0) > 1e-6:
@@ -460,9 +460,8 @@ def ground_state_correlator(lattice: LatticeSpec | SpectrumResult) -> float:
     """<tau_a . tau_b> in the lowest level of the S_z = 0 block of
     ``lattice``, as in :func:`low_spectrum_jcan`."""
     spectrum = _probe_block(lattice)
-    m0 = spectrum.spec.n_total // 2
-    vec = spectrum.vectors[m0][:, 0]
-    return float(vec @ _apply_probe_correlator(spectrum.spec, spectrum.states[m0], vec))
+    vec = spectrum.vectors[:, 0]
+    return float(vec @ _apply_probe_correlator(spectrum.spec, spectrum.states, vec))
 
 
 def thermal_correlator_exact(lattice: LatticeSpec | SpectrumResult, betas) -> np.ndarray:

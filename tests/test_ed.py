@@ -176,16 +176,21 @@ def plain_lanczos(h, k=8):
 
 
 def every_vector_spectrum(spec):
-    """Every block of ``spec`` by its own ``eigh``, every eigenvector kept,
-    and the probe diagonals taken from all of them: the oracle for what
-    :func:`full_spectrum` keeps of each block."""
+    """(spectrum, vectors, states): every block of ``spec`` by its own
+    ``eigh``, every eigenvector kept in ``vectors`` and every basis in
+    ``states``, both keyed by n_up, and the probe diagonals taken from all
+    of them; the spectrum holds every vector of the S_z = 0 block (None for
+    an odd spin count).  The oracle for what :func:`full_spectrum` keeps of
+    each block."""
     energies, vectors, states = {}, {}, {}
     for m, (sts, h) in build_hamiltonian(spec).items():
         energies[m], vectors[m] = np.linalg.eigh(h)
         states[m] = sts
     diagonals = {m: np.einsum("ik,ik->k", v, _apply_probe_correlator(spec, states[m], v))
                  for m, v in vectors.items()}
-    return SpectrumResult(spec, energies, diagonals, vectors, states)
+    mid = spec.n_total // 2 if spec.n_total % 2 == 0 else None
+    return (SpectrumResult(spec, energies, diagonals, vectors.get(mid), states.get(mid)),
+            vectors, states)
 
 
 def all_levels(result):
@@ -329,10 +334,10 @@ class TestHamiltonian:
     def test_probe_correlator_gather_equals_sparse_product(self):
         for spec in (chain(10, alpha=0.05, probes=(1, 8)), chain(8, alpha=0.05, probes=(1, 6)),
                      chain(6, alpha=0.1), ladder(4, alpha=0.05)):
-            result = every_vector_spectrum(spec)
+            _, vectors, states = every_vector_spectrum(spec)
             pa, pb = spec.probe_indices
-            for m, vecs in result.vectors.items():
-                sts = result.states[m]
+            for m, vecs in vectors.items():
+                sts = states[m]
                 op = sparse_block(((pa, pb, 4.0),), sts)
                 assert np.array_equal(_apply_probe_correlator(spec, sts, vecs), op @ vecs)
                 assert np.array_equal(_apply_probe_correlator(spec, sts, vecs[:, 0]),
@@ -384,11 +389,11 @@ class TestLowSpectrum:
         j_can, gap = low_spectrum_jcan(spec)
         assert j_can > 0.0
         assert gap > 5.0 * j_can  # robust-gap property
-        result = every_vector_spectrum(spec)
+        result, vectors, _ = every_vector_spectrum(spec)
         (_, m0, k0), (_, m1, k1) = all_levels(result)[:2]
         n = spec.n_total
-        assert abs(sparse_spin_squared(n, m0, result.vectors[m0][:, [k0]])[0]) < 1e-8
-        assert abs(sparse_spin_squared(n, m1, result.vectors[m1][:, [k1]])[0] - 2.0) < 1e-8
+        assert abs(sparse_spin_squared(n, m0, vectors[m0][:, [k0]])[0]) < 1e-8
+        assert abs(sparse_spin_squared(n, m1, vectors[m1][:, [k1]])[0] - 2.0) < 1e-8
 
     def test_given_spectrum_matches_central_blocks(self):
         # both routes read the same central blocks, so the floats agree
@@ -411,8 +416,8 @@ class TestLowSpectrum:
         # the probe triplet member and the next level, one call each
         spec = chain(14, alpha=0.05, probes=(1, 12))
         result, mid = _probe_block(spec), spec.n_total // 2
-        vecs = result.vectors[mid]
-        s2 = [total_spin_expectation(spec.n_total, result.states[mid], vecs[:, [k]])[0]
+        vecs = result.vectors
+        s2 = [total_spin_expectation(spec.n_total, result.states, vecs[:, [k]])[0]
               for k in range(3)]
         oracle = [sparse_spin_squared(spec.n_total, mid, vecs[:, [k]])[0] for k in range(3)]
         assert np.max(np.abs(np.subtract(s2, oracle))) < 1e-9
@@ -422,14 +427,15 @@ class TestLowSpectrum:
         # one call per block for all its stored vectors: a 10-spin lattice
         # (dense, every block with every vector) and the 16-spin S_z = 0
         # block (Lanczos), against the pair operator as CSR
-        for result in (every_vector_spectrum(chain(8, alpha=0.05, probes=(1, 6))),
-                       _probe_block(chain(14, alpha=0.05, probes=(1, 12)))):
-            n = result.spec.n_total
-            for m, vecs in result.vectors.items():
-                s2 = total_spin_expectation(n, result.states[m], vecs)
-                assert s2.shape == (vecs.shape[1],)
-                oracle = sparse_spin_squared(n, m, vecs)
-                assert np.max(np.abs(s2 - oracle)) < 1e-9, (result.spec.label, m)
+        _, vectors, states = every_vector_spectrum(chain(8, alpha=0.05, probes=(1, 6)))
+        cases = [(10, m, states[m], vecs) for m, vecs in vectors.items()]
+        probe = _probe_block(chain(14, alpha=0.05, probes=(1, 12)))
+        cases.append((16, 8, probe.states, probe.vectors))
+        for n, m, sts, vecs in cases:
+            s2 = total_spin_expectation(n, sts, vecs)
+            assert s2.shape == (vecs.shape[1],)
+            oracle = sparse_spin_squared(n, m, vecs)
+            assert np.max(np.abs(s2 - oracle)) < 1e-9, (n, m)
 
     def test_probe_gap_runs_the_spin_check(self, monkeypatch):
         # the singlet and triplet checks of the probe gap are
@@ -450,14 +456,14 @@ class TestLowSpectrum:
         result, mid = _probe_block(spec), spec.n_total // 2
         sts = block_states(spec.n_total, mid)
         h = sparse_block(spec.coupled_bonds(), sts)
-        assert np.array_equal(result.states[mid], sts)
+        assert np.array_equal(result.states, sts)
         assert len(result.energies[mid]) == 3
         assert np.max(np.abs(result.energies[mid] - plain_lanczos(h)[:3])) < 1e-10
-        vecs = result.vectors[mid]
+        vecs = result.vectors
         assert np.max(np.abs(h @ vecs - vecs * result.energies[mid])) < 1e-10
         # kept as the sectors return them, layout too, which the bits of the
         # ground correlator's dot product depend on
-        w, v = ed._flip_sector_levels(flip_sectors(h), 3)
+        w, v = ed._flip_sector_levels(flip_sectors(h))
         assert np.array_equal(vecs, v) and vecs.strides == v.strides
         # F mirrors the block onto itself: H = J H J entry for entry, J the
         # order reversal, which the sector split A +- B relies on
@@ -479,15 +485,16 @@ class TestLowSpectrum:
         want = flip_sectors(sparse_block(spec.coupled_bonds(), sts))
         for sector, oracle in zip(bond_pass_sectors(spec, mid), want):
             assert same_arrays(sector, oracle)
-        w, v = ed._flip_sector_levels(want, 3)
-        old = SpectrumResult(spec, {mid: w}, {}, {mid: v[:, :3].copy(order="K")}, {mid: sts})
+            assert sector.indices.dtype == np.int32  # from int64 positions
+        w, v = ed._flip_sector_levels(want)
+        old = SpectrumResult(spec, {mid: w}, {}, v[:, :3].copy(order="K"), sts)
         new = _probe_block(spec)
         assert np.array_equal(new.energies[mid], old.energies[mid])
-        assert np.array_equal(new.vectors[mid], old.vectors[mid])
-        assert new.vectors[mid].strides == old.vectors[mid].strides
+        assert np.array_equal(new.vectors, old.vectors)
+        assert new.vectors.strides == old.vectors.strides
         assert np.array_equal(
-            total_spin_expectation(spec.n_total, new.states[mid], new.vectors[mid]),
-            total_spin_expectation(spec.n_total, old.states[mid], old.vectors[mid]))
+            total_spin_expectation(spec.n_total, new.states, new.vectors),
+            total_spin_expectation(spec.n_total, old.states, old.vectors))
         assert ground_state_correlator(new) == ground_state_correlator(old)
         if spec.label.startswith("ladder"):
             with pytest.raises(SectorAmbiguityError, match="not a total-spin singlet"):
@@ -508,6 +515,20 @@ class TestLowSpectrum:
         assert np.count_nonzero(got[0].data == 0) == 0
         assert np.count_nonzero(got[1].data == 0) == 2
 
+    def test_flip_sectors_past_int32_positions(self):
+        # 20 spins, above MAX_SPINS, straight from the bond pass: positions
+        # in the first half of the 184,756-state S_z = 0 block's rows reach
+        # 92,378 * 184,756 > 2**31, where int32 positions would wrap; the
+        # sectors still hold the arrays of those cut from the whole block's
+        # CSR, with int32 indices
+        bonds = tuple((i, i + 1, 1.0) for i in range(17)) + ((1, 18, 0.1), (16, 19, 0.1))
+        ((sts, diagonal, terms),) = ed._bond_pass(20, bonds, (10,)).values()
+        assert len(sts) // 2 * len(sts) > 2**31
+        want = flip_sectors(sparse_block(bonds, sts))
+        for sector, oracle in zip(ed._flip_sectors(diagonal, terms), want):
+            assert same_arrays(sector, oracle)
+            assert sector.indices.dtype == np.int32
+
     def test_reduced_lanczos_route_matches_dense(self, monkeypatch):
         # a cap of 100 sends the 252-state S_z = 0 block of 10 spins through
         # the sectors; 9 spins have no S_z = 0 block
@@ -520,7 +541,7 @@ class TestLowSpectrum:
         assert abs(ground_state_correlator(even) - want[1]) < 1e-10
         reduced, mid = _probe_block(even), even.n_total // 2
         assert list(reduced.energies) == [mid]
-        assert np.array_equal(reduced.states[mid], full.states[mid])
+        assert np.array_equal(reduced.states, full.states)
         assert len(reduced.energies[mid]) == 3
         assert np.max(np.abs(reduced.energies[mid] - full.energies[mid][:3])) < 1e-10
         for quantity in (low_spectrum_jcan, ground_state_correlator):
@@ -647,7 +668,7 @@ class TestLowSpectrum:
 
     def test_probe_gap_builds_no_whole_block(self):
         # 16 spins: the flip sectors come from the first half of the S_z = 0
-        # block's rows, and its whole CSR is never built; the peak, 4.3 MiB,
+        # block's rows, and its whole CSR is never built; the peak, 4.7 MiB,
         # is Lanczos on the sectors (7.8 MiB with the whole block first)
         import scipy.sparse.linalg  # noqa: F401  (its import is not the route's)
 
@@ -699,18 +720,17 @@ class TestThermalCorrelator:
         # that every vector gave; 9 spins keep no vector and have no probe
         # gap, so they take the thermal part alone, on the grid of the
         # 10-spin chain's J_can (1.2e-3)
-        got, want = full_spectrum(spec), every_vector_spectrum(spec)
+        got, (want, _, _) = full_spectrum(spec), every_vector_spectrum(spec)
         assert list(got.probe_diagonals) == list(want.energies)
         for m, es in want.energies.items():
             assert np.array_equal(got.energies[m], es)
             assert np.array_equal(got.probe_diagonals[m], want.probe_diagonals[m])
         j_can = 1.2e-3
         if spec.n_total % 2:
-            assert got.vectors == {} and got.states == {}
+            assert got.vectors is None and got.states is None
         else:
-            mid = spec.n_total // 2
-            assert list(got.vectors) == list(got.states) == [mid]
-            assert np.array_equal(got.vectors[mid], want.vectors[mid][:, :3])
+            assert np.array_equal(got.states, want.states)
+            assert np.array_equal(got.vectors, want.vectors[:, :3])
             j_can, gap = low_spectrum_jcan(want)
             assert low_spectrum_jcan(got) == (j_can, gap)
             assert ground_state_correlator(got) == ground_state_correlator(want)
@@ -730,7 +750,7 @@ class TestThermalCorrelator:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert spectrum.vectors[6].shape == (924, 3)
+        assert spectrum.vectors.shape == (924, 3)
         assert held < 1 << 20
         assert peak < 24 * (1 << 20)  # an H held through the diagonals: 27 MiB
 
